@@ -71,15 +71,12 @@ from .pauli import (
     Term,
     commutator,
     mul_strings,
-    norm_upper,
-    prune,
 )
 from .truncation import (
     DEFAULT_PRUNE_TOL,
     TruncationReport,
     chained_truncate,
     hadamard_truncate,
-    nested_commutator,
     nested_commutator_levels,
     series_coefficient,
 )

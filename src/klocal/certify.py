@@ -1,0 +1,167 @@
+"""Certificates: a measured left-hand side held against an analytic bound.
+
+Every check that ``klocal truncate`` and ``klocal verify`` report is
+computed here: commutator growth against ``theorem1_rhs``, the
+truncated-witness error against ``small_time_rhs`` or ``main_rhs`` plus
+the pruning budget, the layer packing against k*floor(g/eps) and the
+discretization gap, and, for commuting Hamiltonians, the energy-block
+law (blocks of gamma between windows more than 2gq apart vanish).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+from .bounds import BoundParams, main_rhs, small_time_rhs, theorem1_rhs
+from .layers import discretize, pack_layers, reconstruct
+from .models import structural_constants
+from .oracle import (
+    N_MAX_OPERATOR,
+    EigenSystem,
+    energy_block_norm,
+    heisenberg_evolve,
+    operator_norm_exact,
+    spectral_norm,
+    to_dense,
+)
+from .pauli import KLocalOperator, commutator
+from .truncation import DEFAULT_PRUNE_TOL, TruncationReport, chained_truncate
+
+__all__ = ["Check", "witness_check", "verify_checks"]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One certificate: ``status`` is ``pass`` iff ``lhs <= rhs``, or
+    ``skipped`` when the check does not apply (see ``note``)."""
+
+    check: str
+    lhs: float
+    rhs: float
+    margin: float
+    status: str
+    note: str = ""
+
+    @classmethod
+    def compare(cls, check: str, lhs: float, rhs: float, note: str = "") -> "Check":
+        return cls(check, lhs, rhs, rhs - lhs, "pass" if lhs <= rhs else "fail", note)
+
+    @classmethod
+    def skipped(cls, check: str, note: str) -> "Check":
+        return cls(check, 0.0, 0.0, 0.0, "skipped", note)
+
+
+def witness_check(
+    hamiltonian: KLocalOperator,
+    gamma: KLocalOperator,
+    report: TruncationReport,
+    t: float,
+    n_max: int = N_MAX_OPERATOR,
+    gamma_norm: float | None = None,
+) -> tuple[Check, float]:
+    """Certify a truncated witness of gamma(t) against the exact evolution.
+
+    The bound is ``small_time_rhs`` for a single-window report (no
+    schedule) and ``main_rhs`` for a chained one, both evaluated with the
+    exact norm of gamma; the check's RHS adds the report's pruning
+    budget.  Returns the check and the bound without the budget.
+    ``gamma_norm`` spares recomputing the exact norm when the caller
+    already has it.
+    """
+    params = BoundParams.from_operator(hamiltonian)
+    if gamma_norm is None:
+        gamma_norm = operator_norm_exact(gamma, n_max=n_max)
+    exact = heisenberg_evolve(hamiltonian, gamma, t, n_max=n_max)
+    err = spectral_norm(to_dense(report.witness, n_max=n_max).matrix - exact.matrix)
+    q0, q = gamma.locality, report.target_q
+    if report.schedule is None:
+        bound = small_time_rhs(params, q0, q, abs(t), gamma_norm)
+    else:
+        bound = main_rhs(params, q0, q, t, gamma_norm)
+    return Check.compare("truncated_witness", err, bound + report.pruning_budget), bound
+
+
+def verify_checks(
+    hamiltonian: KLocalOperator,
+    gamma: KLocalOperator,
+    *,
+    t: float | None = None,
+    q: int | None = None,
+    epsilon: float | None = None,
+    threshold: float = DEFAULT_PRUNE_TOL,
+    n_max: int = N_MAX_OPERATOR,
+) -> list[Check]:
+    """Run the certification suite on one instance.
+
+    Defaults: t = 0.5/kappa, q = 2**n * max(q0, 1) for the n intervals
+    of t, and epsilon = g/10 (the layer checks are left out when g = 0
+    and no epsilon is given).
+    """
+    const = structural_constants(hamiltonian)
+    params = BoundParams(g=const.g, k=max(const.k, 1))
+    q0 = gamma.locality
+    gamma_norm = operator_norm_exact(gamma, n_max=n_max)
+    lhs = operator_norm_exact(commutator(hamiltonian, gamma), n_max=n_max)
+    checks = [Check.compare("commutator_growth", lhs, theorem1_rhs(params, q0, gamma_norm))]
+
+    if t is None:
+        t = 0.5 / params.kappa if params.kappa > 0 else 0.0
+    n = params.intervals(t)
+    if q is None:
+        q = 2**n * max(q0, 1)
+    trunc = chained_truncate(hamiltonian, gamma, t, q, threshold=threshold, params=params)
+    witness, _ = witness_check(hamiltonian, gamma, trunc, t, n_max, gamma_norm)
+    checks.append(replace(witness, note=f"t={t}, q={q}, intervals={n}"))
+
+    if epsilon is None and const.g > 0:
+        epsilon = const.g / 10.0
+    if epsilon is not None:
+        decomp = pack_layers(discretize(hamiltonian, epsilon))
+        cert = decomp.verify()
+        checks.append(
+            Check.compare("layer_count", float(cert["layer_count"]), float(cert["layer_bound"]))
+        )
+        checks.append(
+            Check.compare(
+                "layer_reconstruction",
+                (reconstruct(decomp) - hamiltonian).norm_upper(),
+                decomp.reconstruction_gap + 1e-12,
+                note=f"epsilon={epsilon}",
+            )
+        )
+        if cert["disjoint_ok"] and cert["multiplicity_ok"]:
+            checks.append(Check.compare("layer_structure", 0.0, 0.0))
+        else:
+            checks.append(Check.compare("layer_structure", 1.0, 0.0, note=str(cert)))
+
+    checks.append(_energy_block_check(hamiltonian, gamma, 2.0 * const.g * q0, n_max))
+    return checks
+
+
+def _energy_block_check(
+    hamiltonian: KLocalOperator, gamma: KLocalOperator, gap: float, n_max: int
+) -> Check:
+    """Blocks of gamma between energy windows more than ``gap`` = 2gq
+    apart vanish when the terms of H commute pairwise."""
+    strings = [term.string for term in hamiltonian.terms()]
+    commuting = all(
+        a.commutes_with(b) for i, a in enumerate(strings) for b in strings[i + 1 :]
+    )
+    if not commuting or hamiltonian.is_zero:
+        return Check.skipped("energy_block", "Hamiltonian terms do not commute pairwise")
+    h_dense = to_dense(hamiltonian, n_max=n_max)
+    eig = EigenSystem(h_dense)
+    lo = float(eig.eigenvalues[0])
+    hi = float(eig.eigenvalues[-1])
+    width = hi - lo
+    if width <= gap * (1 + 1e-9) + 1e-9:
+        return Check.skipped("energy_block", "spectrum narrower than 2gq")
+    worst = 0.0
+    for frac in (0.0, 0.25, 0.5):
+        e_lo = lo + frac * (width - gap) / 2.0
+        e_hi = e_lo + gap * (1 + 1e-9) + 1e-9
+        worst = max(
+            worst,
+            energy_block_norm(h_dense, to_dense(gamma, n_max=n_max), e_lo, e_hi, n_max=n_max),
+        )
+    return Check.compare("energy_block", worst, 1e-10, note=f"separation>2gq={gap}")

@@ -25,6 +25,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -40,6 +41,7 @@ from .bounds import (
     theorem1_rhs,
     topo_error_rhs,
 )
+from .certify import verify_checks, witness_check
 from .concentration import (
     ExtensiveObservable,
     band_matrix,
@@ -58,16 +60,8 @@ from .errors import (
 )
 from .layers import discretize, pack_layers, reconstruct
 from .models import load_spec, structural_constants
-from .oracle import (
-    N_MAX_OPERATOR,
-    EigenSystem,
-    energy_block_norm,
-    heisenberg_evolve,
-    operator_norm_exact,
-    spectral_norm,
-    to_dense,
-)
-from .pauli import KLocalOperator, PauliString, commutator
+from .oracle import N_MAX_OPERATOR, heisenberg_evolve
+from .pauli import KLocalOperator, PauliString
 from .truncation import DEFAULT_PRUNE_TOL, chained_truncate, hadamard_truncate
 
 __all__ = ["main", "build_parser"]
@@ -111,6 +105,10 @@ def _load_gamma(args: argparse.Namespace, n_sites: int) -> tuple[KLocalOperator,
     return _default_gamma(n_sites), None
 
 
+def _operator_nmax(args: argparse.Namespace) -> int:
+    return args.nmax if args.nmax is not None else N_MAX_OPERATOR
+
+
 def _float_list(text: str, name: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part != ""]
@@ -151,12 +149,18 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
     return {"input_hash": digest, "result": result}, rows, EXIT_OK
 
 
-_EVALUATORS = ("theorem1", "small_time", "main", "delta", "topo", "band")
+# evaluator name -> value at (params, q0, q, t, gamma_norm, n_sites)
+_EVALUATORS = {
+    "theorem1": lambda p, q0, q, t, gn, n: theorem1_rhs(p, q, gn),
+    "small_time": lambda p, q0, q, t, gn, n: small_time_rhs(p, q0, q, t, gn),
+    "main": lambda p, q0, q, t, gn, n: main_rhs(p, q0, q, t, gn),
+    "delta": lambda p, q0, q, t, gn, n: delta_value(p, q0, q, t),
+    "topo": lambda p, q0, q, t, gn, n: topo_error_rhs(p, q0, q, t),
+    "band": lambda p, q0, q, t, gn, n: band_rhs(p, t, n, float(q)),
+}
 
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
-    if args.evaluator not in _EVALUATORS:
-        raise ValidationError(f"unknown evaluator {args.evaluator!r}; choose from {_EVALUATORS}")
     digest = None
     if args.spec:
         op, digest = _read_spec(args.spec)
@@ -171,21 +175,11 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], in
     t_values = _float_list(args.t_grid, "--t") if args.t_grid else [0.0]
     q0 = args.q0 if args.q0 is not None else 1
     gamma_norm = args.gamma_norm
+    evaluate = _EVALUATORS[args.evaluator]
     points = []
     for t in t_values:
         for q in q_values:
-            if args.evaluator == "theorem1":
-                value = theorem1_rhs(params, q, gamma_norm)
-            elif args.evaluator == "small_time":
-                value = small_time_rhs(params, q0, q, t, gamma_norm)
-            elif args.evaluator == "main":
-                value = main_rhs(params, q0, q, t, gamma_norm)
-            elif args.evaluator == "delta":
-                value = delta_value(params, q0, q, t)
-            elif args.evaluator == "topo":
-                value = topo_error_rhs(params, q0, q, t)
-            else:
-                value = band_rhs(params, t, n_sites, float(q))
+            value = evaluate(params, q0, q, t, gamma_norm, n_sites)
             points.append({"t": t, "q": q, "q0": q0, "value": value})
     result = {
         "evaluator": args.evaluator,
@@ -232,18 +226,12 @@ def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list],
         result["schedule"] = list(report_t.schedule.levels)
         result["delta_q"] = report_t.schedule.delta_q
         result["intervals"] = report_t.schedule.n
-    nmax = args.nmax if args.nmax is not None else N_MAX_OPERATOR
+    nmax = _operator_nmax(args)
     if op.n_sites <= nmax:
-        gamma_norm = operator_norm_exact(gamma, n_max=nmax)
-        exact = heisenberg_evolve(op, gamma, t, n_max=nmax)
-        err = spectral_norm(to_dense(report_t.witness, n_max=nmax).matrix - exact.matrix)
-        if mode == "small-time":
-            rhs = small_time_rhs(params, gamma.locality, q, abs(t), gamma_norm)
-        else:
-            rhs = main_rhs(params, gamma.locality, q, t, gamma_norm)
-        result["oracle_error"] = err
+        check, rhs = witness_check(op, gamma, report_t, t, nmax)
+        result["oracle_error"] = check.lhs
         result["bound_rhs_exact_norm"] = rhs
-        result["certified"] = bool(err <= rhs + report_t.pruning_budget)
+        result["certified"] = check.status == "pass"
     rows = [["quantity", "value"]] + [
         [key, value] for key, value in result.items() if key != "schedule"
     ]
@@ -287,116 +275,19 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
     return {"input_hash": digest, "result": exported}, rows, EXIT_OK
 
 
-def _verify_checks(args: argparse.Namespace, op: KLocalOperator) -> list[dict[str, Any]]:
-    const = structural_constants(op)
-    params = BoundParams(g=const.g, k=max(const.k, 1))
-    nmax = args.nmax if args.nmax is not None else N_MAX_OPERATOR
-    gamma, _ = _load_gamma(args, op.n_sites)
-    q0 = gamma.locality
-    checks: list[dict[str, Any]] = []
-
-    def add(name: str, lhs: float, rhs: float, note: str = "") -> None:
-        checks.append(
-            {
-                "check": name,
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": rhs - lhs,
-                "status": "pass" if lhs <= rhs else "fail",
-                "note": note,
-            }
-        )
-
-    # commutator growth bound
-    gamma_norm = operator_norm_exact(gamma, n_max=nmax)
-    lhs = operator_norm_exact(commutator(op, gamma), n_max=nmax)
-    add("commutator_growth", lhs, theorem1_rhs(params, q0, gamma_norm))
-
-    # truncated-evolution witness
-    t = args.t if args.t is not None else (0.5 / params.kappa if params.kappa > 0 else 0.0)
-    n = params.intervals(t)
-    q = args.q if args.q is not None else 2**n * max(q0, 1)
-    trunc = chained_truncate(op, gamma, t, q, threshold=args.threshold, params=params)
-    exact = heisenberg_evolve(op, gamma, t, n_max=nmax)
-    err = spectral_norm(to_dense(trunc.witness, n_max=nmax).matrix - exact.matrix)
-    add(
-        "truncated_witness",
-        err,
-        main_rhs(params, q0, q, t, gamma_norm) + trunc.pruning_budget,
-        note=f"t={t}, q={q}, intervals={n}",
-    )
-
-    # layer decomposition certificates
-    epsilon = args.epsilon
-    if epsilon is None and const.g > 0:
-        epsilon = const.g / 10.0
-    if epsilon is not None:
-        decomp = pack_layers(discretize(op, epsilon))
-        cert = decomp.verify()
-        add("layer_count", float(cert["layer_count"]), float(cert["layer_bound"]))
-        add(
-            "layer_reconstruction",
-            (reconstruct(decomp) - op).norm_upper(),
-            decomp.reconstruction_gap + 1e-12,
-            note=f"epsilon={epsilon}",
-        )
-        if not (cert["disjoint_ok"] and cert["commuting_ok"] and cert["multiplicity_ok"]):
-            add("layer_structure", 1.0, 0.0, note=str(cert))
-        else:
-            add("layer_structure", 0.0, 0.0)
-
-    # energy block law, commuting Hamiltonians only
-    strings = [term.string for term in op.terms()]
-    commuting = all(
-        a.commutes_with(b) for i, a in enumerate(strings) for b in strings[i + 1 :]
-    )
-    if commuting and not op.is_zero:
-        h_dense = to_dense(op, n_max=nmax)
-        eig = EigenSystem(h_dense)
-        lo = float(eig.eigenvalues[0])
-        hi = float(eig.eigenvalues[-1])
-        gap = 2.0 * const.g * q0
-        width = hi - lo
-        if width > gap * (1 + 1e-9) + 1e-9:
-            worst = 0.0
-            for frac in (0.0, 0.25, 0.5):
-                e_lo = lo + frac * (width - gap) / 2.0
-                e_hi = e_lo + gap * (1 + 1e-9) + 1e-9
-                worst = max(
-                    worst,
-                    energy_block_norm(
-                        h_dense, to_dense(gamma, n_max=nmax), e_lo, e_hi, n_max=nmax
-                    ),
-                )
-            add("energy_block", worst, 1e-10, note=f"separation>2gq={gap}")
-        else:
-            checks.append(
-                {
-                    "check": "energy_block",
-                    "lhs": 0.0,
-                    "rhs": 0.0,
-                    "margin": 0.0,
-                    "status": "skipped",
-                    "note": "spectrum narrower than 2gq",
-                }
-            )
-    else:
-        checks.append(
-            {
-                "check": "energy_block",
-                "lhs": 0.0,
-                "rhs": 0.0,
-                "margin": 0.0,
-                "status": "skipped",
-                "note": "Hamiltonian terms do not commute pairwise",
-            }
-        )
-    return checks
-
-
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
     op, digest = _read_spec(args.spec)
-    checks = _verify_checks(args, op)
+    gamma, _ = _load_gamma(args, op.n_sites)
+    found = verify_checks(
+        op,
+        gamma,
+        t=args.t,
+        q=args.q,
+        epsilon=args.epsilon,
+        threshold=args.threshold,
+        n_max=_operator_nmax(args),
+    )
+    checks = [asdict(check) for check in found]
     failed = [c for c in checks if c["status"] == "fail"]
     result = {
         "checks": checks,
@@ -414,8 +305,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], i
 def _bloch_parent(site_states: str, n_sites: int) -> KLocalOperator:
     """Parent one-local Hamiltonian with the product state as ground state
     at energy -N: h_i = -(v_i . sigma_i) with unit Bloch vectors v_i."""
-    from .concentration import build_product_state  # local import to reuse validation
-
     if isinstance(site_states, str):
         if len(site_states) != n_sites:
             raise ValidationError(f"state string length {len(site_states)} != n_sites {n_sites}")
@@ -530,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate an analytic bound on a grid")
     common(p, spec_required=False)
-    p.add_argument("--evaluator", required=True, choices=_EVALUATORS)
+    p.add_argument("--evaluator", required=True, choices=list(_EVALUATORS))
     p.add_argument("--g", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--q0", type=int, default=None)

@@ -87,7 +87,7 @@ class ExtensiveObservable:
             raise ValidationError("site terms must cover every site exactly once")
         self.n_sites = n_sites
         self.site_terms = tuple(site_terms)
-        op = KLocalOperator.from_terms(n_sites, site_terms)
+        op = KLocalOperator(n_sites, {term.string: term.coeff for term in site_terms})
         self.operator = op
         self.dense = to_dense(op, n_max=n_max)
         eig = EigenSystem(self.dense)

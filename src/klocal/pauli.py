@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import DimensionMismatchError, ValidationError
 
@@ -30,8 +30,6 @@ __all__ = [
     "KLocalOperator",
     "mul_strings",
     "commutator",
-    "norm_upper",
-    "prune",
 ]
 
 # Coefficients at or below this magnitude are treated as exact zeros when
@@ -231,17 +229,6 @@ class KLocalOperator:
     def zero(cls, n_sites: int) -> "KLocalOperator":
         return cls(n_sites)
 
-    @classmethod
-    def from_terms(cls, n_sites: int, terms: Iterable[Term | tuple[PauliString, complex]]) -> "KLocalOperator":
-        acc: dict[PauliString, complex] = {}
-        for item in terms:
-            if isinstance(item, Term):
-                string, coeff = item.string, item.coeff
-            else:
-                string, coeff = item
-            acc[string] = acc.get(string, 0j) + complex(coeff)
-        return cls(n_sites, acc)
-
     def terms(self) -> list[Term]:
         return [Term(s, c) for s, c in self._terms.items()]
 
@@ -374,13 +361,3 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
             key = (x3, z3)
             acc[key] = acc.get(key, 0j) + 2.0 * ca * cb * _PHASES[phi]
     return KLocalOperator(n, {PauliString(n, x, z): c for (x, z), c in acc.items()})
-
-
-def norm_upper(op: KLocalOperator) -> float:
-    """Module-level alias for :meth:`KLocalOperator.norm_upper`."""
-    return op.norm_upper()
-
-
-def prune(op: KLocalOperator, threshold: float) -> tuple[KLocalOperator, float]:
-    """Module-level alias for :meth:`KLocalOperator.prune`."""
-    return op.prune(threshold)

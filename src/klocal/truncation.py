@@ -22,7 +22,6 @@ deep series (m0 in the hundreds) neither overflow nor underflow.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -35,7 +34,6 @@ __all__ = [
     "DEFAULT_PRUNE_TOL",
     "TruncationReport",
     "series_coefficient",
-    "nested_commutator",
     "nested_commutator_levels",
     "hadamard_truncate",
     "chained_truncate",
@@ -106,33 +104,6 @@ def nested_commutator_levels(
         yield m, level, dropped
         if level.is_zero:
             return
-
-
-def nested_commutator(
-    hamiltonian: KLocalOperator,
-    gamma: KLocalOperator,
-    m: int,
-    threshold: float = DEFAULT_PRUNE_TOL,
-) -> tuple[KLocalOperator, float]:
-    """m-fold nested commutator [H, [H, ... [H, gamma]]] with pruning.
-
-    Returns the final level and the total dropped magnitude.  m = 0
-    returns gamma itself.  Each nesting raises locality by at most the
-    interaction degree of H.
-    """
-    if m < 0:
-        raise DomainError(f"nesting depth must be nonnegative, got {m}")
-    total_dropped = 0.0
-    result = gamma
-    for level_m, level, dropped in nested_commutator_levels(hamiltonian, gamma, m, threshold):
-        total_dropped += dropped
-        result = level
-        if level_m == m:
-            break
-    else:
-        # generator stopped early on a vanished level
-        result = KLocalOperator.zero(gamma.n_sites)
-    return result, total_dropped
 
 
 def _resolve_params(hamiltonian: KLocalOperator, params: BoundParams | None) -> BoundParams:

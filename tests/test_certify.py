@@ -1,0 +1,104 @@
+"""Certificates: one home for each LHS/RHS, and golden CLI reports.
+
+The specs under ``tests/golden`` are
+
+- ``tfi4.json``: ``long_range_ising`` with n_sites=4, alpha=inf,
+  coupling=1, field=1 (transverse-field Ising chain);
+- ``diag5.json``: ``diagonal_commuting`` with n_sites=5, k=2, seed=3;
+- ``rk6.json``: ``random_klocal`` with n_sites=6, k=2, n_terms=18, seed=5.
+
+Each report file is the stdout of the command in ``GOLDEN_RUNS`` run
+inside ``tests/golden``, captured before the certificates moved into
+``klocal.certify``.  Regenerate one only when its report is meant to
+change.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from klocal.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GOLDEN_RUNS = {
+    "verify_tfi4.json": ["verify", "--spec", "tfi4.json"],
+    "verify_diag5.json": ["verify", "--spec", "diag5.json"],
+    "verify_rk6.json": ["verify", "--spec", "rk6.json"],
+    "truncate_small_time.json": [
+        "truncate", "--spec", "rk6.json", "--t", "0.008", "--q", "6", "--mode", "small-time",
+    ],
+    "truncate_chained.json": [
+        "truncate", "--spec", "tfi4.json", "--t", "0.005", "--q", "7", "--mode", "chained",
+    ],
+    "decompose_tfi4.json": ["decompose", "--spec", "tfi4.json"],
+}
+
+CHECK_FIELDS = {"check", "lhs", "rhs", "margin", "status", "note"}
+
+
+@pytest.fixture
+def run(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+
+    def invoke(*argv: str) -> dict:
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    return invoke
+
+
+def assert_close(actual, expected, where: str = "report") -> None:
+    """Floats agree to 1e-12 relative; everything else exactly."""
+    assert type(actual) is type(expected), where
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), where
+        for key, value in expected.items():
+            assert_close(actual[key], value, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_close(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0.0), where
+    else:
+        assert actual == expected, where
+
+
+@pytest.mark.parametrize(
+    "mode, spec, t, q, intervals",
+    [("small-time", "rk6.json", "0.008", "6", 1), ("chained", "tfi4.json", "0.005", "7", 2)],
+)
+def test_truncate_and_verify_share_the_witness_certificate(run, mode, spec, t, q, intervals):
+    truncated = run("truncate", "--spec", spec, "--t", t, "--q", q, "--mode", mode)["result"]
+    checks = run("verify", "--spec", spec, "--t", t, "--q", q)["result"]["checks"]
+    (witness,) = [c for c in checks if c["check"] == "truncated_witness"]
+    assert truncated["mode"] == mode
+    assert witness["note"] == f"t={float(t)}, q={q}, intervals={intervals}"
+    assert truncated["oracle_error"] == witness["lhs"]
+    assert truncated["certified"] and witness["status"] == "pass"
+
+
+def test_non_commuting_spec_skips_energy_block(run):
+    checks = run("verify", "--spec", "tfi4.json")["result"]["checks"]
+    (energy,) = [c for c in checks if c["check"] == "energy_block"]
+    assert set(energy) == CHECK_FIELDS
+    assert energy == {
+        "check": "energy_block",
+        "lhs": 0.0,
+        "rhs": 0.0,
+        "margin": 0.0,
+        "status": "skipped",
+        "note": "Hamiltonian terms do not commute pairwise",
+    }
+    assert all(set(c) == CHECK_FIELDS for c in checks)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_report(run, name):
+    expected = json.loads((GOLDEN / name).read_text())
+    assert_close(run(*GOLDEN_RUNS[name]), expected)

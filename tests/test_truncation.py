@@ -14,7 +14,6 @@ from klocal.pauli import KLocalOperator, PauliString
 from klocal.truncation import (
     chained_truncate,
     hadamard_truncate,
-    nested_commutator,
     nested_commutator_levels,
     series_coefficient,
 )
@@ -91,8 +90,10 @@ class TestNestedCommutators:
 
     def test_nested_commutator_value(self):
         h, gamma = single_qubit()
-        l2, dropped = nested_commutator(h, gamma, 2, threshold=0.0)
-        assert dropped == 0.0
+        levels = list(nested_commutator_levels(h, gamma, 2, threshold=0.0))
+        m, l2, _ = levels[-1]
+        assert m == 2
+        assert sum(dropped for _, _, dropped in levels) == 0.0
         assert l2.coefficient(PauliString.from_letters(1, {0: "Z"})) == pytest.approx(4.0)
 
 
