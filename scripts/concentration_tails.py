@@ -21,13 +21,13 @@ from klocal.bounds import BoundParams, band_rhs
 from klocal.concentration import (
     ExtensiveObservable,
     band_matrix,
-    evolve_product_state,
+    build_product_state,
     fit_tail_constants,
     tail_profile,
 )
 from klocal.errors import DomainError
 from klocal.models import build_model, structural_constants
-from klocal.oracle import heisenberg_evolve
+from klocal.oracle import EigenSystem
 from klocal.pauli import KLocalOperator, PauliString
 
 
@@ -46,6 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     const = structural_constants(h)
     params = BoundParams(g=const.g, k=const.k)
+    eig = EigenSystem(h, n_max=n)
     observable = ExtensiveObservable.collective(n, "z", n_max=n)
     parent = KLocalOperator(n, {PauliString.from_letters(n, {i: "X"}): -1.0 for i in range(n)})
     fracs = [float(x) for x in args.t_fracs.split(",")]
@@ -59,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
         band_writer.writerow(["t", "x", "x_prime", "norm", "bound"])
         for frac in fracs:
             t = frac / params.kappa
-            psi = evolve_product_state(h, "+" * n, t, n_max=n)
+            psi = eig.evolve_state(build_product_state("+" * n), t)
             profile = tail_profile(psi, observable)
             try:
                 c1, c2 = fit_tail_constants(profile, params, t, n)
@@ -74,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 tail_writer.writerow([t, r, tail, fitted])
 
-            parent_t = heisenberg_evolve(h, parent, t, n_max=n)
+            parent_t = eig.evolve_operator(parent, t)
             band = band_matrix(parent_t, observable, float(r_t), n_max=n)
             occupied = [b for b in range(band.n_bins) if band.occupancy[b]]
             for bx in occupied:

@@ -20,7 +20,7 @@ import sys
 
 from klocal.bounds import BoundParams, main_rhs
 from klocal.models import build_model, structural_constants
-from klocal.oracle import heisenberg_evolve, q_local_project, weight_spectrum
+from klocal.oracle import EigenSystem, q_local_project, weight_spectrum
 from klocal.pauli import KLocalOperator, PauliString
 
 
@@ -42,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     const = structural_constants(h)
     params = BoundParams(g=const.g, k=const.k)
     gamma = KLocalOperator(n, {PauliString.from_letters(n, {args.site: "Z"}): 1.0})
+    eig = EigenSystem(h, n_max=n)
     print(f"N={n}, k={params.k}, g={params.g}, kappa={params.kappa:.1f}; "
           f"evolving Z on site {args.site}")
 
@@ -51,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
                          "distance_to_q_local", "chained_bound"])
         for i in range(1, args.t_points + 1):
             t = i * args.t_max_intervals / (args.t_points * params.kappa)
-            evolved = heisenberg_evolve(h, gamma, t, n_max=n)
+            evolved = eig.evolve_operator(gamma, t)
             spectrum = weight_spectrum(evolved)
             n_int = params.intervals(t)
             for q in range(1, n + 1):

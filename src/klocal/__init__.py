@@ -58,7 +58,6 @@ from .oracle import (
     heisenberg_evolve,
     operator_norm_exact,
     pauli_coefficients,
-    pauli_string_matrix,
     q_local_project,
     spectral_norm,
     to_dense,

@@ -15,15 +15,7 @@ from dataclasses import dataclass, replace
 from .bounds import BoundParams, main_rhs, small_time_rhs, theorem1_rhs
 from .layers import discretize, pack_layers, reconstruct
 from .models import structural_constants
-from .oracle import (
-    N_MAX_OPERATOR,
-    EigenSystem,
-    energy_block_norm,
-    heisenberg_evolve,
-    operator_norm_exact,
-    spectral_norm,
-    to_dense,
-)
+from .oracle import N_MAX_OPERATOR, EigenSystem, operator_norm_exact, spectral_norm, to_dense
 from .pauli import KLocalOperator, commutator
 from .truncation import DEFAULT_PRUNE_TOL, TruncationReport, chained_truncate
 
@@ -56,10 +48,11 @@ def witness_check(
     gamma: KLocalOperator,
     report: TruncationReport,
     t: float,
-    n_max: int = N_MAX_OPERATOR,
+    eig: EigenSystem,
     gamma_norm: float | None = None,
 ) -> tuple[Check, float]:
-    """Certify a truncated witness of gamma(t) against the exact evolution.
+    """Certify a truncated witness of gamma(t) against the exact evolution
+    under ``eig``, the eigensystem of ``hamiltonian``.
 
     The bound is ``small_time_rhs`` for a single-window report (no
     schedule) and ``main_rhs`` for a chained one, both evaluated with the
@@ -70,9 +63,9 @@ def witness_check(
     """
     params = BoundParams.from_operator(hamiltonian)
     if gamma_norm is None:
-        gamma_norm = operator_norm_exact(gamma, n_max=n_max)
-    exact = heisenberg_evolve(hamiltonian, gamma, t, n_max=n_max)
-    err = spectral_norm(to_dense(report.witness, n_max=n_max).matrix - exact.matrix)
+        gamma_norm = operator_norm_exact(gamma, n_max=eig.n_sites)
+    exact = eig.evolve_operator(gamma, t)
+    err = spectral_norm(to_dense(report.witness, n_max=eig.n_sites).matrix - exact.matrix)
     q0, q = gamma.locality, report.target_q
     if report.schedule is None:
         bound = small_time_rhs(params, q0, q, abs(t), gamma_norm)
@@ -100,6 +93,7 @@ def verify_checks(
     const = structural_constants(hamiltonian)
     params = BoundParams(g=const.g, k=max(const.k, 1))
     q0 = gamma.locality
+    eig = EigenSystem(hamiltonian, n_max)
     gamma_norm = operator_norm_exact(gamma, n_max=n_max)
     lhs = operator_norm_exact(commutator(hamiltonian, gamma), n_max=n_max)
     checks = [Check.compare("commutator_growth", lhs, theorem1_rhs(params, q0, gamma_norm))]
@@ -110,7 +104,7 @@ def verify_checks(
     if q is None:
         q = 2**n * max(q0, 1)
     trunc = chained_truncate(hamiltonian, gamma, t, q, threshold=threshold, params=params)
-    witness, _ = witness_check(hamiltonian, gamma, trunc, t, n_max, gamma_norm)
+    witness, _ = witness_check(hamiltonian, gamma, trunc, t, eig, gamma_norm)
     checks.append(replace(witness, note=f"t={t}, q={q}, intervals={n}"))
 
     if epsilon is None and const.g > 0:
@@ -134,12 +128,12 @@ def verify_checks(
         else:
             checks.append(Check.compare("layer_structure", 1.0, 0.0, note=str(cert)))
 
-    checks.append(_energy_block_check(hamiltonian, gamma, 2.0 * const.g * q0, n_max))
+    checks.append(_energy_block_check(hamiltonian, gamma, 2.0 * const.g * q0, eig))
     return checks
 
 
 def _energy_block_check(
-    hamiltonian: KLocalOperator, gamma: KLocalOperator, gap: float, n_max: int
+    hamiltonian: KLocalOperator, gamma: KLocalOperator, gap: float, eig: EigenSystem
 ) -> Check:
     """Blocks of gamma between energy windows more than ``gap`` = 2gq
     apart vanish when the terms of H commute pairwise."""
@@ -149,8 +143,6 @@ def _energy_block_check(
     )
     if not commuting or hamiltonian.is_zero:
         return Check.skipped("energy_block", "Hamiltonian terms do not commute pairwise")
-    h_dense = to_dense(hamiltonian, n_max=n_max)
-    eig = EigenSystem(h_dense)
     lo = float(eig.eigenvalues[0])
     hi = float(eig.eigenvalues[-1])
     width = hi - lo
@@ -160,8 +152,5 @@ def _energy_block_check(
     for frac in (0.0, 0.25, 0.5):
         e_lo = lo + frac * (width - gap) / 2.0
         e_hi = e_lo + gap * (1 + 1e-9) + 1e-9
-        worst = max(
-            worst,
-            energy_block_norm(h_dense, to_dense(gamma, n_max=n_max), e_lo, e_hi, n_max=n_max),
-        )
+        worst = max(worst, eig.block_norm(gamma, e_lo, e_hi))
     return Check.compare("energy_block", worst, 1e-10, note=f"separation>2gq={gap}")

@@ -46,7 +46,6 @@ from .concentration import (
     ExtensiveObservable,
     band_matrix,
     build_product_state,
-    evolve_product_state,
     fit_tail_constants,
     tail_profile,
     topo_error_estimate,
@@ -60,7 +59,7 @@ from .errors import (
 )
 from .layers import discretize, pack_layers, reconstruct
 from .models import load_spec, structural_constants
-from .oracle import N_MAX_OPERATOR, heisenberg_evolve
+from .oracle import N_MAX_OPERATOR, EigenSystem
 from .pauli import KLocalOperator, PauliString
 from .truncation import DEFAULT_PRUNE_TOL, chained_truncate, hadamard_truncate
 
@@ -228,7 +227,7 @@ def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list],
         result["intervals"] = report_t.schedule.n
     nmax = _operator_nmax(args)
     if op.n_sites <= nmax:
-        check, rhs = witness_check(op, gamma, report_t, t, nmax)
+        check, rhs = witness_check(op, gamma, report_t, t, EigenSystem(op, nmax))
         result["oracle_error"] = check.lhs
         result["bound_rhs_exact_norm"] = rhs
         result["certified"] = check.status == "pass"
@@ -334,7 +333,8 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
     nmax = args.nmax if args.nmax is not None else 12
     state = args.state or "+" * n_sites
     observable = ExtensiveObservable.collective(n_sites, args.axis, n_max=nmax)
-    psi_t = evolve_product_state(op, state, t, n_max=nmax)
+    eig = EigenSystem(op, nmax)
+    psi_t = eig.evolve_state(build_product_state(state, n_sites), t)
     profile = tail_profile(psi_t, observable)
     fitted: tuple[float, float] | None = None
     if t > 0:
@@ -344,7 +344,7 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
             fitted = None
 
     parent = _bloch_parent(state, n_sites)
-    parent_t = heisenberg_evolve(op, parent, t, n_max=nmax)
+    parent_t = eig.evolve_operator(parent, t)
     width = args.bin_width if args.bin_width is not None else float(params.r_t(t))
     band = band_matrix(parent_t, observable, width, n_max=nmax)
 

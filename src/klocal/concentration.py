@@ -148,9 +148,8 @@ def evolve_product_state(
     n_max: int = N_MAX_STATE,
 ) -> np.ndarray:
     """exp(-iHt) applied to a product state, exactly."""
-    h_dense = to_dense(hamiltonian, n_max=n_max)
-    psi = build_product_state(site_states, n_sites=h_dense.n_sites)
-    return EigenSystem(h_dense).evolve_state(psi, t)
+    eig = EigenSystem(hamiltonian, n_max)
+    return eig.evolve_state(build_product_state(site_states, n_sites=eig.n_sites), t)
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ def tail_profile(
         raise ValidationError("state is not normalized")
     amps = observable.eigenvectors.conj().T @ psi
     weights = np.abs(amps) ** 2
-    mean = float(np.real(np.vdot(psi, observable.dense.matrix @ psi)))
+    mean = observable.expectation(psi)
     if r_grid is None:
         top = observable.n_sites
         r_grid = list(range(0, max(int(math.floor(top - mean)), 0) + 1))

@@ -30,7 +30,6 @@ __all__ = [
     "EigenSystem",
     "WeightSpectrum",
     "to_dense",
-    "pauli_string_matrix",
     "apply_pauli_string",
     "spectral_norm",
     "operator_norm_exact",
@@ -44,13 +43,6 @@ __all__ = [
 
 N_MAX_OPERATOR = 8
 N_MAX_STATE = 12
-
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # Rows map a flattened per-site 2x2 block [B00, B01, B10, B11] to the
 # coefficients (c_I, c_X, c_Y, c_Z); _RECOMP is the exact inverse.
@@ -100,13 +92,13 @@ class DenseOperator:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
 
 
-def pauli_string_matrix(string: PauliString) -> np.ndarray:
-    """Dense matrix of a single Pauli string (site 0 least significant)."""
-    letters = string.letters
-    acc = np.ones((1, 1), dtype=complex)
-    for site in reversed(range(string.n_sites)):
-        acc = np.kron(acc, _SINGLE[letters.get(site, "I")])
-    return acc
+def _pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """The string as a signed permutation: P|i> = values[i] |flips[i]>,
+    with flips = i XOR x and values = i**|x AND z| * (-1)**|i AND z|."""
+    idx = np.arange(1 << string.n_sites, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(string.z_mask)) & np.uint64(1)).astype(float)
+    phase = 1j ** ((string.x_mask & string.z_mask).bit_count() & 3)
+    return idx ^ np.uint64(string.x_mask), phase * signs
 
 
 def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) -> DenseOperator:
@@ -116,8 +108,10 @@ def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) ->
     _check_sites(op.n_sites, n_max, "dense operator")
     dim = 2**op.n_sites
     mat = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for term in op.terms():
-        mat += term.coeff * pauli_string_matrix(term.string)
+        rows, values = _pauli_action(term.string)
+        mat[rows, cols] += term.coeff * values
     return DenseOperator(n_sites=op.n_sites, matrix=mat)
 
 
@@ -126,19 +120,15 @@ def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
     dim = 1 << string.n_sites
     if psi.shape != (dim,):
         raise ValidationError(f"state shape {psi.shape} does not match {string.n_sites} sites")
-    idx = np.arange(dim, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(string.z_mask)) & np.uint64(1)).astype(float)
-    phase = 1j ** ((string.x_mask & string.z_mask).bit_count() & 3)
+    flips, values = _pauli_action(string)
     out = np.empty(dim, dtype=complex)
-    out[idx ^ np.uint64(string.x_mask)] = phase * signs * psi
+    out[flips] = values * psi
     return out
 
 
 def spectral_norm(mat: np.ndarray, tol: float = 1e-10) -> float:
     """Largest singular value; exact decomposition below dimension 256,
     power iteration (with exact fallback) above."""
-    if mat.size == 0:
-        return 0.0
     if min(mat.shape) == 0:
         return 0.0
     if max(mat.shape) <= 256:
@@ -171,26 +161,53 @@ def operator_norm_exact(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_O
 
 
 class EigenSystem:
-    """Cached eigendecomposition of a Hermitian matrix, reusable across times."""
+    """Eigendecomposition of one Hamiltonian, reused for every time,
+    operator, state and energy window asked of it."""
 
-    def __init__(self, dense: DenseOperator, tol: float = 1e-10):
+    def __init__(
+        self,
+        hamiltonian: KLocalOperator | DenseOperator,
+        n_max: int = N_MAX_OPERATOR,
+        tol: float = 1e-10,
+    ):
+        dense = to_dense(hamiltonian, n_max=n_max)
         if not dense.is_hermitian(tol=tol * max(1.0, float(np.max(np.abs(dense.matrix))))):
             raise ValidationError("Hamiltonian must be Hermitian for evolution")
         self.n_sites = dense.n_sites
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense.matrix)
+
+    def _matrix(self, op: KLocalOperator | DenseOperator) -> np.ndarray:
+        if op.n_sites != self.n_sites:
+            raise ValidationError(f"operators on {self.n_sites} and {op.n_sites} sites")
+        return to_dense(op, n_max=self.n_sites).matrix
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i H t)."""
         phases = np.exp(-1j * self.eigenvalues * t)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
-    def evolve_operator(self, gamma: np.ndarray, t: float) -> np.ndarray:
+    def evolve_operator(self, gamma: KLocalOperator | DenseOperator, t: float) -> DenseOperator:
+        """Heisenberg picture gamma(t) = exp(-iHt) gamma exp(+iHt), exactly."""
         u = self.unitary(t)
-        return u @ gamma @ u.conj().T
+        return DenseOperator(self.n_sites, u @ self._matrix(gamma) @ u.conj().T)
 
     def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
         amps = self.eigenvectors.conj().T @ psi
         return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * amps)
+
+    def block_norm(self, gamma: KLocalOperator | DenseOperator, e_lo: float, e_hi: float) -> float:
+        """Norm of the off-diagonal energy block P_{>= e_hi} gamma P_{<= e_lo}.
+
+        For a Hamiltonian whose terms commute pairwise and a q-local
+        gamma, this vanishes whenever e_hi - e_lo > 2*g*q.
+        """
+        g_matrix = self._matrix(gamma)
+        hi = self.eigenvalues >= e_hi
+        lo = self.eigenvalues <= e_lo
+        if not np.any(hi) or not np.any(lo):
+            return 0.0
+        block = self.eigenvectors[:, hi].conj().T @ g_matrix @ self.eigenvectors[:, lo]
+        return spectral_norm(block)
 
 
 def heisenberg_evolve(
@@ -200,14 +217,7 @@ def heisenberg_evolve(
     n_max: int = N_MAX_OPERATOR,
 ) -> DenseOperator:
     """Heisenberg picture gamma(t) = exp(-iHt) gamma exp(+iHt), exactly."""
-    h_dense = to_dense(hamiltonian, n_max=n_max)
-    g_dense = to_dense(gamma, n_max=n_max)
-    if h_dense.n_sites != g_dense.n_sites:
-        raise ValidationError(
-            f"operators on {h_dense.n_sites} and {g_dense.n_sites} sites"
-        )
-    eig = EigenSystem(h_dense)
-    return DenseOperator(h_dense.n_sites, eig.evolve_operator(g_dense.matrix, t))
+    return EigenSystem(hamiltonian, n_max).evolve_operator(gamma, t)
 
 
 def pauli_coefficients(dense: DenseOperator) -> np.ndarray:
@@ -313,23 +323,6 @@ def energy_block_norm(
     e_hi: float,
     n_max: int = N_MAX_OPERATOR,
 ) -> float:
-    """Norm of the off-diagonal energy block P_{>= e_hi} gamma P_{<= e_lo}.
-
-    For a Hamiltonian whose terms commute pairwise and a q-local gamma,
-    this vanishes whenever e_hi - e_lo > 2*g*q.
-    """
-    h_dense = to_dense(hamiltonian, n_max=n_max)
-    g_dense = to_dense(gamma, n_max=n_max)
-    if h_dense.n_sites != g_dense.n_sites:
-        raise ValidationError(
-            f"operators on {h_dense.n_sites} and {g_dense.n_sites} sites"
-        )
-    eig = EigenSystem(h_dense)
-    hi = eig.eigenvalues >= e_hi
-    lo = eig.eigenvalues <= e_lo
-    if not np.any(hi) or not np.any(lo):
-        return 0.0
-    v_hi = eig.eigenvectors[:, hi]
-    v_lo = eig.eigenvectors[:, lo]
-    block = v_hi.conj().T @ g_dense.matrix @ v_lo
-    return spectral_norm(block)
+    """Norm of the off-diagonal energy block P_{>= e_hi} gamma P_{<= e_lo};
+    see :meth:`EigenSystem.block_norm`."""
+    return EigenSystem(hamiltonian, n_max).block_norm(gamma, e_lo, e_hi)

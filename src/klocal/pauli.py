@@ -276,11 +276,6 @@ class KLocalOperator:
                 kept[string] = coeff
         return KLocalOperator(self.n_sites, kept), dropped
 
-    def dagger(self) -> "KLocalOperator":
-        return KLocalOperator(
-            self.n_sites, {s: c.conjugate() for s, c in self._terms.items()}
-        )
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 

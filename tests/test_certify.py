@@ -8,9 +8,11 @@ The specs under ``tests/golden`` are
 - ``rk6.json``: ``random_klocal`` with n_sites=6, k=2, n_terms=18, seed=5.
 
 Each report file is the stdout of the command in ``GOLDEN_RUNS`` run
-inside ``tests/golden``, captured before the certificates moved into
-``klocal.certify``.  Regenerate one only when its report is meant to
-change.
+inside ``tests/golden``, captured before the code it guards was
+restructured: the certificates moving into ``klocal.certify`` and, for
+``concentrate_tfi4.json``, the dense evolution moving into one
+``EigenSystem`` per Hamiltonian.  Regenerate one only when its report
+is meant to change.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from klocal.cli import main
+from klocal.oracle import EigenSystem
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,6 +39,7 @@ GOLDEN_RUNS = {
         "truncate", "--spec", "tfi4.json", "--t", "0.005", "--q", "7", "--mode", "chained",
     ],
     "decompose_tfi4.json": ["decompose", "--spec", "tfi4.json"],
+    "concentrate_tfi4.json": ["concentrate", "--spec", "tfi4.json", "--t", "0.05", "--q", "2"],
 }
 
 CHECK_FIELDS = {"check", "lhs", "rhs", "margin", "status", "note"}
@@ -102,3 +106,21 @@ def test_non_commuting_spec_skips_energy_block(run):
 def test_golden_report(run, name):
     expected = json.loads((GOLDEN / name).read_text())
     assert_close(run(*GOLDEN_RUNS[name]), expected)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    # concentrate diagonalises H and the collective observable
+    [("verify_diag5.json", 1), ("truncate_chained.json", 1), ("concentrate_tfi4.json", 2)],
+)
+def test_one_eigensystem_per_hamiltonian(run, monkeypatch, name, expected):
+    built = []
+    init = EigenSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EigenSystem, "__init__", counted)
+    run(*GOLDEN_RUNS[name])
+    assert len(built) == expected

@@ -16,7 +16,6 @@ from klocal.oracle import (
     heisenberg_evolve,
     operator_norm_exact,
     pauli_coefficients,
-    pauli_string_matrix,
     q_local_project,
     spectral_norm,
     to_dense,
@@ -35,27 +34,36 @@ def op1(letter: str, coeff: complex = 1.0) -> KLocalOperator:
     return KLocalOperator(1, {PauliString.from_letters(1, {0: letter}): coeff})
 
 
+def string_matrix(s: PauliString) -> np.ndarray:
+    return to_dense(KLocalOperator(s.n_sites, {s: 1.0})).matrix
+
+
+def kron_reference(s: PauliString) -> np.ndarray:
+    """Matrix of a string as a direct Kronecker product, site 0 last."""
+    mats = {"X": X, "Y": Y, "Z": Z}
+    factors = [mats.get(s.letters.get(i), np.eye(2)) for i in range(s.n_sites)]
+    expected = factors[-1]
+    for f in factors[-2::-1]:
+        expected = np.kron(expected, f)
+    return expected
+
+
 class TestDenseConversion:
     def test_single_site_matrices(self):
         for letter, mat in (("X", X), ("Y", Y), ("Z", Z)):
             s = PauliString.from_letters(1, {0: letter})
-            np.testing.assert_allclose(pauli_string_matrix(s), mat)
+            np.testing.assert_allclose(string_matrix(s), mat)
 
     def test_site_ordering(self):
         # site 0 is the least-significant qubit: X0 acts on the fast index
         s = PauliString.from_letters(2, {0: "X"})
         expected = np.kron(np.eye(2), X)
-        np.testing.assert_allclose(pauli_string_matrix(s), expected)
+        np.testing.assert_allclose(string_matrix(s), expected)
 
     def test_against_direct_kron(self, rng):
         for _ in range(30):
             s = random_pauli_string(rng, 4)
-            mats = {"X": X, "Y": Y, "Z": Z}
-            factors = [mats.get(s.letters.get(i), np.eye(2)) for i in range(4)]
-            expected = factors[3]
-            for f in factors[2::-1]:
-                expected = np.kron(expected, f)
-            np.testing.assert_allclose(pauli_string_matrix(s), expected, atol=1e-14)
+            np.testing.assert_allclose(string_matrix(s), kron_reference(s), atol=1e-14)
 
     def test_resource_limit_names_override(self):
         big = KLocalOperator(9, {PauliString.from_letters(9, {0: "X"}): 1.0})
@@ -69,7 +77,7 @@ class TestDenseConversion:
             s = random_pauli_string(rng, 5)
             psi = rng.normal(size=32) + 1j * rng.normal(size=32)
             np.testing.assert_allclose(
-                apply_pauli_string(s, psi), pauli_string_matrix(s) @ psi, atol=1e-12
+                apply_pauli_string(s, psi), kron_reference(s) @ psi, atol=1e-12
             )
 
 
