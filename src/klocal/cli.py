@@ -50,16 +50,10 @@ from .concentration import (
     tail_profile,
     topo_error_estimate,
 )
-from .errors import (
-    DomainError,
-    InfeasibleScheduleError,
-    KLocalError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import DomainError, KLocalError, ResourceLimitError, ValidationError
 from .layers import discretize, pack_layers, reconstruct
 from .models import load_spec, structural_constants
-from .oracle import N_MAX_OPERATOR, EigenSystem
+from .oracle import N_MAX_OPERATOR, N_MAX_STATE, EigenSystem
 from .pauli import KLocalOperator, PauliString
 from .truncation import DEFAULT_PRUNE_TOL, chained_truncate, hadamard_truncate
 
@@ -304,15 +298,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], i
 def _bloch_parent(site_states: str, n_sites: int) -> KLocalOperator:
     """Parent one-local Hamiltonian with the product state as ground state
     at energy -N: h_i = -(v_i . sigma_i) with unit Bloch vectors v_i."""
-    if isinstance(site_states, str):
-        if len(site_states) != n_sites:
-            raise ValidationError(f"state string length {len(site_states)} != n_sites {n_sites}")
-        vectors = [build_product_state(ch, 1) for ch in site_states]
-    else:
-        vectors = [np.asarray(v, dtype=complex) for v in site_states]
     acc: dict[PauliString, complex] = {}
-    for i, v in enumerate(vectors):
-        a, b = v[0], v[1]
+    for i, ch in enumerate(site_states):
+        a, b = build_product_state(ch, 1)
         bloch = {
             "X": 2.0 * (np.conj(a) * b).real,
             "Y": 2.0 * (np.conj(a) * b).imag,
@@ -330,11 +318,12 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
     n_sites = op.n_sites
     params = BoundParams.from_operator(op)
     t = args.t if args.t is not None else 0.0
-    nmax = args.nmax if args.nmax is not None else 12
+    nmax = args.nmax if args.nmax is not None else N_MAX_STATE
     state = args.state or "+" * n_sites
     observable = ExtensiveObservable.collective(n_sites, args.axis, n_max=nmax)
     eig = EigenSystem(op, nmax)
-    psi_t = eig.evolve_state(build_product_state(state, n_sites), t)
+    psi_0 = build_product_state(state, n_sites)
+    psi_t = eig.evolve_state(psi_0, t)
     profile = tail_profile(psi_t, observable)
     fitted: tuple[float, float] | None = None
     if t > 0:
@@ -380,7 +369,6 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
     if args.q is not None:
         # distinguishability of the evolved state from the initial one
         # under random weight-q probes
-        psi_0 = build_product_state(state, n_sites)
         probe = topo_error_estimate(psi_0, psi_t, args.q, n_samples=args.samples, seed=args.seed)
         result["probe"] = {
             "q": probe.q,
@@ -515,9 +503,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, rows, code = args.handler(args)
-    except (ValidationError, DomainError, InfeasibleScheduleError) as exc:
-        _emit_error(args, exc, "invalid")
-        return EXIT_INVALID
     except ResourceLimitError as exc:
         _emit_error(args, exc, "resource")
         return EXIT_RESOURCE

@@ -14,12 +14,15 @@ that started as a product state and evolved for a short time:
 - ``fit_tail_constants``: least-squares constants for the analytic tail
   shape c1 * exp(-R / (c2 * r_t * sqrt(t * N))) (fitted, never asserted).
 
-Eigenvalue comparisons use a spectral tolerance of 1e-9 so that exact
-integer spectra survive floating-point eigensolvers.
+The spectrum of A is exact (integers in [-N, N], no eigensolver), but
+the means <A> it is compared with and the band edges -N + x*w are
+floating-point numbers; ``SPECTRAL_TOL`` = 1e-9 keeps an eigenvalue that
+sits on a threshold or a bin edge on the intended side of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,6 +35,7 @@ from .oracle import (
     N_MAX_STATE,
     DenseOperator,
     EigenSystem,
+    _check_sites,
     apply_pauli_string,
     spectral_norm,
     to_dense,
@@ -54,6 +58,13 @@ __all__ = [
 
 SPECTRAL_TOL = 1e-9
 
+# Columns: the +1 and the -1 eigenvector of each letter (bit value 0 is +1).
+_SITE_EIGENBASES = {
+    "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
+    "Y": np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / math.sqrt(2.0),
+    "Z": np.eye(2, dtype=complex),
+}
+
 _NAMED_SITE_STATES = {
     "0": np.array([1.0, 0.0], dtype=complex),
     "1": np.array([0.0, 1.0], dtype=complex),
@@ -65,10 +76,11 @@ _NAMED_SITE_STATES = {
 
 
 class ExtensiveObservable:
-    """A = sum_i a_i with exactly one unit-norm single-site term per site.
+    """A = sum_i c_i sigma_i^{a_i}, one single-site term per site, c_i = +-1.
 
-    Holds the dense matrix and its eigendecomposition so repeated tail
-    and band queries are cheap.  Eigenvalues always lie in [-N, N].
+    The spectrum is in closed form, with no eigensolver: eigenvector j is
+    the Kronecker product of single-site eigenvectors (site 0 last) picked
+    by the bits of j, with exact eigenvalue sum_i c_i (1 - 2 bit_i(j)).
     """
 
     def __init__(self, site_terms: Sequence[Term], n_sites: int, n_max: int = N_MAX_STATE):
@@ -76,25 +88,26 @@ class ExtensiveObservable:
             raise ValidationError(
                 f"need one site term per site: got {len(site_terms)} for {n_sites} sites"
             )
-        seen = set()
+        by_site = {}
         for term in site_terms:
             if term.weight != 1:
                 raise ValidationError(f"site term {term} is not single-site")
+            if complex(term.coeff).imag != 0:
+                raise ValidationError(f"site term {term} has a non-real coefficient")
             if abs(term.norm - 1.0) > 1e-12:
                 raise ValidationError(f"site term {term} does not have unit norm")
-            seen.add(term.support[0])
-        if seen != set(range(n_sites)):
+            by_site[term.support[0]] = term
+        if sorted(by_site) != list(range(n_sites)):
             raise ValidationError("site terms must cover every site exactly once")
+        _check_sites(n_sites, n_max, "dense operator")
         self.n_sites = n_sites
         self.site_terms = tuple(site_terms)
-        op = KLocalOperator(n_sites, {term.string: term.coeff for term in site_terms})
-        self.operator = op
-        self.dense = to_dense(op, n_max=n_max)
-        eig = EigenSystem(self.dense)
-        self.eigenvalues = eig.eigenvalues
-        self.eigenvectors = eig.eigenvectors
-        if np.min(self.eigenvalues) < -n_sites - 1e-9 or np.max(self.eigenvalues) > n_sites + 1e-9:
-            raise ValidationError("extensive observable spectrum escaped [-N, N]")
+        ordered = [by_site[i] for i in range(n_sites)]
+        bases = [_SITE_EIGENBASES[term.string.letters[i]] for i, term in enumerate(ordered)]
+        self.eigenvectors = functools.reduce(np.kron, reversed(bases), np.ones((1, 1)))
+        signs = np.sign([complex(term.coeff).real for term in ordered])
+        bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1
+        self.eigenvalues = (1 - 2 * bits) @ signs
 
     @classmethod
     def collective(cls, n_sites: int, axis: str = "z", n_max: int = N_MAX_STATE) -> "ExtensiveObservable":
@@ -109,7 +122,8 @@ class ExtensiveObservable:
         return cls(terms, n_sites, n_max=n_max)
 
     def expectation(self, psi: np.ndarray) -> float:
-        return float(np.real(np.vdot(psi, self.dense.matrix @ psi)))
+        amps = self.eigenvectors.conj().T @ psi
+        return float(np.real(np.vdot(amps, self.eigenvalues * amps)))
 
 
 def build_product_state(site_states: str | Sequence, n_sites: int | None = None) -> np.ndarray:
@@ -239,10 +253,8 @@ def band_matrix(
     idx = np.clip(idx, 0, n_bins - 1)
     rotated = observable.eigenvectors.conj().T @ dense.matrix @ observable.eigenvectors
     norms = np.zeros((n_bins, n_bins))
-    occupancy = np.zeros(n_bins, dtype=bool)
     members = [np.flatnonzero(idx == b) for b in range(n_bins)]
-    for b, rows in enumerate(members):
-        occupancy[b] = rows.size > 0
+    occupancy = np.array([rows.size > 0 for rows in members])
     for bx, rows in enumerate(members):
         if rows.size == 0:
             continue
@@ -301,7 +313,7 @@ def topo_error_estimate(
     cross_max = 0.0
     for _ in range(n_samples):
         sites = rng.choice(n_sites, size=q, replace=False)
-        letters = {int(s): "XYZ"[int(i)] for s, i in zip(sites, rng.integers(0, 3, size=q))}
+        letters = {s: "XYZ"[int(i)] for s, i in zip(sites, rng.integers(0, 3, size=q))}
         string = PauliString.from_letters(n_sites, letters)
         coeff = q * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         probe_psi = coeff * apply_pauli_string(string, psi)

@@ -189,7 +189,7 @@ def _random_strings(
     for _ in range(n_terms):
         weight = int(rng.integers(1, k + 1))
         sites = rng.choice(n_sites, size=weight, replace=False)
-        chosen = {int(s): letters[int(i)] for s, i in zip(sites, rng.integers(0, len(letters), size=weight))}
+        chosen = {s: letters[int(i)] for s, i in zip(sites, rng.integers(0, len(letters), size=weight))}
         string = PauliString.from_letters(n_sites, chosen)
         coeff = float(rng.uniform(-1.0, 1.0))
         acc[string] = acc.get(string, 0j) + coeff

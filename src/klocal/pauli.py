@@ -18,6 +18,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -44,12 +45,10 @@ _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 def _mask_sites(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
-    site = 0
     while mask:
-        if mask & 1:
-            yield site
-        mask >>= 1
-        site += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class PauliString:
@@ -85,6 +84,7 @@ class PauliString:
         """Build a string from a ``{site: letter}`` map, letters in XYZ."""
         x = z = 0
         for site, letter in letters.items():
+            site = operator.index(site)
             if not 0 <= site < n_sites:
                 raise ValidationError(f"site {site} out of range for {n_sites} sites")
             try:

@@ -110,8 +110,8 @@ def test_golden_report(run, name):
 
 @pytest.mark.parametrize(
     "name, expected",
-    # concentrate diagonalises H and the collective observable
-    [("verify_diag5.json", 1), ("truncate_chained.json", 1), ("concentrate_tfi4.json", 2)],
+    # the collective observable of concentrate has a closed-form spectrum
+    [("verify_diag5.json", 1), ("truncate_chained.json", 1), ("concentrate_tfi4.json", 1)],
 )
 def test_one_eigensystem_per_hamiltonian(run, monkeypatch, name, expected):
     built = []

@@ -19,7 +19,8 @@ from klocal.concentration import (
 )
 from klocal.errors import DomainError, ResourceLimitError, ValidationError
 from klocal.models import build_model
-from klocal.pauli import KLocalOperator, PauliString
+from klocal.oracle import to_dense
+from klocal.pauli import KLocalOperator, PauliString, Term
 
 
 class TestProductStates:
@@ -72,8 +73,6 @@ class TestExtensiveObservable:
         assert a.expectation(build_product_state("01", 2)) == pytest.approx(0.0)
 
     def test_unit_norm_site_terms_required(self):
-        from klocal.pauli import Term
-
         term = PauliString.from_letters(2, {0: "Z"})
         with pytest.raises(ValidationError):
             ExtensiveObservable([Term(term, 2.0)], 2)
@@ -81,6 +80,37 @@ class TestExtensiveObservable:
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
             ExtensiveObservable.collective(13, "z")
+
+    @pytest.mark.parametrize("letter", "XYZ")
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_closed_form_diagonalizes(self, letter, sign, n):
+        rng = np.random.default_rng(n)
+        terms = [
+            Term(PauliString.from_letters(n, {i: letter}), sign) for i in rng.permutation(n)
+        ]
+        a = ExtensiveObservable(terms, n)
+        v = a.eigenvectors
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(2**n), rtol=0, atol=1e-12)
+        matrix = to_dense(KLocalOperator(n, {t.string: t.coeff for t in terms})).matrix
+        np.testing.assert_allclose(matrix @ v, v * a.eigenvalues, rtol=0, atol=1e-12)
+        assert np.all(np.abs(a.eigenvalues) <= n)
+
+    def test_mixed_axes_diagonalize(self):
+        terms = [
+            Term(PauliString.from_letters(4, {i: letter}), (-1.0) ** i)
+            for i, letter in enumerate("YXZY")
+        ]
+        a = ExtensiveObservable(terms[::-1], 4)
+        matrix = to_dense(KLocalOperator(4, {t.string: t.coeff for t in terms})).matrix
+        np.testing.assert_allclose(
+            matrix @ a.eigenvectors, a.eigenvectors * a.eigenvalues, rtol=0, atol=1e-12
+        )
+
+    def test_non_real_coefficient_rejected(self):
+        z0 = PauliString.from_letters(1, {0: "Z"})
+        with pytest.raises(ValidationError, match="non-real"):
+            ExtensiveObservable([Term(z0, 1j)], 1)
 
 
 class TestTailProfile:

@@ -65,6 +65,19 @@ class TestPauliString:
         assert s.x_mask == 0b011
         assert s.z_mask == 0b110
 
+    def test_from_letters_numpy_sites(self):
+        # an np.int64 site must not overflow its mask to zero past bit 63
+        s = PauliString.from_letters(128, {np.int64(70): "Z", np.int64(3): "X"})
+        assert s == PauliString.from_letters(128, {70: "Z", 3: "X"})
+        assert s.support == (3, 70)
+        assert type(s.z_mask) is int
+
+    def test_support_of_wide_masks(self):
+        sites = (0, 63, 64, 127, 200, 255)
+        s = PauliString.from_letters(256, {i: "Y" for i in sites})
+        assert s.support == sites
+        assert s.letters == {i: "Y" for i in sites}
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             PauliString.from_letters(2, {5: "X"})

@@ -1,0 +1,74 @@
+"""The analysis scripts under ``scripts/`` run end to end on 4 sites.
+
+Each script is loaded from its file and its ``main`` is called with
+command-line arguments; the CSVs it writes are checked for their header
+and their row count (header excluded).
+"""
+
+from __future__ import annotations
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+N_SITES = 4
+
+
+def _run(name: str, *argv: str) -> None:
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--n-sites", str(N_SITES), *argv]) == 0
+
+
+def _read(path: Path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+# (script, extra arguments, {output file: (header, row count)}); the counts
+# follow from the script defaults at N = 4:
+# - bound_sweep: 12 times x q in 1..40;
+# - spreading_profile: 10 times x q in 1..N;
+# - concentration_tails: 3 times x R in 0..N (the mean of sum Z stays 0 in
+#   |+>^N by the global spin flip), and (N+1)^2 occupied bin pairs per time
+#   (r_t = 1 puts each eigenvalue -N, -N+2, ..., N in its own bin).
+CASES = [
+    (
+        "bound_sweep",
+        ("--out", "{tmp}/bounds.csv"),
+        {"bounds.csv": (["t", "q", "intervals", "r_t", "small_time_rhs", "main_rhs"], 12 * 40)},
+    ),
+    (
+        "spreading_profile",
+        ("--out", "{tmp}/spreading.csv"),
+        {
+            "spreading.csv": (
+                ["t", "intervals", "q", "weight_mass_above_q", "distance_to_q_local", "chained_bound"],
+                10 * N_SITES,
+            )
+        },
+    ),
+    (
+        "concentration_tails",
+        ("--out-prefix", "{tmp}/conc"),
+        {
+            "conc_tails.csv": (["t", "R", "tail", "fitted_curve"], 3 * (N_SITES + 1)),
+            "conc_bands.csv": (["t", "x", "x_prime", "norm", "bound"], 3 * (N_SITES + 1) ** 2),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv, outputs", CASES, ids=[case[0] for case in CASES])
+def test_script_writes_csv(tmp_path, name, argv, outputs):
+    _run(name, *(arg.format(tmp=tmp_path) for arg in argv))
+    for filename, (want_header, want_rows) in outputs.items():
+        header, rows = _read(tmp_path / filename)
+        assert header == want_header
+        assert len(rows) == want_rows
+        assert all(len(row) == len(header) for row in rows)
