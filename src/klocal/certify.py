@@ -137,11 +137,7 @@ def _energy_block_check(
 ) -> Check:
     """Blocks of gamma between energy windows more than ``gap`` = 2gq
     apart vanish when the terms of H commute pairwise."""
-    strings = [term.string for term in hamiltonian.terms()]
-    commuting = all(
-        a.commutes_with(b) for i, a in enumerate(strings) for b in strings[i + 1 :]
-    )
-    if not commuting or hamiltonian.is_zero:
+    if not hamiltonian.terms_commute or hamiltonian.is_zero:
         return Check.skipped("energy_block", "Hamiltonian terms do not commute pairwise")
     lo = float(eig.eigenvalues[0])
     hi = float(eig.eigenvalues[-1])

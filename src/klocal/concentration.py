@@ -346,6 +346,9 @@ def fit_tail_constants(
     logs = np.array([math.log(tail) for _, tail in profile.samples if tail > 0.0])
     if rs.size < 2:
         raise DomainError("need at least two positive tail samples to fit")
+    if np.all(logs == logs[0]):
+        # flat profile: the slope is exactly zero, not a rounding-level fit
+        return float(math.exp(logs[0])), math.inf
     slope, intercept = np.polyfit(rs, logs, 1)
     if slope >= 0:
         # non-decaying profile: report an infinite decay length

@@ -67,7 +67,9 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     if not isinstance(entries, (list, tuple)):
         raise ValidationError("terms must be an array")
 
-    acc: dict[PauliString, complex] = {}
+    x_masks: list[int] = []
+    z_masks: list[int] = []
+    coeffs: list[complex] = []
     for idx, entry in enumerate(entries):
         where = f"terms[{idx}]"
         if not isinstance(entry, Mapping):
@@ -101,8 +103,11 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
         ):
             raise ValidationError(f"{where}: coeff must be a [re, im] number pair")
         string = PauliString.from_letters(n_sites, dict(zip(sites, paulis)))
-        acc[string] = acc.get(string, 0j) + complex(coeff[0], coeff[1])
-    return KLocalOperator(n_sites, acc)
+        x_masks.append(string.x_mask)
+        z_masks.append(string.z_mask)
+        coeffs.append(complex(coeff[0], coeff[1]))
+    del document, entries  # a parsed spec outweighs the arrays: free it first
+    return KLocalOperator.from_masks(n_sites, x_masks, z_masks, coeffs)
 
 
 def spec_from_operator(op: KLocalOperator) -> dict[str, Any]:
@@ -140,18 +145,14 @@ def structural_constants(op: KLocalOperator) -> StructuralConstants:
     of coefficient magnitudes; the zero operator yields all zeros.  For
     operators without an identity component, norm_upper <= g * n_sites.
     """
-    per_site = [0.0] * op.n_sites
-    k = 0
-    has_identity = False
-    for term in op.terms():
-        w = term.weight
-        if w == 0:
-            has_identity = True
-            continue
-        k = max(k, w)
-        for site in term.support:
-            per_site[site] += term.norm
-    g = max(per_site, default=0.0)
+    support = op.x | op.z
+    weights = np.bitwise_count(support).sum(axis=1)
+    k = int(weights.max(initial=0))
+    has_identity = bool((weights == 0).any())
+    # (term, site) pairs in term order, so each site sums like a loop over terms
+    rows, sites = np.nonzero(np.unpackbits(support.view(np.uint8), axis=1, bitorder="little"))
+    per_site = np.bincount(sites, weights=op.magnitudes[rows], minlength=op.n_sites)
+    g = float(per_site.max(initial=0.0))
     total = op.norm_upper()
     if not has_identity and total > g * op.n_sites * (1.0 + 1e-12) + 1e-12:
         raise ValidationError(

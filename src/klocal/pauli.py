@@ -7,9 +7,28 @@ site with both bits set carries Y.  With the convention
     P(x, z) = i^{x & z} X^x Z^z   (per site)
 
 products and commutators reduce to XORs, ANDs and popcounts, so the
-algebra never touches a matrix.  Operators are immutable weighted sums
-of strings held in canonical form: duplicate strings merged, coefficients
-with magnitude below ``ZERO_TOL`` dropped.
+algebra never touches a matrix.
+
+Storage.  ``PauliString`` and ``Term`` are value types with Python-int
+masks.  ``KLocalOperator`` keeps its terms as word-packed arrays: ``x``
+and ``z`` of shape (terms, W) and dtype uint64, W = ceil(n_sites/64),
+with site ``i`` at bit ``i % 64`` of word ``i // 64``, and ``coeff`` of
+dtype complex128.  ``terms()`` builds the value types on demand.
+
+Row order.  Each string occupies one row, in the order in which it first
+occurred: in the constructor's mapping, in ``self`` then ``other`` for a
+sum, and in the (a, b) pair loop of :func:`commutator`.
+
+Merge rule.  Duplicate strings are merged by summing their coefficients
+from zero in that same order, and merged coefficients with magnitude at
+most ``ZERO_TOL`` are dropped.  Duplicates are found by sorting rows on
+a 64-bit mix of their words, checked word by word (an exact ``lexsort``
+takes over should two different rows share a mix), and each group is
+summed with ``bincount``.  Real and imaginary parts are summed and
+multiplied with separate float64 operations that follow CPython's
+complex formulas, and magnitudes use ``np.hypot`` (NumPy's complex
+``abs`` can differ from Python's in the last bit), so every coefficient
+is bit-identical to a dict accumulating ``acc.get(s, 0j) + c``.
 
 All functions are pure and the containers are treated as immutable, so
 values can be shared freely across threads.
@@ -20,7 +39,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
@@ -38,9 +59,15 @@ __all__ = [
 ZERO_TOL = 1e-14
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_PHASE_RE = np.array([p.real for p in _PHASES])
+_PHASE_IM = np.array([p.imag for p in _PHASES])
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+# Python reduces int hashes modulo 2**61 - 1; a second residue keeps masks
+# wider than 61 bits from colliding in bulk.
+_HASH_PRIME = 1_000_000_007
 
 
 def _mask_sites(mask: int) -> Iterator[int]:
@@ -146,7 +173,8 @@ class PauliString:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_sites, self.x_mask, self.z_mask))
+        x, z = self.x_mask, self.z_mask
+        return hash((self.n_sites, x, z, x % _HASH_PRIME, z % _HASH_PRIME))
 
     def __repr__(self) -> str:
         letters = self.letters
@@ -194,33 +222,175 @@ class Term:
         return abs(self.coeff)
 
 
+# ------------------------------------------------------------ word arrays
+
+
+_WORD_MASK = (1 << 64) - 1
+# Row mixing for duplicate detection (the 64-bit golden-ratio constant).
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MIX_SHIFT = np.uint64(29)
+
+
+def _n_words(n_sites: int) -> int:
+    return max(1, -(-n_sites // 64))
+
+
+def _pack(masks: Sequence[int], n_words: int) -> np.ndarray:
+    """Python-int masks as a (len(masks), n_words) uint64 array."""
+    n_rows = len(masks)
+    out = np.empty((n_rows, n_words), dtype=np.uint64)
+    for word in range(n_words):
+        shift = 64 * word
+        out[:, word] = np.fromiter((m >> shift & _WORD_MASK for m in masks), np.uint64, n_rows)
+    return out
+
+
+def _unpack(words: np.ndarray) -> list[int]:
+    """Inverse of :func:`_pack`."""
+    width = 8 * words.shape[1]
+    raw = words.astype("<u8", copy=False).tobytes()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a (rows, W) word array."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+def _anticommuting(
+    x_words: np.ndarray, z_words: np.ndarray, xa: np.ndarray, za: np.ndarray
+) -> np.ndarray:
+    """Indices of the rows, given as (W, rows) word columns, that anticommute
+    with the string (xa, za): those where |x & za| + |z & xa| is odd.  A sum
+    of popcounts has the parity of the popcount of the XOR, and words where
+    the string is the identity add nothing."""
+    parity = np.zeros(x_words.shape[1], dtype=np.uint64)
+    for w in np.flatnonzero(xa | za):
+        parity ^= (x_words[w] & za[w]) ^ (z_words[w] & xa[w])
+    return np.flatnonzero(np.bitwise_count(parity) & 1)
+
+
+def _cmul(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """(ar + i ai)(br + i bi) by CPython's formula, part by part."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(len(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _group_order(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order that makes equal rows of (x, z) adjacent, and flags where
+    each run of equal rows starts in it.
+
+    Rows are sorted by a 64-bit mix of their words.  Should two different
+    rows ever share a mix, an exact ``lexsort`` of the words takes over.
+    """
+    columns = [*x.T, *z.T]
+    key = np.zeros(len(x), dtype=np.uint64)
+    for column in columns:
+        key = (key ^ column) * _MIX
+        key ^= key >> _MIX_SHIFT
+    order = np.argsort(key)
+    ranked = key[order]
+    starts = np.ones(len(x), dtype=bool)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    tied = np.flatnonzero(~starts)
+    later, earlier = order[tied], order[tied - 1]
+    if any((column[later] != column[earlier]).any() for column in columns):
+        order = np.lexsort(columns)
+        starts[1:] = False
+        for column in columns:
+            ranked = column[order]
+            starts[1:] |= ranked[1:] != ranked[:-1]
+    return order, starts
+
+
+def _merge(x, z, re, im) -> tuple[np.ndarray, ...]:
+    """Merge duplicate rows of (x, z) into their first occurrence.
+
+    ``bincount`` sums each group from zero in row order, which is the
+    order a dict accumulator adds in.
+    """
+    order, starts = _group_order(x, z)
+    if starts.all():
+        return x, z, 0.0 + re, 0.0 + im
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    by_first = np.argsort(first)
+    slot = np.empty_like(by_first)
+    slot[by_first] = np.arange(len(first))
+    group = np.empty_like(order)
+    group[order] = slot[np.cumsum(starts) - 1]
+    rows = first[by_first]
+    return (
+        x[rows],
+        z[rows],
+        np.bincount(group, weights=re, minlength=len(rows)),
+        np.bincount(group, weights=im, minlength=len(rows)),
+    )
+
+
 class KLocalOperator:
     """Immutable weighted sum of Pauli strings in canonical form.
 
     Canonical form merges duplicate strings and removes coefficients with
     ``|c| <= ZERO_TOL``, so e.g. ``0.5*Z0 - 0.5*Z0`` is the zero operator
-    with ``norm_upper() == 0``.
+    with ``norm_upper() == 0``.  The terms live in the read-only arrays
+    ``x``, ``z`` and ``coeff`` described in the module docstring.
     """
 
-    __slots__ = ("n_sites", "_terms")
+    __slots__ = ("n_sites", "x", "z", "coeff")
 
     def __init__(self, n_sites: int, terms: Mapping[PauliString, complex] | None = None):
-        merged: dict[PauliString, complex] = {}
-        if terms:
-            for string, coeff in terms.items():
-                if string.n_sites != n_sites:
-                    raise DimensionMismatchError(
-                        f"term on {string.n_sites} sites in operator on {n_sites}"
-                    )
-                c = merged.get(string, 0j) + complex(coeff)
-                if c == 0j:
-                    merged.pop(string, None)
-                else:
-                    merged[string] = c
-        for string in [s for s, c in merged.items() if abs(c) <= ZERO_TOL]:
-            del merged[string]
-        object.__setattr__(self, "n_sites", n_sites)
-        object.__setattr__(self, "_terms", merged)
+        terms = terms or {}
+        for string in terms:
+            if string.n_sites != n_sites:
+                raise DimensionMismatchError(
+                    f"term on {string.n_sites} sites in operator on {n_sites}"
+                )
+        width = _n_words(n_sites)
+        coeff = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+        # 0.0 + c, as merging sums from zero (it turns -0.0 parts into 0.0)
+        self._assign(
+            n_sites,
+            _pack([s.x_mask for s in terms], width),
+            _pack([s.z_mask for s in terms], width),
+            0.0 + coeff.real,
+            0.0 + coeff.imag,
+        )
+
+    @classmethod
+    def from_masks(
+        cls, n_sites: int, x_masks: Sequence[int], z_masks: Sequence[int], coeffs: Sequence[complex]
+    ) -> "KLocalOperator":
+        """Sum of ``coeffs[i] * P(x_masks[i], z_masks[i])``, merging repeated
+        strings."""
+        top = 1 << n_sites
+        if not all(0 <= m < top for masks in (x_masks, z_masks) for m in masks):
+            raise ValidationError(f"masks out of range for {n_sites} sites")
+        width = _n_words(n_sites)
+        coeff = np.array(coeffs, dtype=complex).reshape(len(coeffs))
+        rows = _merge(_pack(x_masks, width), _pack(z_masks, width), coeff.real, coeff.imag)
+        return cls._from_rows(n_sites, *rows)
+
+    @classmethod
+    def _from_rows(cls, n_sites: int, x, z, re, im) -> "KLocalOperator":
+        """Adopt unique rows whose coefficients were summed from zero."""
+        op = cls.__new__(cls)
+        op._assign(n_sites, x, z, re, im)
+        return op
+
+    def _assign(self, n_sites: int, x, z, re, im) -> None:
+        keep = ~(np.hypot(re, im) <= ZERO_TOL)
+        if not keep.all():
+            x, z, re, im = x[keep], z[keep], re[keep], im[keep]
+        for name, value in (("n_sites", n_sites), ("x", x), ("z", z), ("coeff", _complex(re, im))):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("KLocalOperator is immutable")
@@ -230,54 +400,74 @@ class KLocalOperator:
         return cls(n_sites)
 
     def terms(self) -> list[Term]:
-        return [Term(s, c) for s, c in self._terms.items()]
+        n = self.n_sites
+        return [
+            Term(PauliString(n, x, z), c)
+            for x, z, c in zip(_unpack(self.x), _unpack(self.z), self.coeff.tolist())
+        ]
 
     def coefficient(self, string: PauliString) -> complex:
-        return self._terms.get(string, 0j)
+        if string.n_sites != self.n_sites:
+            return 0j
+        width = _n_words(self.n_sites)
+        xs, zs = _pack([string.x_mask], width), _pack([string.z_mask], width)
+        hit = np.flatnonzero(((self.x == xs) & (self.z == zs)).all(axis=1))
+        return complex(self.coeff[hit[0]]) if hit.size else 0j
 
     @property
     def n_terms(self) -> int:
-        return len(self._terms)
+        return len(self.coeff)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self.coeff)
 
     @property
     def locality(self) -> int:
         """Largest weight among stored strings (0 for the zero operator)."""
-        return max((s.weight for s in self._terms), default=0)
+        return int(_popcount(self.x | self.z).max(initial=0))
 
     @property
     def support_mask(self) -> int:
-        mask = 0
-        for s in self._terms:
-            mask |= s.support_mask
-        return mask
+        return _unpack(np.bitwise_or.reduce(self.x | self.z, axis=0, keepdims=True))[0]
+
+    @property
+    def magnitudes(self) -> np.ndarray:
+        """|c| per stored term, bit-identical to Python's ``abs``."""
+        return np.hypot(self.coeff.real, self.coeff.imag)
+
+    @property
+    def terms_commute(self) -> bool:
+        """True iff the stored strings commute pairwise."""
+        x_words, z_words = self.x.T.copy(), self.z.T.copy()
+        return not any(
+            _anticommuting(x_words, z_words, xa, za).size for xa, za in zip(self.x, self.z)
+        )
 
     def norm_upper(self) -> float:
         """Triangle-inequality upper bound sum_P |c_P| on the operator norm."""
-        return math.fsum(abs(c) for c in self._terms.values())
+        return math.fsum(self.magnitudes.tolist())
 
     def prune(self, threshold: float) -> tuple["KLocalOperator", float]:
         """Drop terms with ``|coeff| <= threshold``.
 
         Returns the pruned operator and the summed magnitude of what was
-        dropped; ``threshold=0.0`` is the identity transformation.
+        dropped, added up in row order; ``threshold=0.0`` is the identity
+        transformation.
         """
         if threshold < 0:
             raise ValidationError(f"threshold must be nonnegative, got {threshold}")
-        kept: dict[PauliString, complex] = {}
-        dropped = 0.0
-        for string, coeff in self._terms.items():
-            if abs(coeff) <= threshold:
-                dropped += abs(coeff)
-            else:
-                kept[string] = coeff
-        return KLocalOperator(self.n_sites, kept), dropped
+        mags = self.magnitudes
+        drop = mags <= threshold
+        dropped = float(np.cumsum(mags[drop])[-1]) if drop.any() else 0.0
+        keep = ~drop
+        kept = KLocalOperator._from_rows(
+            self.n_sites, self.x[keep], self.z[keep], self.coeff.real[keep], self.coeff.imag[keep]
+        )
+        return kept, dropped
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return bool(np.all(np.abs(self.coeff.imag) <= tol))
 
     def __add__(self, other: "KLocalOperator") -> "KLocalOperator":
         if not isinstance(other, KLocalOperator):
@@ -286,10 +476,13 @@ class KLocalOperator:
             raise DimensionMismatchError(
                 f"operators on {self.n_sites} and {other.n_sites} sites"
             )
-        acc = dict(self._terms)
-        for string, coeff in other._terms.items():
-            acc[string] = acc.get(string, 0j) + coeff
-        return KLocalOperator(self.n_sites, acc)
+        rows = _merge(
+            np.concatenate([self.x, other.x]),
+            np.concatenate([self.z, other.z]),
+            np.concatenate([self.coeff.real, other.coeff.real]),
+            np.concatenate([self.coeff.imag, other.coeff.imag]),
+        )
+        return KLocalOperator._from_rows(self.n_sites, *rows)
 
     def __sub__(self, other: "KLocalOperator") -> "KLocalOperator":
         return self + (-1.0) * other
@@ -298,29 +491,35 @@ class KLocalOperator:
         if isinstance(scalar, KLocalOperator):
             return NotImplemented
         s = complex(scalar)
-        return KLocalOperator(self.n_sites, {p: s * c for p, c in self._terms.items()})
+        re, im = _cmul(s.real, s.imag, self.coeff.real, self.coeff.imag)
+        return KLocalOperator._from_rows(self.n_sites, self.x, self.z, 0.0 + re, 0.0 + im)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "KLocalOperator":
         return (-1.0) * self
 
+    def _sorted(self) -> tuple[np.ndarray, ...]:
+        order = np.lexsort([*self.x.T, *self.z.T])
+        return self.x[order], self.z[order], self.coeff[order]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, KLocalOperator):
             return NotImplemented
-        return self.n_sites == other.n_sites and self._terms == other._terms
+        return self.n_sites == other.n_sites and all(
+            np.array_equal(mine, theirs) for mine, theirs in zip(self._sorted(), other._sorted())
+        )
 
     def __hash__(self):
-        return hash((self.n_sites, frozenset(self._terms.items())))
+        return hash((self.n_sites, *(column.tobytes() for column in self._sorted())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if self.is_zero:
             return f"KLocalOperator(0, n={self.n_sites})"
         parts = []
-        for string, coeff in list(self._terms.items())[:6]:
-            letters = string.letters
-            body = "".join(f"{l}{i}" for i, l in sorted(letters.items())) or "I"
-            parts.append(f"({coeff:.4g})*{body}")
+        for term in self.terms()[:6]:
+            body = "".join(f"{l}{i}" for i, l in sorted(term.string.letters.items())) or "I"
+            parts.append(f"({term.coeff:.4g})*{body}")
         tail = " + ..." if self.n_terms > 6 else ""
         return f"KLocalOperator({' + '.join(parts)}{tail}, n={self.n_sites})"
 
@@ -328,31 +527,42 @@ class KLocalOperator:
 def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     """Exact commutator ``[a, b]`` in canonical form.
 
-    Term pairs with disjoint supports are skipped outright (they commute),
-    and commuting pairs contribute nothing; an anticommuting pair (P, Q)
-    contributes ``2 * c_P * c_Q * phase(PQ)`` on the product string.  Every
-    surviving string therefore straddles supports from both operands.
+    Loops over the terms P of ``a`` and tests every term Q of ``b`` at
+    once; commuting pairs (among them all pairs with disjoint supports)
+    contribute nothing, and an anticommuting pair contributes
+    ``2 * c_P * c_Q * phase(PQ)`` on the product string, so every
+    surviving string straddles supports from both operands.  Products
+    are merged in chunks of about ``b.n_terms`` rows, in (P, Q) order,
+    which bounds peak memory.
     """
     if a.n_sites != b.n_sites:
         raise DimensionMismatchError(f"operators on {a.n_sites} and {b.n_sites} sites")
-    n = a.n_sites
-    left = [(s.x_mask, s.z_mask, s.x_mask | s.z_mask, c) for s, c in a._terms.items()]
-    right = [(s.x_mask, s.z_mask, s.x_mask | s.z_mask, c) for s, c in b._terms.items()]
-    acc: dict[tuple[int, int], complex] = {}
-    for xa, za, sa, ca in left:
-        for xb, zb, sb, cb in right:
-            if not sa & sb:
-                continue
-            if ((xa & zb).bit_count() + (za & xb).bit_count()) % 2 == 0:
-                continue
-            x3 = xa ^ xb
-            z3 = za ^ zb
-            phi = (
-                (xa & za).bit_count()
-                + (xb & zb).bit_count()
-                - (x3 & z3).bit_count()
-                + 2 * (za & xb).bit_count()
-            ) & 3
-            key = (x3, z3)
-            acc[key] = acc.get(key, 0j) + 2.0 * ca * cb * _PHASES[phi]
-    return KLocalOperator(n, {PauliString(n, x, z): c for (x, z), c in acc.items()})
+    bx, bz = b.x, b.z
+    x_words, z_words = bx.T.copy(), bz.T.copy()
+    b_re, b_im = b.coeff.real.copy(), b.coeff.imag.copy()
+    b_y = _popcount(bx & bz)
+    a_y = _popcount(a.x & a.z)
+    # terms of a that share no site with b commute with all of it
+    b_support = np.bitwise_or.reduce(bx | bz, axis=0)
+    overlapping = np.flatnonzero(((a.x | a.z) & b_support).any(axis=1))
+    chunk = max(b.n_terms, 1024)
+    parts: list[tuple[np.ndarray, ...]] = []
+    n_pending = 0
+    for row, ca in zip(overlapping.tolist(), a.coeff[overlapping].tolist()):
+        xa, za = a.x[row], a.z[row]
+        hit = _anticommuting(x_words, z_words, xa, za)
+        if not hit.size:
+            continue
+        xb = bx[hit]
+        x3 = xb ^ xa
+        z3 = bz[hit] ^ za
+        phi = (a_y[row] + b_y[hit] - _popcount(x3 & z3) + 2 * _popcount(za & xb)) & 3
+        scaled = 2.0 * ca
+        re, im = _cmul(scaled.real, scaled.imag, b_re[hit], b_im[hit])
+        parts.append((x3, z3, *_cmul(re, im, _PHASE_RE[phi], _PHASE_IM[phi])))
+        n_pending += hit.size
+        if n_pending >= chunk:
+            parts, n_pending = [_merge(*map(np.concatenate, zip(*parts)))], 0
+    if not parts:
+        return KLocalOperator.zero(a.n_sites)
+    return KLocalOperator._from_rows(a.n_sites, *_merge(*map(np.concatenate, zip(*parts))))

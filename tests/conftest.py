@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from klocal.pauli import KLocalOperator, PauliString
+from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString, Term
 
 _LETTERS = "XYZ"
+_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 def random_pauli_string(rng: np.random.Generator, n_sites: int, max_weight: int | None = None) -> PauliString:
@@ -36,6 +37,48 @@ def random_operator(
     if op.is_zero:  # absurdly unlikely; retry deterministically
         return random_operator(rng, n_sites, n_terms, max_weight, complex_coeffs)
     return op
+
+
+def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[Term]:
+    """Terms of [a, b] from the plain pair loop over Python-int masks and
+    complex scalars, merged in a dict in (a, b) pair order and put in
+    canonical form by hand: the reference that the vectorised
+    ``klocal.pauli.commutator`` must match bit for bit."""
+    n = a.n_sites
+    left = [(t.string.x_mask, t.string.z_mask, t.string.support_mask, t.coeff) for t in a.terms()]
+    right = [(t.string.x_mask, t.string.z_mask, t.string.support_mask, t.coeff) for t in b.terms()]
+    acc: dict[tuple[int, int], complex] = {}
+    for xa, za, sa, ca in left:
+        for xb, zb, sb, cb in right:
+            if not sa & sb:
+                continue
+            if ((xa & zb).bit_count() + (za & xb).bit_count()) % 2 == 0:
+                continue
+            x3 = xa ^ xb
+            z3 = za ^ zb
+            phi = (
+                (xa & za).bit_count()
+                + (xb & zb).bit_count()
+                - (x3 & z3).bit_count()
+                + 2 * (za & xb).bit_count()
+            ) & 3
+            key = (x3, z3)
+            acc[key] = acc.get(key, 0j) + 2.0 * ca * cb * _PHASES[phi]
+    terms = []
+    for (x, z), c in acc.items():
+        c = 0j + c
+        if not abs(c) <= ZERO_TOL:
+            terms.append(Term(PauliString(n, x, z), c))
+    return terms
+
+
+def exact_terms(terms: list[Term]) -> list[tuple[int, int, int, str, str]]:
+    """Terms in order with the exact bits of each coefficient
+    (``float.hex`` tells -0.0 from 0.0)."""
+    return [
+        (t.string.n_sites, t.string.x_mask, t.string.z_mask, t.coeff.real.hex(), t.coeff.imag.hex())
+        for t in terms
+    ]
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,16 @@ class TestConcentrate:
         assert lines[0] == "kind,a,b,value,bound"
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert kinds == {"tail", "band"}
+
+    def test_flat_tail_profile_reports_infinite_decay(self, capsys):
+        spec = Path(__file__).parent / "golden" / "diag5.json"
+        code, out = run(
+            capsys, "concentrate", "--spec", str(spec), "--axis", "x", "--t", "0.3",
+            "--bin-width", "0.7",
+        )
+        assert code == 0
+        assert '"fitted_c2": Infinity' in out
+        assert json.loads(out)["result"]["fitted_c2"] == math.inf
 
 
 class TestDeterminismAndErrors:

@@ -10,6 +10,7 @@ import pytest
 from klocal.bounds import BoundParams
 from klocal.concentration import (
     ExtensiveObservable,
+    TailProfile,
     band_matrix,
     build_product_state,
     evolve_product_state,
@@ -136,6 +137,15 @@ class TestTailProfile:
                 math.comb(n, m) for m in range(n + 1) if n - 2 * m >= r - 1e-12
             ) / 2.0**n
             assert tail**2 == pytest.approx(weight, abs=1e-9)
+
+    def test_flat_profile_fits_infinite_decay(self):
+        # equal log-tails: the decay length is infinite by construction, not
+        # by the sign of a rounding-level least-squares slope
+        tail = math.sqrt(0.6)
+        profile = TailProfile(mean=0.0, samples=((0.0, tail), (0.7, tail), (1.4, tail), (2.1, 0.0)))
+        c1, c2 = fit_tail_constants(profile, BoundParams(g=1.0, k=2), 0.3, 5)
+        assert c2 == math.inf
+        assert c1 == math.exp(math.log(tail))
 
     def test_monotone_non_increasing(self):
         psi = evolve_product_state(

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klocal import pauli
 from klocal.errors import DimensionMismatchError, ValidationError
+from klocal.models import build_model
 from klocal.pauli import (
+    ZERO_TOL,
     KLocalOperator,
     PauliString,
     Term,
     commutator,
     mul_strings,
 )
+from klocal.truncation import nested_commutator_levels
 
-from conftest import random_operator, random_pauli_string
+from conftest import exact_terms, random_operator, random_pauli_string, reference_commutator
 
 
 def strings(n_sites: int):
@@ -35,6 +41,20 @@ def operators(n_sites: int, max_terms: int = 4):
         lambda pairs: KLocalOperator(n_sites, dict(pairs)),
         st.lists(st.tuples(strings(n_sites), coeff), min_size=0, max_size=max_terms),
     )
+
+
+def _clustered_operator(rng: np.random.Generator, n_sites: int, n_terms: int) -> KLocalOperator:
+    """Random complex operator whose terms sit in 6-site windows, most of
+    them centred on a 64-bit word boundary of the chain."""
+    edges = [edge for edge in (64, 128) if edge < n_sites] or [n_sites // 2]
+    acc: dict[PauliString, complex] = {}
+    for _ in range(n_terms):
+        centre = int(rng.choice(edges)) if rng.random() < 0.8 else int(rng.integers(n_sites))
+        window = np.arange(max(0, centre - 3), min(n_sites, centre + 3))
+        sites = rng.choice(window, size=int(rng.integers(1, 4)), replace=False)
+        string = PauliString.from_letters(n_sites, {s: "XYZ"[int(rng.integers(3))] for s in sites})
+        acc[string] = acc.get(string, 0j) + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return KLocalOperator(n_sites, acc)
 
 
 # ----------------------------------------------------------------- strings
@@ -85,6 +105,17 @@ class TestPauliString:
             PauliString.from_letters(2, {0: "W"})
         with pytest.raises(ValidationError):
             PauliString(2, x_mask=7, z_mask=0)
+
+    def test_hashes_of_wide_masks_are_distinct(self):
+        # Python reduces int hashes modulo 2**61 - 1; hashing the masks
+        # alone gave these 32,896 strings only 1,952 distinct hashes
+        op = build_model("long_range_ising", {"n_sites": 256, "alpha": 2, "field": 1})
+        strings = [t.string for t in op.terms()]
+        assert len({hash(s) for s in strings}) == len(strings) == 32896
+        twin = PauliString(256, strings[-1].x_mask, strings[-1].z_mask)
+        assert twin == strings[-1] and hash(twin) == hash(strings[-1])
+        assert PauliString(3, 1, 0) != PauliString(4, 1, 0)
+        assert PauliString(70, 1 << 69, 0) != PauliString(70, 0, 1 << 69)
 
     @given(strings(4), strings(4))
     def test_commutes_with_matches_product(self, a, b):
@@ -169,6 +200,17 @@ class TestKLocalOperator:
         assert kept.n_terms == 1
         assert dropped == pytest.approx(1e-9)
 
+    def test_prune_adds_dropped_magnitudes_in_row_order(self, rng):
+        op = random_operator(rng, 90, 3000, max_weight=4, complex_coeffs=True)
+        op = op * 1e-3 + random_operator(rng, 90, 50, max_weight=2)
+        kept, dropped = op.prune(2e-3)
+        expected = 0.0
+        for t in op.terms():
+            if abs(t.coeff) <= 2e-3:
+                expected += abs(t.coeff)
+        assert dropped.hex() == expected.hex()
+        assert kept.n_terms + sum(abs(t.coeff) <= 2e-3 for t in op.terms()) == op.n_terms
+
     def test_hermiticity(self):
         s = PauliString.from_letters(1, {0: "Y"})
         assert KLocalOperator(1, {s: 2.0}).is_hermitian()
@@ -184,6 +226,85 @@ class TestKLocalOperator:
     @settings(max_examples=50)
     def test_addition_commutes(self, a, b):
         assert a + b == b + a
+        assert hash(a + b) == hash(b + a)
+
+    def test_equality_ignores_storage_order(self):
+        strings = [PauliString.from_letters(70, {i: "XYZ"[i % 3], 69 - i: "Z"}) for i in range(6)]
+        forward = KLocalOperator(70, {s: 0.5 + i for i, s in enumerate(strings)})
+        backward = KLocalOperator(70, {s: 0.5 + i for i, s in reversed(list(enumerate(strings)))})
+        assert [t.string for t in forward.terms()] != [t.string for t in backward.terms()]
+        assert forward == backward and hash(forward) == hash(backward)
+        assert forward != 2.0 * backward
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    @pytest.mark.parametrize(
+        "scalar", [2.5, -1.0, 1j, -1j, 0.3 - 0.7j, complex(-0.0, 2.0), -0.0, 1e-15]
+    )
+    def test_scalar_product_matches_python(self, rng, scalar, complex_coeffs):
+        op = random_operator(rng, 70, 40, max_weight=3, complex_coeffs=complex_coeffs)
+        expected = []
+        for t in op.terms():
+            c = 0j + complex(scalar) * t.coeff
+            if not abs(c) <= ZERO_TOL:
+                expected.append(Term(t.string, c))
+        assert exact_terms((scalar * op).terms()) == exact_terms(expected)
+        assert exact_terms((op * scalar).terms()) == exact_terms(expected)
+
+    def test_from_masks_merges_like_a_dict(self, rng):
+        # 16 distinct strings straddling words 0/1 and 1/2 of a 130-site chain
+        n = 130
+        x_masks = [int(rng.integers(4)) << 63 for _ in range(300)]
+        z_masks = [int(rng.integers(4)) << 127 for _ in range(300)]
+        coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(300)]
+        acc: dict[PauliString, complex] = {}
+        for x, z, c in zip(x_masks, z_masks, coeffs):
+            s = PauliString(n, x, z)
+            acc[s] = acc.get(s, 0j) + c
+        merged = KLocalOperator.from_masks(n, x_masks, z_masks, coeffs)
+        assert merged.n_terms == 16
+        assert exact_terms(merged.terms()) == exact_terms(KLocalOperator(n, acc).terms())
+        with pytest.raises(ValidationError):
+            KLocalOperator.from_masks(3, [8], [0], [1.0])
+
+    def test_magnitudes_match_python_abs(self, rng):
+        # NumPy's complex abs may differ from Python's in the last bit
+        n = 2000
+        coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n) + 1j * (
+            rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        )
+        op = KLocalOperator.from_masks(
+            11, list(range(1, n + 1)), [0] * n, [complex(c) for c in coeffs]
+        )
+        expected = [abs(t.coeff) for t in op.terms()]
+        assert [m.hex() for m in op.magnitudes.tolist()] == [m.hex() for m in expected]
+        assert op.norm_upper() == math.fsum(expected)
+
+    def test_wide_operator_properties(self):
+        strings = [
+            PauliString.from_letters(130, {63: "X", 64: "Y"}),
+            PauliString.from_letters(130, {0: "Z", 127: "Z", 128: "X", 129: "Y"}),
+        ]
+        op = KLocalOperator(130, {strings[0]: 1.5, strings[1]: -2.0j})
+        assert op.x.shape == op.z.shape == (2, 3)
+        assert op.x.dtype == np.uint64 and op.coeff.dtype == np.complex128
+        assert op.locality == 4
+        assert op.support_mask == strings[0].support_mask | strings[1].support_mask
+        assert op.coefficient(strings[1]) == -2.0j
+        assert op.coefficient(PauliString.from_letters(130, {64: "Y"})) == 0j
+        assert [t.string for t in op.terms()] == strings
+        with pytest.raises(ValueError):
+            op.coeff[0] = 0.0
+
+    @pytest.mark.parametrize("n", [3, 65])
+    def test_terms_commute_matches_pairwise_check(self, rng, n):
+        for trial in range(20):
+            op = random_operator(rng, n, 6, max_weight=3)
+            if trial % 2:
+                diagonal = {PauliString(n, 0, t.string.support_mask): t.coeff for t in op.terms()}
+                op = KLocalOperator(n, diagonal)
+            strings = [t.string for t in op.terms()]
+            pairwise = all(a.commutes_with(b) for a in strings for b in strings)
+            assert op.terms_commute == pairwise
 
     def test_term_norm(self):
         t = Term(PauliString.from_letters(2, {0: "X"}), 3.0 - 4.0j)
@@ -242,6 +363,52 @@ class TestCommutator:
         c = commutator(a, b)
         if not (a.is_zero or b.is_zero or c.is_zero):
             assert c.locality <= a.locality + b.locality
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 128, 256])
+    def test_matches_reference_pair_loop(self, n):
+        # terms cluster on the word boundaries 63/64 and 127/128 when the
+        # chain has them; (120, 400) yields more products than one merge chunk
+        rng = np.random.default_rng(n)
+        for n_left, n_right in [(1, 1), (3, 4), (40, 60), (120, 400)]:
+            a = _clustered_operator(rng, n, n_left)
+            b = _clustered_operator(rng, n, n_right)
+            got = commutator(a, b)
+            assert exact_terms(got.terms()) == exact_terms(reference_commutator(a, b))
+
+    def test_merge_survives_key_collisions(self, monkeypatch):
+        # with every row mixed to the same key, the exact lexsort path groups
+        monkeypatch.setattr(pauli, "_MIX", np.uint64(0))
+        rng = np.random.default_rng(7)
+        a = _clustered_operator(rng, 65, 30)
+        b = _clustered_operator(rng, 65, 50)
+        assert exact_terms(commutator(a, b).terms()) == exact_terms(reference_commutator(a, b))
+        acc: dict[PauliString, complex] = {}
+        for t in a.terms() + b.terms():
+            acc[t.string] = acc.get(t.string, 0j) + t.coeff
+        assert exact_terms((a + b).terms()) == exact_terms(KLocalOperator(65, acc).terms())
+
+    def test_mixed_field_ising_levels_match_reference(self):
+        n = 128
+        ising = build_model(
+            "long_range_ising", {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.05}
+        )
+        h = ising + (-0.5) * build_model("product_field", {"n_sites": n, "axis": "z"})
+        gamma = KLocalOperator(n, {PauliString.from_letters(n, {64: "Z"}): 1.0})
+        sizes = []
+        previous = gamma
+        for m, level, _ in nested_commutator_levels(h, gamma, 12):
+            if m:
+                exact = commutator(h, previous)
+                assert exact_terms(exact.terms()) == exact_terms(reference_commutator(h, previous))
+                sizes.append(level.n_terms)
+            previous = level
+        assert sizes == [1, 4, 6, 16, 25, 54, 91, 177, 285, 515, 845, 1478]
+
+    def test_zero_operands(self, rng):
+        a = random_operator(rng, 70, 5, complex_coeffs=True)
+        zero = KLocalOperator.zero(70)
+        assert commutator(a, zero).is_zero and commutator(zero, a).is_zero
+        assert a + zero == a and (a - a).is_zero and zero.norm_upper() == 0.0
 
     def test_commutator_is_antihermitian_weighted(self):
         # [A, B] for Hermitian A, B is anti-Hermitian: i[A,B] Hermitian.
