@@ -145,12 +145,11 @@ def structural_constants(op: KLocalOperator) -> StructuralConstants:
     of coefficient magnitudes; the zero operator yields all zeros.  For
     operators without an identity component, norm_upper <= g * n_sites.
     """
-    support = op.x | op.z
-    weights = np.bitwise_count(support).sum(axis=1)
+    # (term, site) pairs in term order, so each site sums like a loop over terms
+    rows, sites = op.letter_sites()
+    weights = np.bincount(rows, minlength=op.n_terms)
     k = int(weights.max(initial=0))
     has_identity = bool((weights == 0).any())
-    # (term, site) pairs in term order, so each site sums like a loop over terms
-    rows, sites = np.nonzero(np.unpackbits(support.view(np.uint8), axis=1, bitorder="little"))
     per_site = np.bincount(sites, weights=op.magnitudes[rows], minlength=op.n_sites)
     g = float(per_site.max(initial=0.0))
     total = op.norm_upper()

@@ -21,14 +21,13 @@ sum, and in the (a, b) pair loop of :func:`commutator`.
 
 Merge rule.  Duplicate strings are merged by summing their coefficients
 from zero in that same order, and merged coefficients with magnitude at
-most ``ZERO_TOL`` are dropped.  Duplicates are found by sorting rows on
-a 64-bit mix of their words, checked word by word (an exact ``lexsort``
-takes over should two different rows share a mix), and each group is
-summed with ``bincount``.  Real and imaginary parts are summed and
-multiplied with separate float64 operations that follow CPython's
-complex formulas, and magnitudes use ``np.hypot`` (NumPy's complex
-``abs`` can differ from Python's in the last bit), so every coefficient
-is bit-identical to a dict accumulating ``acc.get(s, 0j) + c``.
+most ``ZERO_TOL`` are dropped.  Duplicates are found by a stable
+``lexsort`` of the words, and each group is summed with ``bincount``.
+Real and imaginary parts are summed and multiplied with separate
+float64 operations that follow CPython's complex formulas, and
+magnitudes use ``np.hypot`` (NumPy's complex ``abs`` can differ from
+Python's in the last bit), so every coefficient is bit-identical to a
+dict accumulating ``acc.get(s, 0j) + c``.
 
 All functions are pure and the containers are treated as immutable, so
 values can be shared freely across threads.
@@ -226,9 +225,6 @@ class Term:
 
 
 _WORD_MASK = (1 << 64) - 1
-# Row mixing for duplicate detection (the 64-bit golden-ratio constant).
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-_MIX_SHIFT = np.uint64(29)
 
 
 def _n_words(n_sites: int) -> int:
@@ -282,43 +278,23 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_order(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An order that makes equal rows of (x, z) adjacent, and flags where
-    each run of equal rows starts in it.
-
-    Rows are sorted by a 64-bit mix of their words.  Should two different
-    rows ever share a mix, an exact ``lexsort`` of the words takes over.
-    """
-    columns = [*x.T, *z.T]
-    key = np.zeros(len(x), dtype=np.uint64)
-    for column in columns:
-        key = (key ^ column) * _MIX
-        key ^= key >> _MIX_SHIFT
-    order = np.argsort(key)
-    ranked = key[order]
-    starts = np.ones(len(x), dtype=bool)
-    starts[1:] = ranked[1:] != ranked[:-1]
-    tied = np.flatnonzero(~starts)
-    later, earlier = order[tied], order[tied - 1]
-    if any((column[later] != column[earlier]).any() for column in columns):
-        order = np.lexsort(columns)
-        starts[1:] = False
-        for column in columns:
-            ranked = column[order]
-            starts[1:] |= ranked[1:] != ranked[:-1]
-    return order, starts
-
-
 def _merge(x, z, re, im) -> tuple[np.ndarray, ...]:
     """Merge duplicate rows of (x, z) into their first occurrence.
 
-    ``bincount`` sums each group from zero in row order, which is the
-    order a dict accumulator adds in.
+    A stable ``lexsort`` of the words makes equal rows adjacent with the
+    first occurrence leading each run, and ``bincount`` sums each group
+    from zero in row order, which is the order a dict accumulator adds in.
     """
-    order, starts = _group_order(x, z)
+    columns = [*x.T, *z.T]
+    order = np.lexsort(columns)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
     if starts.all():
         return x, z, 0.0 + re, 0.0 + im
-    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    first = order[starts]
     by_first = np.argsort(first)
     slot = np.empty_like(by_first)
     slot[by_first] = np.arange(len(first))
@@ -367,10 +343,7 @@ class KLocalOperator:
         cls, n_sites: int, x_masks: Sequence[int], z_masks: Sequence[int], coeffs: Sequence[complex]
     ) -> "KLocalOperator":
         """Sum of ``coeffs[i] * P(x_masks[i], z_masks[i])``, merging repeated
-        strings."""
-        top = 1 << n_sites
-        if not all(0 <= m < top for masks in (x_masks, z_masks) for m in masks):
-            raise ValidationError(f"masks out of range for {n_sites} sites")
+        strings.  The masks are taken as valid, e.g. read off ``PauliString``s."""
         width = _n_words(n_sites)
         coeff = np.array(coeffs, dtype=complex).reshape(len(coeffs))
         rows = _merge(_pack(x_masks, width), _pack(z_masks, width), coeff.real, coeff.imag)
@@ -430,6 +403,12 @@ class KLocalOperator:
     @property
     def support_mask(self) -> int:
         return _unpack(np.bitwise_or.reduce(self.x | self.z, axis=0, keepdims=True))[0]
+
+    def letter_sites(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, site) of every non-identity letter, rows ascending and
+        sites ascending within a row."""
+        support = (self.x | self.z).astype("<u8", copy=False)
+        return np.nonzero(np.unpackbits(support.view(np.uint8), axis=1, bitorder="little"))
 
     @property
     def magnitudes(self) -> np.ndarray:
