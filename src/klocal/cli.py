@@ -163,7 +163,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], in
         if args.g is None or args.k is None:
             raise ValidationError("bound needs either --spec or both --g and --k")
         params = BoundParams(g=args.g, k=args.k)
-        n_sites = args.n_sites or 1
+        n_sites = args.n_sites if args.n_sites is not None else 1
     q_values = _int_list(args.q, "--q") if args.q else [max(args.q0 or 1, 1)]
     t_values = _float_list(args.t_grid, "--t") if args.t_grid else [0.0]
     q0 = args.q0 if args.q0 is not None else 1
@@ -193,18 +193,15 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], in
 def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
     op, digest = _read_spec(args.spec)
     gamma, gamma_digest = _load_gamma(args, op.n_sites)
-    if args.q is None:
-        raise ValidationError("truncate requires --q")
-    q = int(args.q)
     t = args.t if args.t is not None else 0.0
     params = BoundParams.from_operator(op)
     mode = args.mode
     if mode == "auto":
         mode = "chained" if params.intervals(t) > 1 else "small-time"
     if mode == "small-time":
-        report_t = hadamard_truncate(op, gamma, t, q, threshold=args.threshold, params=params)
+        report_t = hadamard_truncate(op, gamma, t, args.q, threshold=args.threshold, params=params)
     else:
-        report_t = chained_truncate(op, gamma, t, q, threshold=args.threshold, params=params)
+        report_t = chained_truncate(op, gamma, t, args.q, threshold=args.threshold, params=params)
     result: dict[str, Any] = {
         "mode": mode,
         "t": t,

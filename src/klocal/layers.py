@@ -2,16 +2,17 @@
 
 ``discretize`` chops every term h_X into N_X = floor(||h_X|| / eps)
 copies of a unit operator with norm exactly eps (same string, coefficient
-rescaled), keeping multiplicities as counts.  ``pack_layers`` then
-greedily fills layers with unit copies whose supports are pairwise
-disjoint, closing a layer only when no remaining copy fits.  Because a
-unit blocked from a layer shares a site with it, each of the at most
-k sites of a unit can block it at most floor(g/eps) times, so a maximal
-packing needs no more than k * floor(g/eps) layers.  Within one layer
-all units commute outright (disjoint supports), so the verifier's
+rescaled): the units form one operator, with the multiplicities beside
+it.  ``pack_layers`` then greedily fills layers with unit copies whose
+supports are pairwise disjoint, closing a layer only when no remaining
+copy fits; each layer is itself an operator, holding each unit once.
+Because a unit blocked from a layer shares a site with it, each of the
+at most k sites of a unit can block it at most floor(g/eps) times, so a
+maximal packing needs no more than k * floor(g/eps) layers.  Within one
+layer all units commute outright (disjoint supports), so the verifier's
 disjointness check also certifies commutation; the exact-commutator
 cross-check lives in
-``tests/test_layers.py::test_within_layer_disjoint_and_commuting``.
+``tests/test_layers.py::TestPackLayers::test_within_layer_disjoint_and_commuting``.
 
 The discretization gap sum_X (||h_X|| - N_X * eps) bounds the norm
 distance between the reconstruction and the source Hamiltonian.
@@ -23,9 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
-from .models import structural_constants
-from .pauli import KLocalOperator, PauliString, Term
+from .models import spec_entries, structural_constants
+from .pauli import ZERO_TOL, KLocalOperator, PauliString
 
 __all__ = [
     "UnitPool",
@@ -40,42 +43,41 @@ __all__ = [
 class UnitPool:
     """Unit operators (norm eps each) with multiplicities.
 
-    ``units`` holds ``(term, multiplicity)`` pairs with ``|term.coeff| == eps``;
-    terms whose multiplicity floored to zero are dropped and accounted for
-    in ``gap_upper``.
+    ``units`` holds the kept terms in (x_mask, z_mask) order, each with
+    ``|coeff| == eps``, and ``multiplicity[i]`` is the copy count of its
+    row i; terms whose multiplicity floored to zero are dropped and
+    accounted for in ``gap_upper``.
     """
 
     n_sites: int
     epsilon: float
-    units: tuple[tuple[Term, int], ...]
+    units: KLocalOperator
+    multiplicity: tuple[int, ...]
     gap_upper: float
     source_g: float
     source_k: int
 
     def per_site_multiplicity(self) -> list[int]:
-        counts = [0] * self.n_sites
-        for term, mult in self.units:
-            for site in term.support:
-                counts[site] += mult
-        return counts
+        rows, sites = self.units.letter_sites()
+        copies = np.asarray(self.multiplicity, dtype=np.int64)[rows]
+        return np.bincount(np.repeat(sites, copies), minlength=self.n_sites).tolist()
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.units)
+        return sum(self.multiplicity)
 
 
 @dataclass(frozen=True)
 class LayerDecomposition:
     """Layers of disjoint-support unit operators covering the pool.
 
-    Each layer is a tuple of ``(term, count)`` assignments; disjointness
-    forces ``count == 1`` within a layer, so a unit with multiplicity M
-    appears in M distinct layers.
+    Each layer is an operator holding a unit at most once, so a unit with
+    multiplicity M appears in M distinct layers.
     """
 
     n_sites: int
     epsilon: float
-    layers: tuple[tuple[tuple[Term, int], ...], ...]
+    layers: tuple[KLocalOperator, ...]
     reconstruction_gap: float
     source_g: float
     source_k: int
@@ -97,23 +99,13 @@ class LayerDecomposition:
         disjoint supports commute), and the per-site multiplicity cap;
         ``all_ok`` aggregates them.
         """
-        disjoint = True
-        for layer in self.layers:
-            occupied = 0
-            for term, count in layer:
-                if count != 1:
-                    disjoint = False
-                mask = term.string.support_mask
-                if occupied & mask:
-                    disjoint = False
-                occupied |= mask
-        per_site = [0] * self.n_sites
-        for layer in self.layers:
-            for term, count in layer:
-                for site in term.support:
-                    per_site[site] += count
+        per_layer = [
+            np.bincount(layer.letter_sites()[1], minlength=self.n_sites) for layer in self.layers
+        ]
+        disjoint = all(counts.max(initial=0) <= 1 for counts in per_layer)
+        per_site = sum(per_layer, np.zeros(self.n_sites, dtype=np.int64))
         site_cap = math.floor(self.source_g / self.epsilon)
-        multiplicity_ok = all(c <= site_cap for c in per_site)
+        multiplicity_ok = bool((per_site <= site_cap).all())
         count_ok = self.layer_count <= self.layer_bound
         return {
             "layer_count": self.layer_count,
@@ -127,21 +119,7 @@ class LayerDecomposition:
 
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-ready export with per-layer unit lists and certificates."""
-        layers = []
-        for layer in self.layers:
-            entries = []
-            for term, count in layer:
-                letters = term.string.letters
-                sites = sorted(letters)
-                entries.append(
-                    {
-                        "sites": sites,
-                        "paulis": "".join(letters[s] for s in sites),
-                        "coeff": [term.coeff.real, term.coeff.imag],
-                        "count": count,
-                    }
-                )
-            layers.append(entries)
+        layers = [[{**entry, "count": 1} for entry in spec_entries(layer)] for layer in self.layers]
         cert = self.verify()
         return {
             "n_sites": self.n_sites,
@@ -164,29 +142,25 @@ def discretize(hamiltonian: KLocalOperator, epsilon: float) -> UnitPool:
     Every term h_X becomes N_X = floor(||h_X||/eps) copies of
     eps * h_X/||h_X||; the remainder mass sum_X (||h_X|| - N_X*eps) is
     reported as ``gap_upper``.  Identity terms are rejected since they
-    carry no site support to pack.
+    carry no site support to pack, and so is eps <= ``ZERO_TOL``, whose
+    units canonical form would drop.
     """
-    if epsilon <= 0 or not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    if not ZERO_TOL < epsilon < math.inf:
+        raise DomainError(f"epsilon must be finite and above {ZERO_TOL}, got {epsilon}")
     const = structural_constants(hamiltonian)
-    units = []
-    gap = 0.0
-    for term in sorted(
-        hamiltonian.terms(), key=lambda tm: (tm.string.x_mask, tm.string.z_mask)
-    ):
-        if term.weight == 0:
-            raise ValidationError("identity term cannot be packed into layers")
-        norm = term.norm
-        mult = math.floor(norm / epsilon)
-        gap += norm - mult * epsilon
-        if mult == 0:
-            continue
-        unit = Term(string=term.string, coeff=term.coeff * (epsilon / norm))
-        units.append((unit, mult))
+    if hamiltonian.coefficient(PauliString.identity(hamiltonian.n_sites)):
+        raise ValidationError("identity term cannot be packed into layers")
+    order = hamiltonian.mask_order()
+    norms = hamiltonian.magnitudes[order]
+    copies = np.floor(norms / epsilon)
+    # cumsum adds in row order, where np.sum would add pairwise
+    gap = float(np.cumsum(norms - copies * epsilon)[-1]) if len(norms) else 0.0
+    kept = copies > 0
     return UnitPool(
         n_sites=hamiltonian.n_sites,
         epsilon=epsilon,
-        units=tuple(units),
+        units=hamiltonian.select(order[kept], epsilon / norms[kept]),
+        multiplicity=tuple(map(int, copies[kept].tolist())),
         gap_upper=gap,
         source_g=const.g,
         source_k=const.k,
@@ -202,35 +176,31 @@ def pack_layers(pool: UnitPool) -> LayerDecomposition:
     copy shares a site with it.  That guarantees the layer count stays
     within ``k * floor(g/eps)``.
     """
-    order = sorted(
-        range(len(pool.units)),
-        key=lambda i: (
-            -pool.units[i][0].weight,
-            pool.units[i][0].string.x_mask,
-            pool.units[i][0].string.z_mask,
-        ),
-    )
-    remaining = [mult for _, mult in pool.units]
-    layers: list[tuple[tuple[Term, int], ...]] = []
+    rows, sites = pool.units.letter_sites()
+    support = [0] * pool.units.n_terms
+    for row, site in zip(rows.tolist(), sites.tolist()):
+        support[row] |= 1 << site
+    # the units are in mask order, which a stable sort keeps within a weight
+    weights = np.bincount(rows, minlength=pool.units.n_terms)
+    order = np.argsort(-weights, kind="stable").tolist()
+    remaining = list(pool.multiplicity)
+    layers: list[KLocalOperator] = []
     total_left = sum(remaining)
     while total_left > 0:
         occupied = 0
-        layer: list[tuple[Term, int]] = []
+        layer: list[int] = []
         for i in order:
-            if remaining[i] == 0:
+            if remaining[i] == 0 or occupied & support[i]:
                 continue
-            mask = pool.units[i][0].string.support_mask
-            if occupied & mask:
-                continue
-            layer.append((pool.units[i][0], 1))
-            occupied |= mask
+            layer.append(i)
+            occupied |= support[i]
             remaining[i] -= 1
             total_left -= 1
         # maximality: whatever is left collides with this layer
         for i in order:
-            if remaining[i] and not (pool.units[i][0].string.support_mask & occupied):
+            if remaining[i] and not (support[i] & occupied):
                 raise AssertionError("packing pass left a compatible unit unassigned")
-        layers.append(tuple(layer))
+        layers.append(pool.units.select(layer))
     decomp = LayerDecomposition(
         n_sites=pool.n_sites,
         epsilon=pool.epsilon,
@@ -251,8 +221,4 @@ def reconstruct(decomp: LayerDecomposition) -> KLocalOperator:
     The result equals the discretized Hamiltonian, i.e. it differs from
     the source by at most ``reconstruction_gap`` in norm_upper.
     """
-    acc: dict[PauliString, complex] = {}
-    for layer in decomp.layers:
-        for term, count in layer:
-            acc[term.string] = acc.get(term.string, 0j) + count * term.coeff
-    return KLocalOperator(decomp.n_sites, acc)
+    return sum(decomp.layers, KLocalOperator.zero(decomp.n_sites))

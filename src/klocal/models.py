@@ -26,6 +26,7 @@ from .pauli import KLocalOperator, PauliString
 __all__ = [
     "StructuralConstants",
     "load_spec",
+    "spec_entries",
     "spec_from_operator",
     "structural_constants",
     "build_model",
@@ -110,22 +111,28 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     return KLocalOperator.from_masks(n_sites, x_masks, z_masks, coeffs)
 
 
-def spec_from_operator(op: KLocalOperator) -> dict[str, Any]:
-    """Inverse of :func:`load_spec`; identity terms cannot be represented."""
-    terms = []
-    for term in sorted(op.terms(), key=lambda t: (t.string.x_mask, t.string.z_mask)):
+def spec_entries(op: KLocalOperator) -> list[dict[str, Any]]:
+    """One ``{"sites", "paulis", "coeff"}`` spec entry per term, in row order."""
+    entries = []
+    for term in op.terms():
         letters = term.string.letters
         if not letters:
             raise ValidationError("identity term cannot be expressed in the JSON spec format")
         sites = sorted(letters)
-        terms.append(
+        entries.append(
             {
                 "sites": sites,
                 "paulis": "".join(letters[s] for s in sites),
                 "coeff": [term.coeff.real, term.coeff.imag],
             }
         )
-    return {"n_sites": op.n_sites, "terms": terms}
+    return entries
+
+
+def spec_from_operator(op: KLocalOperator) -> dict[str, Any]:
+    """Inverse of :func:`load_spec`, terms in (x_mask, z_mask) order;
+    identity terms cannot be represented."""
+    return {"n_sites": op.n_sites, "terms": spec_entries(op.select(op.mask_order()))}
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,17 @@ Storage.  ``PauliString`` and ``Term`` are value types with Python-int
 masks.  ``KLocalOperator`` keeps its terms as word-packed arrays: ``x``
 and ``z`` of shape (terms, W) and dtype uint64, W = ceil(n_sites/64),
 with site ``i`` at bit ``i % 64`` of word ``i // 64``, and ``coeff`` of
-dtype complex128.  ``terms()`` builds the value types on demand.
+dtype complex128.  ``terms()`` builds the value types on demand.  Only
+this module reads the words: other modules get the (row, site) pairs of
+the letters from ``letter_sites()``, the rows sorted by (x_mask, z_mask)
+from ``mask_order()``, and a sub-operator from ``select()``, which picks
+rows in a given order and can rescale each one.  The layers of
+:mod:`klocal.layers` are operators built that way.
 
 Row order.  Each string occupies one row, in the order in which it first
 occurred: in the constructor's mapping, in ``self`` then ``other`` for a
-sum, and in the (a, b) pair loop of :func:`commutator`.
+sum, and in the (a, b) pair loop of :func:`commutator`; ``select`` keeps
+the order of the rows it is given.
 
 Merge rule.  Duplicate strings are merged by summing their coefficients
 from zero in that same order, and merged coefficients with magnitude at
@@ -410,6 +416,22 @@ class KLocalOperator:
         support = (self.x | self.z).astype("<u8", copy=False)
         return np.nonzero(np.unpackbits(support.view(np.uint8), axis=1, bitorder="little"))
 
+    def mask_order(self) -> np.ndarray:
+        """Row indices that sort the terms by (x_mask, z_mask), the order
+        ``sorted`` gives on the Python-int mask pairs."""
+        # lexsort's last key is the primary one: most significant x word first
+        return np.lexsort([*self.z.T, *self.x.T])
+
+    def select(self, rows, scale: np.ndarray | None = None) -> "KLocalOperator":
+        """The terms at ``rows`` (distinct indices, or a boolean mask), in
+        that order.  With ``scale``, row i's coefficient becomes
+        ``c * scale[i]`` by CPython's complex-times-float rule, which
+        multiplies by ``complex(scale[i], 0.0)``."""
+        re, im = self.coeff.real[rows], self.coeff.imag[rows]
+        if scale is not None:
+            re, im = _cmul(re, im, scale, 0.0)
+        return KLocalOperator._from_rows(self.n_sites, self.x[rows], self.z[rows], re, im)
+
     @property
     def magnitudes(self) -> np.ndarray:
         """|c| per stored term, bit-identical to Python's ``abs``."""
@@ -439,11 +461,7 @@ class KLocalOperator:
         mags = self.magnitudes
         drop = mags <= threshold
         dropped = float(np.cumsum(mags[drop])[-1]) if drop.any() else 0.0
-        keep = ~drop
-        kept = KLocalOperator._from_rows(
-            self.n_sites, self.x[keep], self.z[keep], self.coeff.real[keep], self.coeff.imag[keep]
-        )
-        return kept, dropped
+        return self.select(~drop), dropped
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.coeff.imag) <= tol))
@@ -479,7 +497,7 @@ class KLocalOperator:
         return (-1.0) * self
 
     def _sorted(self) -> tuple[np.ndarray, ...]:
-        order = np.lexsort([*self.x.T, *self.z.T])
+        order = self.mask_order()
         return self.x[order], self.z[order], self.coeff[order]
 
     def __eq__(self, other) -> bool:

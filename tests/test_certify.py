@@ -5,14 +5,17 @@ The specs under ``tests/golden`` are
 - ``tfi4.json``: ``long_range_ising`` with n_sites=4, alpha=inf,
   coupling=1, field=1 (transverse-field Ising chain);
 - ``diag5.json``: ``diagonal_commuting`` with n_sites=5, k=2, seed=3;
-- ``rk6.json``: ``random_klocal`` with n_sites=6, k=2, n_terms=18, seed=5.
+- ``rk6.json``: ``random_klocal`` with n_sites=6, k=2, n_terms=18, seed=5;
+- ``rk130.json``: ``random_klocal`` with n_sites=130, k=2, n_terms=40,
+  seed=3 (three mask words).
 
 Each report file is the stdout of the command in ``GOLDEN_RUNS`` run
 inside ``tests/golden``, captured before the code it guards was
-restructured: the certificates moving into ``klocal.certify`` and, for
+restructured: the certificates moving into ``klocal.certify``; for
 ``concentrate_tfi4.json``, the dense evolution moving into one
-``EigenSystem`` per Hamiltonian.  Regenerate one only when its report
-is meant to change.
+``EigenSystem`` per Hamiltonian; and for ``decompose_rk130.json``, the
+layers becoming operators.  Regenerate one only when its report is
+meant to change.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ GOLDEN_RUNS = {
         "truncate", "--spec", "tfi4.json", "--t", "0.005", "--q", "7", "--mode", "chained",
     ],
     "decompose_tfi4.json": ["decompose", "--spec", "tfi4.json"],
+    "decompose_rk130.json": ["decompose", "--spec", "rk130.json"],
     "concentrate_tfi4.json": ["concentrate", "--spec", "tfi4.json", "--t", "0.05", "--q", "2"],
 }
 

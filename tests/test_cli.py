@@ -93,6 +93,13 @@ class TestBound:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid"
 
+    def test_band_rejects_zero_sites(self, capsys):
+        code, out = run(
+            capsys, "bound", "--evaluator", "band", "--g", "1", "--k", "2", "--n-sites", "0"
+        )
+        assert code == 2
+        assert "n_sites" in json.loads(out)["error"]["message"]
+
 
 class TestTruncate:
     def test_certified_report(self, capsys, single_qubit_specs):

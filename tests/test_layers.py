@@ -11,7 +11,7 @@ from klocal.errors import DomainError, ValidationError
 from klocal.layers import discretize, pack_layers, reconstruct
 from klocal.models import build_model, structural_constants
 from klocal.oracle import operator_norm_exact, to_dense
-from klocal.pauli import KLocalOperator, PauliString, commutator
+from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString, commutator
 
 from conftest import random_operator
 
@@ -31,7 +31,8 @@ class TestDiscretize:
         pool = discretize(op, 0.5)
         assert pool.total_multiplicity == 2
         assert pool.gap_upper == pytest.approx(0.05)
-        (term, mult), = pool.units
+        (mult,) = pool.multiplicity
+        (term,) = pool.units.terms()
         assert mult == 2
         assert abs(term.coeff) == pytest.approx(0.5)
         # unit keeps the original phase
@@ -55,6 +56,8 @@ class TestDiscretize:
             discretize(op, 0.0)
         with pytest.raises(DomainError):
             discretize(op, -1.0)
+        with pytest.raises(DomainError):
+            discretize(op, ZERO_TOL)
 
 
 class TestPackLayers:
@@ -73,7 +76,7 @@ class TestPackLayers:
         # three copies of the same unit cannot share a layer
         assert decomp.layer_count == 3
         for layer in decomp.layers:
-            assert len(layer) == 1
+            assert layer.n_terms == 1
 
     def test_zero_hamiltonian(self):
         decomp = pack_layers(discretize(KLocalOperator.zero(3), 0.5))
@@ -88,12 +91,12 @@ class TestPackLayers:
             decomp = pack_layers(discretize(op, eps))
             for layer in decomp.layers:
                 seen = 0
-                for term, _ in layer:
+                for term in layer.terms():
                     assert seen & term.string.support_mask == 0
                     seen |= term.string.support_mask
                 ops = [
                     KLocalOperator(op.n_sites, {term.string: term.coeff})
-                    for term, _ in layer
+                    for term in layer.terms()
                 ]
                 for i, a in enumerate(ops):
                     for b in ops[i + 1 :]:

@@ -307,6 +307,27 @@ class TestKLocalOperator:
             pairwise = all(a.commutes_with(b) for a in strings for b in strings)
             assert op.terms_commute == pairwise
 
+    @pytest.mark.parametrize("n", [5, 64, 65, 130])
+    def test_mask_order_sorts_by_masks(self, rng, n):
+        op = random_operator(rng, n, 60, max_weight=3)
+        # strings that only a lower word, or only the z words, tell apart
+        for letters in ({0: "X"}, {n - 1: "X"}, {0: "X", n - 1: "Z"}, {n // 2: "Y"}, {0: "Z"}):
+            op = op + KLocalOperator(n, {PauliString.from_letters(n, letters): 0.5})
+        strings = [t.string for t in op.terms()]
+        expected = sorted(range(op.n_terms), key=lambda i: (strings[i].x_mask, strings[i].z_mask))
+        assert op.mask_order().tolist() == expected
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_select_rescales_like_python(self, rng, complex_coeffs):
+        op = random_operator(rng, 130, 40, max_weight=3, complex_coeffs=complex_coeffs)
+        terms = op.terms()
+        rows = rng.permutation(op.n_terms)[:25]
+        scale = rng.uniform(-2.0, 2.0, len(rows))
+        picked = [terms[r] for r in rows.tolist()]
+        rescaled = [Term(t.string, t.coeff * s) for t, s in zip(picked, scale.tolist())]
+        assert exact_terms(op.select(rows).terms()) == exact_terms(picked)
+        assert exact_terms(op.select(rows, scale).terms()) == exact_terms(rescaled)
+
     def test_term_norm(self):
         t = Term(PauliString.from_letters(2, {0: "X"}), 3.0 - 4.0j)
         assert t.norm == pytest.approx(5.0)
