@@ -110,7 +110,7 @@ def verify_checks(
     if epsilon is None and const.g > 0:
         epsilon = const.g / 10.0
     if epsilon is not None:
-        decomp = pack_layers(discretize(hamiltonian, epsilon))
+        decomp = pack_layers(discretize(hamiltonian, epsilon, const))
         cert = decomp.verify()
         checks.append(
             Check.compare("layer_count", float(cert["layer_count"]), float(cert["layer_bound"]))

@@ -164,9 +164,11 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], in
             raise ValidationError("bound needs either --spec or both --g and --k")
         params = BoundParams(g=args.g, k=args.k)
         n_sites = args.n_sites if args.n_sites is not None else 1
-    q_values = _int_list(args.q, "--q") if args.q else [max(args.q0 or 1, 1)]
-    t_values = _float_list(args.t_grid, "--t") if args.t_grid else [0.0]
     q0 = args.q0 if args.q0 is not None else 1
+    if q0 < 1:
+        raise ValidationError(f"q0 is the support size of gamma and must be >= 1, got {q0}")
+    q_values = _int_list(args.q, "--q") if args.q else [q0]
+    t_values = _float_list(args.t_grid, "--t") if args.t_grid else [0.0]
     gamma_norm = args.gamma_norm
     evaluate = _EVALUATORS[args.evaluator]
     points = []
@@ -242,7 +244,7 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
         if const.g <= 0:
             raise ValidationError("Hamiltonian has g = 0; pass --epsilon explicitly")
         epsilon = const.g / 10.0
-    pool = discretize(op, epsilon)
+    pool = discretize(op, epsilon, const)
     decomp = pack_layers(pool)
     exported = decomp.to_json_dict()
     discretized = reconstruct(decomp)

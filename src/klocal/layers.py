@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .models import spec_entries, structural_constants
+from .models import StructuralConstants, spec_entries
 from .pauli import ZERO_TOL, KLocalOperator, PauliString
 
 __all__ = [
@@ -136,8 +136,9 @@ class LayerDecomposition:
         }
 
 
-def discretize(hamiltonian: KLocalOperator, epsilon: float) -> UnitPool:
-    """Split terms into unit copies of norm ``epsilon``.
+def discretize(hamiltonian: KLocalOperator, epsilon: float, const: StructuralConstants) -> UnitPool:
+    """Split terms into unit copies of norm ``epsilon``, given the
+    structural constants ``const`` of ``hamiltonian``.
 
     Every term h_X becomes N_X = floor(||h_X||/eps) copies of
     eps * h_X/||h_X||; the remainder mass sum_X (||h_X|| - N_X*eps) is
@@ -147,7 +148,6 @@ def discretize(hamiltonian: KLocalOperator, epsilon: float) -> UnitPool:
     """
     if not ZERO_TOL < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and above {ZERO_TOL}, got {epsilon}")
-    const = structural_constants(hamiltonian)
     if hamiltonian.coefficient(PauliString.identity(hamiltonian.n_sites)):
         raise ValidationError("identity term cannot be packed into layers")
     order = hamiltonian.mask_order()

@@ -5,9 +5,12 @@ The interchange format for Hamiltonians is a strict JSON document
     {"n_sites": 4,
      "terms": [{"sites": [0, 1], "paulis": "ZZ", "coeff": [1.0, 0.0]}, ...]}
 
-Unknown fields are rejected, and every validation message names the
-offending term index.  ``structural_constants`` extracts the interaction
-degree k (largest term weight) and the extensiveness constant g (largest
+Unknown fields and non-finite coefficients are rejected, and every
+validation message names the offending term index.  Specs are read and
+written through flat site, letter and coefficient arrays; only a spec
+that fails the bulk checks is walked entry by entry, to name the first
+bad one.  ``structural_constants`` extracts the interaction degree k
+(largest term weight) and the extensiveness constant g (largest
 per-site sum of term coefficient magnitudes), which drive every bound in
 :mod:`klocal.bounds`.
 """
@@ -15,8 +18,11 @@ per-site sum of term coefficient magnitudes), which drive every bound in
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from itertools import chain
+from typing import Any
 
 import numpy as np
 
@@ -34,15 +40,22 @@ __all__ = [
 ]
 
 _AXIS_LETTER = {"x": "X", "y": "Y", "z": "Z"}
+_ENTRY_FIELDS = {"sites", "paulis", "coeff"}
+_PAULI_LETTERS = set("XYZ")
 
 
-def _require_fields(obj: Mapping[str, Any], allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _require_fields(obj: Mapping[str, Any], fields: set[str], where: str) -> None:
+    unknown = set(obj) - fields
     if unknown:
         raise ValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = fields - set(obj)
     if missing:
         raise ValidationError(f"{where}: missing field(s) {sorted(missing)}")
+
+
+def _only(items, kinds) -> bool:
+    """True iff every item is an instance of ``kinds`` and none is a bool."""
+    return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, items)))
 
 
 def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
@@ -51,82 +64,115 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     Raises:
         ValidationError: on schema violations, with the term index named
             for per-entry problems (out-of-range or duplicate sites,
-            empty or mismatched Pauli letters, malformed coefficients).
+            empty or mismatched Pauli letters, malformed or non-finite
+            coefficients).
     """
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers beyond the digit limit
             raise ValidationError(f"spec is not valid JSON: {exc}") from None
     if not isinstance(document, Mapping):
         raise ValidationError(f"spec must be a JSON object, got {type(document).__name__}")
-    _require_fields(document, {"n_sites", "terms"}, {"n_sites", "terms"}, "spec")
+    _require_fields(document, {"n_sites", "terms"}, "spec")
     n_sites = document["n_sites"]
     if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites <= 0:
         raise ValidationError(f"n_sites must be a positive integer, got {n_sites!r}")
     entries = document["terms"]
     if not isinstance(entries, (list, tuple)):
         raise ValidationError("terms must be an array")
-
-    x_masks: list[int] = []
-    z_masks: list[int] = []
-    coeffs: list[complex] = []
-    for idx, entry in enumerate(entries):
-        where = f"terms[{idx}]"
-        if not isinstance(entry, Mapping):
-            raise ValidationError(f"{where}: must be an object")
-        _require_fields(entry, {"sites", "paulis", "coeff"}, {"sites", "paulis", "coeff"}, where)
-        sites = entry["sites"]
-        paulis = entry["paulis"]
-        coeff = entry["coeff"]
-        if not isinstance(sites, (list, tuple)) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in sites
-        ):
-            raise ValidationError(f"{where}: sites must be an array of integers")
-        if not sites:
-            raise ValidationError(f"{where}: empty site list (identity terms are not allowed)")
-        if len(set(sites)) != len(sites):
-            raise ValidationError(f"{where}: duplicate site in {list(sites)}")
-        for s in sites:
-            if not 0 <= s < n_sites:
-                raise ValidationError(f"{where}: site {s} out of range for n_sites={n_sites}")
-        if not isinstance(paulis, str) or len(paulis) != len(sites):
-            raise ValidationError(
-                f"{where}: paulis must be a string of length {len(sites)}, got {paulis!r}"
-            )
-        bad = [ch for ch in paulis if ch not in "XYZ"]
-        if bad:
-            raise ValidationError(f"{where}: invalid Pauli letter(s) {bad} (use X, Y, Z)")
-        if (
-            not isinstance(coeff, (list, tuple))
-            or len(coeff) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeff)
-        ):
-            raise ValidationError(f"{where}: coeff must be a [re, im] number pair")
-        string = PauliString.from_letters(n_sites, dict(zip(sites, paulis)))
-        x_masks.append(string.x_mask)
-        z_masks.append(string.z_mask)
-        coeffs.append(complex(coeff[0], coeff[1]))
+    arrays = _flatten(entries, n_sites)
+    if arrays is None:
+        for idx, entry in enumerate(entries):
+            _check_entry(f"terms[{idx}]", entry, n_sites)
+        raise AssertionError("the bulk spec checks rejected entries that pass one by one")
     del document, entries  # a parsed spec outweighs the arrays: free it first
-    return KLocalOperator.from_masks(n_sites, x_masks, z_masks, coeffs)
+    return KLocalOperator.from_letter_sites(n_sites, *arrays)
+
+
+def _flatten(entries, n_sites: int) -> tuple[np.ndarray, ...] | None:
+    """(row, site, ASCII letter) of each letter and each entry's coefficient,
+    or None if some entry breaks a rule of :func:`_check_entry`."""
+    if not all(
+        (type(e) is dict or isinstance(e, Mapping)) and e.keys() == _ENTRY_FIELDS
+        and isinstance(e["sites"], (list, tuple)) and isinstance(e["paulis"], str)
+        and len(e["paulis"]) == len(e["sites"]) > 0
+        and isinstance(e["coeff"], (list, tuple)) and len(e["coeff"]) == 2
+        for e in entries
+    ):
+        return None
+
+    def items(field: str):  # streamed: a list of every item would raise peak memory
+        return chain.from_iterable(e[field] for e in entries)
+
+    letters = "".join([e["paulis"] for e in entries])
+    if not (
+        _only(items("sites"), int)
+        and _only(items("coeff"), (int, float))
+        and set(letters) <= _PAULI_LETTERS
+    ):
+        return None
+    rows = np.repeat(np.arange(len(entries)), [len(e["sites"]) for e in entries])
+    try:
+        sites = np.fromiter(items("sites"), np.int64, len(rows))
+        coeffs = np.fromiter(items("coeff"), float, 2 * len(entries))
+        cells = rows * n_sites
+    except OverflowError:
+        return None
+    cells += sites
+    cells.sort()
+    in_range = ((sites >= 0) & (sites < n_sites)).all()
+    repeated = (cells[1:] == cells[:-1]).any()  # a site twice in one entry
+    if repeated or not (in_range and np.isfinite(coeffs).all()):
+        return None
+    return rows, sites, letters.encode("ascii"), coeffs.view(complex)
+
+
+def _check_entry(where: str, entry: Any, n_sites: int) -> None:
+    """Raise the ValidationError of the first rule that ``entry`` breaks."""
+    if not isinstance(entry, Mapping):
+        raise ValidationError(f"{where}: must be an object")
+    _require_fields(entry, _ENTRY_FIELDS, where)
+    sites, paulis, coeff = entry["sites"], entry["paulis"], entry["coeff"]
+    if not isinstance(sites, (list, tuple)) or not _only(sites, int):
+        raise ValidationError(f"{where}: sites must be an array of integers")
+    if not sites:
+        raise ValidationError(f"{where}: empty site list (identity terms are not allowed)")
+    if len(set(sites)) != len(sites):
+        raise ValidationError(f"{where}: duplicate site in {list(sites)}")
+    for s in sites:
+        if not 0 <= s < n_sites:
+            raise ValidationError(f"{where}: site {s} out of range for n_sites={n_sites}")
+    if not isinstance(paulis, str) or len(paulis) != len(sites):
+        raise ValidationError(
+            f"{where}: paulis must be a string of length {len(sites)}, got {paulis!r}"
+        )
+    bad = [ch for ch in paulis if ch not in _PAULI_LETTERS]
+    if bad:
+        raise ValidationError(f"{where}: invalid Pauli letter(s) {bad} (use X, Y, Z)")
+    if not isinstance(coeff, (list, tuple)) or len(coeff) != 2 or not _only(coeff, (int, float)):
+        raise ValidationError(f"{where}: coeff must be a [re, im] number pair")
+    try:
+        finite = all(map(math.isfinite, coeff))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError(f"{where}: coeff must be finite and within the float range")
 
 
 def spec_entries(op: KLocalOperator) -> list[dict[str, Any]]:
     """One ``{"sites", "paulis", "coeff"}`` spec entry per term, in row order."""
-    entries = []
-    for term in op.terms():
-        letters = term.string.letters
-        if not letters:
-            raise ValidationError("identity term cannot be expressed in the JSON spec format")
-        sites = sorted(letters)
-        entries.append(
-            {
-                "sites": sites,
-                "paulis": "".join(letters[s] for s in sites),
-                "coeff": [term.coeff.real, term.coeff.imag],
-            }
-        )
-    return entries
+    rows, sites = op.letter_sites()
+    weights = np.bincount(rows, minlength=op.n_terms)
+    if not weights.all():
+        raise ValidationError("identity term cannot be expressed in the JSON spec format")
+    letters = op.letters_at(rows, sites).decode("ascii")
+    sites, ends = sites.tolist(), np.cumsum(weights).tolist()
+    coeffs = zip(op.coeff.real.tolist(), op.coeff.imag.tolist())
+    return [
+        {"sites": sites[start:end], "paulis": letters[start:end], "coeff": [re, im]}
+        for start, end, (re, im) in zip([0, *ends], ends, coeffs)
+    ]
 
 
 def spec_from_operator(op: KLocalOperator) -> dict[str, Any]:
@@ -173,16 +219,20 @@ def _build_long_range_ising(n_sites: int, params: Mapping[str, Any]) -> KLocalOp
     field = float(params.get("field", 0.0))
     if alpha < 0:
         raise ValidationError(f"alpha must be nonnegative, got {alpha}")
-    acc: dict[PauliString, complex] = {}
-    for i in range(n_sites):
-        for j in range(i + 1, n_sites):
-            c = coupling / float(j - i) ** alpha
-            if c != 0.0:
-                acc[PauliString.from_letters(n_sites, {i: "Z", j: "Z"})] = complex(c)
-    if field != 0.0:
-        for i in range(n_sites):
-            acc[PauliString.from_letters(n_sites, {i: "X"})] = complex(field)
-    return KLocalOperator(n_sites, acc)
+    # one Python division per distance: each coupling is bit for bit
+    # coupling / float(j - i) ** alpha
+    decay = np.array([coupling / float(d) ** alpha for d in range(1, n_sites)], dtype=float)
+    i, j = np.triu_indices(n_sites, 1)
+    c = decay[j - i - 1]
+    keep = c != 0.0
+    n_pairs, fields = int(keep.sum()), np.arange(n_sites if field != 0.0 else 0)
+    return KLocalOperator.from_letter_sites(
+        n_sites,
+        np.concatenate([np.repeat(np.arange(n_pairs), 2), n_pairs + fields]),
+        np.concatenate([np.stack([i[keep], j[keep]], axis=1).ravel(), fields]),
+        b"ZZ" * n_pairs + b"X" * len(fields),
+        np.concatenate([c[keep], np.full(len(fields), field)]),
+    )
 
 
 def _random_strings(
@@ -231,12 +281,9 @@ def _build_product_field(n_sites: int, params: Mapping[str, Any]) -> KLocalOpera
     axis = str(params.get("axis", "z")).lower()
     if axis not in _AXIS_LETTER:
         raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
-    letter = _AXIS_LETTER[axis]
-    acc = {
-        PauliString.from_letters(n_sites, {i: letter}): complex(-1.0)
-        for i in range(n_sites)
-    }
-    return KLocalOperator(n_sites, acc)
+    sites = np.arange(n_sites)
+    letters = _AXIS_LETTER[axis].encode() * n_sites
+    return KLocalOperator.from_letter_sites(n_sites, sites, sites, letters, np.full(n_sites, -1.0))
 
 
 def _build_diagonal_commuting(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:

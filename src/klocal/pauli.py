@@ -15,15 +15,17 @@ and ``z`` of shape (terms, W) and dtype uint64, W = ceil(n_sites/64),
 with site ``i`` at bit ``i % 64`` of word ``i // 64``, and ``coeff`` of
 dtype complex128.  ``terms()`` builds the value types on demand.  Only
 this module reads the words: other modules get the (row, site) pairs of
-the letters from ``letter_sites()``, the rows sorted by (x_mask, z_mask)
-from ``mask_order()``, and a sub-operator from ``select()``, which picks
-rows in a given order and can rescale each one.  The layers of
+the letters from ``letter_sites()`` and the letters themselves from
+``letters_at()``, build an operator from such arrays with
+``from_letter_sites()``, get the rows sorted by (x_mask, z_mask) from
+``mask_order()``, and a sub-operator from ``select()``, which picks rows
+in a given order and can rescale each one.  The layers of
 :mod:`klocal.layers` are operators built that way.
 
 Row order.  Each string occupies one row, in the order in which it first
-occurred: in the constructor's mapping, in ``self`` then ``other`` for a
-sum, and in the (a, b) pair loop of :func:`commutator`; ``select`` keeps
-the order of the rows it is given.
+occurred: in the constructor's mapping or rows, in ``self`` then
+``other`` for a sum, and in the (a, b) pair loop of :func:`commutator`;
+``select`` keeps the order of the rows it is given.
 
 Merge rule.  Duplicate strings are merged by summing their coefficients
 from zero in that same order, and merged coefficients with magnitude at
@@ -68,7 +70,8 @@ _PHASE_RE = np.array([p.real for p in _PHASES])
 _PHASE_IM = np.array([p.imag for p in _PHASES])
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+# the letter with bits (x, z) is _LETTERS[x + 2z]
+_LETTERS = "IXZY"
 
 # Python reduces int hashes modulo 2**61 - 1; a second residue keeps masks
 # wider than 61 bits from colliding in bulk.
@@ -148,12 +151,8 @@ class PauliString:
 
     @property
     def letters(self) -> dict[int, str]:
-        out = {}
-        for site in _mask_sites(self.support_mask):
-            bx = (self.x_mask >> site) & 1
-            bz = (self.z_mask >> site) & 1
-            out[site] = _BITS_LETTER[(bx, bz)]
-        return out
+        x, z = self.x_mask, self.z_mask
+        return {s: _LETTERS[(x >> s & 1) + 2 * (z >> s & 1)] for s in _mask_sites(x | z)}
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two strings commute as operators."""
@@ -345,15 +344,23 @@ class KLocalOperator:
         )
 
     @classmethod
-    def from_masks(
-        cls, n_sites: int, x_masks: Sequence[int], z_masks: Sequence[int], coeffs: Sequence[complex]
+    def from_letter_sites(
+        cls, n_sites: int, rows, sites, letters: bytes, coeff
     ) -> "KLocalOperator":
-        """Sum of ``coeffs[i] * P(x_masks[i], z_masks[i])``, merging repeated
-        strings.  The masks are taken as valid, e.g. read off ``PauliString``s."""
-        width = _n_words(n_sites)
-        coeff = np.array(coeffs, dtype=complex).reshape(len(coeffs))
-        rows = _merge(_pack(x_masks, width), _pack(z_masks, width), coeff.real, coeff.imag)
-        return cls._from_rows(n_sites, *rows)
+        """Sum over r of ``coeff[r]`` times the string with the ASCII letter
+        ``letters[i]`` (X, Y or Z) on ``sites[i]`` for every i with
+        ``rows[i] == r``, merging repeated strings: the inverse of
+        :meth:`letter_sites` with :meth:`letters_at`.  Sites are taken as
+        in range and distinct within a row."""
+        coeff = np.asarray(coeff, dtype=complex)
+        x, z = np.zeros((2, len(coeff), _n_words(n_sites)), dtype=np.uint64)
+        cells = rows * x.shape[1] + sites // 64
+        bits = np.uint64(1) << (sites % 64).astype(np.uint64)
+        letters = np.frombuffer(letters, dtype=np.uint8)
+        for words, carriers in ((x, b"XY"), (z, b"ZY")):
+            hit = np.isin(letters, np.frombuffer(carriers, dtype=np.uint8))
+            np.bitwise_or.at(words.reshape(-1), cells, np.where(hit, bits, 0))
+        return cls._from_rows(n_sites, *_merge(x, z, coeff.real, coeff.imag))
 
     @classmethod
     def _from_rows(cls, n_sites: int, x, z, re, im) -> "KLocalOperator":
@@ -415,6 +422,12 @@ class KLocalOperator:
         sites ascending within a row."""
         support = (self.x | self.z).astype("<u8", copy=False)
         return np.nonzero(np.unpackbits(support.view(np.uint8), axis=1, bitorder="little"))
+
+    def letters_at(self, rows: np.ndarray, sites: np.ndarray) -> bytes:
+        """The ASCII letter at each (row, site) pair, ``I`` where none."""
+        word, shift = sites // 64, (sites % 64).astype(np.uint64)
+        bits = (self.x[rows, word] >> shift & 1) + 2 * (self.z[rows, word] >> shift & 1)
+        return np.frombuffer(_LETTERS.encode(), dtype=np.uint8)[bits].tobytes()
 
     def mask_order(self) -> np.ndarray:
         """Row indices that sort the terms by (x_mask, z_mask), the order

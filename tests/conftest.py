@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import math
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
+from klocal.errors import ValidationError
 from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString, Term
 
 _LETTERS = "XYZ"
@@ -70,6 +75,106 @@ def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[Term]:
         if not abs(c) <= ZERO_TOL:
             terms.append(Term(PauliString(n, x, z), c))
     return terms
+
+
+def _require_fields(obj, fields: set[str], where: str) -> None:
+    unknown = set(obj) - fields
+    if unknown:
+        raise ValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
+    missing = fields - set(obj)
+    if missing:
+        raise ValidationError(f"{where}: missing field(s) {sorted(missing)}")
+
+
+def reference_load_spec(document) -> KLocalOperator:
+    """The per-entry spec loader that the bulk ``klocal.models.load_spec``
+    replaced, plus its finite-coefficient rule: every check entry by entry
+    in the same order, one ``PauliString`` per entry, and repeated strings
+    summed in a dict.  The bulk loader must give the same operator bit for
+    bit and the same message for the first bad entry."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except ValueError as exc:
+            raise ValidationError(f"spec is not valid JSON: {exc}") from None
+    if not isinstance(document, Mapping):
+        raise ValidationError(f"spec must be a JSON object, got {type(document).__name__}")
+    _require_fields(document, {"n_sites", "terms"}, "spec")
+    n_sites = document["n_sites"]
+    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites <= 0:
+        raise ValidationError(f"n_sites must be a positive integer, got {n_sites!r}")
+    entries = document["terms"]
+    if not isinstance(entries, (list, tuple)):
+        raise ValidationError("terms must be an array")
+    acc: dict[PauliString, complex] = {}
+    for idx, entry in enumerate(entries):
+        where = f"terms[{idx}]"
+        if not isinstance(entry, Mapping):
+            raise ValidationError(f"{where}: must be an object")
+        _require_fields(entry, {"sites", "paulis", "coeff"}, where)
+        sites = entry["sites"]
+        paulis = entry["paulis"]
+        coeff = entry["coeff"]
+        if not isinstance(sites, (list, tuple)) or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in sites
+        ):
+            raise ValidationError(f"{where}: sites must be an array of integers")
+        if not sites:
+            raise ValidationError(f"{where}: empty site list (identity terms are not allowed)")
+        if len(set(sites)) != len(sites):
+            raise ValidationError(f"{where}: duplicate site in {list(sites)}")
+        for s in sites:
+            if not 0 <= s < n_sites:
+                raise ValidationError(f"{where}: site {s} out of range for n_sites={n_sites}")
+        if not isinstance(paulis, str) or len(paulis) != len(sites):
+            raise ValidationError(
+                f"{where}: paulis must be a string of length {len(sites)}, got {paulis!r}"
+            )
+        bad = [ch for ch in paulis if ch not in "XYZ"]
+        if bad:
+            raise ValidationError(f"{where}: invalid Pauli letter(s) {bad} (use X, Y, Z)")
+        if (
+            not isinstance(coeff, (list, tuple))
+            or len(coeff) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in coeff)
+        ):
+            raise ValidationError(f"{where}: coeff must be a [re, im] number pair")
+        try:
+            finite = all(math.isfinite(v) for v in coeff)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"{where}: coeff must be finite and within the float range")
+        string = PauliString.from_letters(n_sites, dict(zip(sites, paulis)))
+        acc[string] = acc.get(string, 0j) + complex(coeff[0], coeff[1])
+    return KLocalOperator(n_sites, acc)
+
+
+def reference_spec_entries(op: KLocalOperator) -> list[dict]:
+    """The per-term spec writer that ``klocal.models.spec_entries``
+    replaced: one entry per ``Term``, sites ascending."""
+    entries = []
+    for term in op.terms():
+        letters = term.string.letters
+        sites = sorted(letters)
+        entries.append(
+            {
+                "sites": sites,
+                "paulis": "".join(letters[s] for s in sites),
+                "coeff": [term.coeff.real, term.coeff.imag],
+            }
+        )
+    return entries
+
+
+def same_arrays(a: KLocalOperator, b: KLocalOperator) -> bool:
+    """Same site count, words and coefficient bits, row for row."""
+    return (
+        a.n_sites == b.n_sites
+        and np.array_equal(a.x, b.x)
+        and np.array_equal(a.z, b.z)
+        and np.array_equal(a.coeff.view(np.uint64), b.coeff.view(np.uint64))
+    )
 
 
 def exact_terms(terms: list[Term]) -> list[tuple[int, int, int, str, str]]:

@@ -185,7 +185,7 @@ def test_criterion_4_layer_decomposition(acceptance_report):
         op = random_operator(rng, n, int(rng.integers(1, min(2 * n, 40) + 1)), max_weight=3)
         const = structural_constants(op)
         eps = const.g / float(rng.uniform(0.8, 8.0))
-        pool = discretize(op, eps)
+        pool = discretize(op, eps, const)
         decomp = pack_layers(pool)
         cert = decomp.verify()
         cap = math.floor(const.g / eps)

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+from klocal import models
 from klocal.cli import main
 from klocal.oracle import EigenSystem
 
@@ -128,3 +130,29 @@ def test_one_eigensystem_per_hamiltonian(run, monkeypatch, name, expected):
     monkeypatch.setattr(EigenSystem, "__init__", counted)
     run(*GOLDEN_RUNS[name])
     assert len(built) == expected
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    # decompose hands its constants to discretize; verify's second call is
+    # witness_check's BoundParams.from_operator
+    [
+        ("decompose_tfi4.json", 1),
+        ("decompose_rk130.json", 1),
+        ("verify_tfi4.json", 2),
+        ("verify_diag5.json", 2),
+    ],
+)
+def test_structural_constants_once_per_use(run, monkeypatch, name, expected):
+    calls = []
+    original = models.structural_constants
+
+    def counted(op):
+        calls.append(op)
+        return original(op)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("klocal") and vars(module).get("structural_constants") is original:
+            monkeypatch.setattr(module, "structural_constants", counted)
+    run(*GOLDEN_RUNS[name])
+    assert len(calls) == expected

@@ -93,6 +93,18 @@ class TestBound:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "invalid"
 
+    @pytest.mark.parametrize("q0", ["0", "-3"])
+    @pytest.mark.parametrize("evaluator", ["main", "delta", "topo"])
+    def test_rejects_q0_below_one(self, capsys, q0, evaluator):
+        code, out = run(
+            capsys,
+            "bound", "--evaluator", evaluator, "--g", "1", "--k", "1", "--q0", q0, "--t", "0.01",
+        )
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid"
+        assert "q0" in error["message"] and q0 in error["message"]
+
     def test_band_rejects_zero_sites(self, capsys):
         code, out = run(
             capsys, "bound", "--evaluator", "band", "--g", "1", "--k", "2", "--n-sites", "0"
@@ -219,6 +231,33 @@ class TestDeterminismAndErrors:
         error = json.loads(out)["error"]
         assert error["code"] == "invalid"
         assert "terms[0]" in error["message"]
+
+    @pytest.mark.parametrize(
+        "coeff", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "-" + "9" * 400]
+    )
+    def test_non_finite_coeff_exit_code(self, capsys, tmp_path, coeff):
+        # a 400-digit integer used to escape as an OverflowError traceback
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"n_sites": 2, "terms": [{"sites": [0, 1], "paulis": "ZZ", "coeff": [1.0, 0.0]}, '
+            f'{{"sites": [1], "paulis": "X", "coeff": [{coeff}, 0.0]}}]}}'
+        )
+        code, out = run(capsys, "decompose", "--spec", str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid"
+        assert error["message"] == "terms[1]: coeff must be finite and within the float range"
+
+    def test_integer_beyond_digit_limit_exit_code(self, capsys, tmp_path):
+        # Python's JSON parser refuses integers of more than 4300 digits
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"n_sites": 1, "terms": [{"sites": [0], "paulis": "X", "coeff": [1%s, 0]}]}'
+            % ("0" * 5000)
+        )
+        code, out = run(capsys, "constants", "--spec", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("spec is not valid JSON")
 
     def test_resource_exit_code(self, capsys, tmp_path):
         op = build_model("random_klocal", {"n_sites": 16, "k": 2, "g_target": 1.0, "seed": 0})

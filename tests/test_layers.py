@@ -28,7 +28,7 @@ def chain_hamiltonian():
 class TestDiscretize:
     def test_unit_counts_and_gap(self):
         op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 1.05})
-        pool = discretize(op, 0.5)
+        pool = discretize(op, 0.5, structural_constants(op))
         assert pool.total_multiplicity == 2
         assert pool.gap_upper == pytest.approx(0.05)
         (mult,) = pool.multiplicity
@@ -40,29 +40,30 @@ class TestDiscretize:
 
     def test_sub_epsilon_term_dropped_into_gap(self):
         op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 0.2})
-        pool = discretize(op, 0.5)
+        pool = discretize(op, 0.5, structural_constants(op))
         assert pool.total_multiplicity == 0
         assert pool.gap_upper == pytest.approx(0.2)
 
     def test_exact_multiple_no_gap(self):
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 1.5})
-        pool = discretize(op, 0.5)
+        pool = discretize(op, 0.5, structural_constants(op))
         assert pool.total_multiplicity == 3
         assert pool.gap_upper == pytest.approx(0.0)
 
     def test_epsilon_validation(self):
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 1.0})
         with pytest.raises(DomainError):
-            discretize(op, 0.0)
+            discretize(op, 0.0, structural_constants(op))
         with pytest.raises(DomainError):
-            discretize(op, -1.0)
+            discretize(op, -1.0, structural_constants(op))
         with pytest.raises(DomainError):
-            discretize(op, ZERO_TOL)
+            discretize(op, ZERO_TOL, structural_constants(op))
 
 
 class TestPackLayers:
     def test_chain_packs_two_body_terms_in_parallel(self):
-        pool = discretize(chain_hamiltonian(), 0.5)
+        h = chain_hamiltonian()
+        pool = discretize(h, 0.5, structural_constants(h))
         decomp = pack_layers(pool)
         # g = 3, epsilon = 0.5 -> bound = k * floor(g / eps) = 2 * 6 = 12
         assert decomp.layer_bound == 12
@@ -72,14 +73,15 @@ class TestPackLayers:
 
     def test_multiplicity_spreads_across_layers(self):
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 1.5})
-        decomp = pack_layers(discretize(op, 0.5))
+        decomp = pack_layers(discretize(op, 0.5, structural_constants(op)))
         # three copies of the same unit cannot share a layer
         assert decomp.layer_count == 3
         for layer in decomp.layers:
             assert layer.n_terms == 1
 
     def test_zero_hamiltonian(self):
-        decomp = pack_layers(discretize(KLocalOperator.zero(3), 0.5))
+        zero = KLocalOperator.zero(3)
+        decomp = pack_layers(discretize(zero, 0.5, structural_constants(zero)))
         assert decomp.layer_count == 0
         assert decomp.verify()["all_ok"]
 
@@ -88,7 +90,7 @@ class TestPackLayers:
             op = random_operator(rng, 10, 8, max_weight=3)
             const = structural_constants(op)
             eps = const.g / 3.7
-            decomp = pack_layers(discretize(op, eps))
+            decomp = pack_layers(discretize(op, eps, const))
             for layer in decomp.layers:
                 seen = 0
                 for term in layer.terms():
@@ -107,7 +109,7 @@ class TestPackLayers:
             op = random_operator(rng, 6, 6, max_weight=2)
             const = structural_constants(op)
             eps = const.g / 5.3
-            decomp = pack_layers(discretize(op, eps))
+            decomp = pack_layers(discretize(op, eps, const))
             rebuilt = reconstruct(decomp)
             gap = (rebuilt - op).norm_upper()
             assert gap <= decomp.reconstruction_gap + 1e-12
@@ -118,12 +120,13 @@ class TestPackLayers:
     def test_layer_count_bound_tight_family(self):
         # M identical max-weight terms on one site force M layers
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 4.0})
-        decomp = pack_layers(discretize(op, 1.0))
+        decomp = pack_layers(discretize(op, 1.0, structural_constants(op)))
         assert decomp.layer_count == 4
         assert decomp.layer_bound == 4  # k=1, floor(g/eps)=4
 
     def test_export_schema(self):
-        decomp = pack_layers(discretize(chain_hamiltonian(), 0.5))
+        h = chain_hamiltonian()
+        decomp = pack_layers(discretize(h, 0.5, structural_constants(h)))
         doc = decomp.to_json_dict()
         assert set(doc) == {"n_sites", "epsilon", "layers", "certificates"}
         cert = doc["certificates"]
@@ -140,6 +143,6 @@ class TestPackLayers:
             op = random_operator(rng, 8, 10, max_weight=3)
             const = structural_constants(op)
             eps = const.g / 4.1
-            pool = discretize(op, eps)
+            pool = discretize(op, eps, const)
             cap = math.floor(const.g / eps)
             assert max(pool.per_site_multiplicity(), default=0) <= cap

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from types import MappingProxyType
 
+import numpy as np
 import pytest
+from conftest import random_operator, reference_load_spec, reference_spec_entries, same_arrays
 
 from klocal.errors import ValidationError
 from klocal.models import (
@@ -17,6 +20,94 @@ from klocal.models import (
     structural_constants,
 )
 from klocal.pauli import KLocalOperator, PauliString
+
+# entries that break the spec rules, each as terms[5] of a spec on 8 sites;
+# the later entries break two rules at once, and the first one is named
+GOOD = {"sites": [0, 2], "paulis": "XZ", "coeff": [0.5, 0.0]}
+BAD_ENTRIES = {
+    "not an object": [0, 2],
+    "unknown field": {**GOOD, "note": 1},
+    "missing field": {"sites": [0], "paulis": "X"},
+    "sites not an array": {**GOOD, "sites": "02"},
+    "bool site": {**GOOD, "sites": [0, True]},
+    "float site": {**GOOD, "sites": [0, 2.0]},
+    "empty": {"sites": [], "paulis": "", "coeff": [1.0, 0.0]},
+    "duplicate site": {**GOOD, "sites": [2, 2]},
+    "negative site": {**GOOD, "sites": [-1, 2]},
+    "site past the end": {**GOOD, "sites": [0, 8]},
+    "site beyond int64": {**GOOD, "sites": [0, 2**70]},
+    "short paulis": {**GOOD, "paulis": "X"},
+    "paulis not a string": {**GOOD, "paulis": ["X", "Z"]},
+    "bad letter": {**GOOD, "paulis": "XQ"},
+    "lower-case letter": {**GOOD, "paulis": "xZ"},
+    "non-ASCII letter": {**GOOD, "paulis": "X\u00e9"},
+    "one number": {**GOOD, "coeff": [1.0]},
+    "three numbers": {**GOOD, "coeff": [1.0, 0.0, 0.0]},
+    "coeff not an array": {**GOOD, "coeff": "1"},
+    "bool coeff": {**GOOD, "coeff": [True, 0.0]},
+    "string coeff": {**GOOD, "coeff": [1.0, "0"]},
+    "NaN": {**GOOD, "coeff": [math.nan, 0.0]},
+    "infinity": {**GOOD, "coeff": [0.0, -math.inf]},
+    "integer beyond float": {**GOOD, "coeff": [10**400, 0]},
+    "duplicate and bad letter": {"sites": [1, 1], "paulis": "QQ", "coeff": [1.0, 0.0]},
+    "out of range and short paulis": {"sites": [9, 1], "paulis": "X", "coeff": [1.0, 0.0]},
+    "bad letter and NaN": {"sites": [3], "paulis": "Q", "coeff": [math.nan, 0.0]},
+    "empty and bad coeff": {"sites": [], "paulis": "", "coeff": [1.0]},
+}
+
+
+def random_spec(rng: np.random.Generator, n_sites: int, n_terms: int, exotic: bool) -> dict:
+    """A valid spec with sites in random order, int and float coefficients
+    and repeated strings (some cancelling); with ``exotic``, also tuple
+    sites and coefficients and read-only mapping entries."""
+    entries = []
+    for _ in range(n_terms):
+        if entries and rng.random() < 0.2:
+            prev = entries[int(rng.integers(len(entries)))]
+            order = rng.permutation(len(prev["sites"]))
+            sites = [prev["sites"][i] for i in order]
+            paulis = "".join(prev["paulis"][i] for i in order)
+            coeff = [-v for v in prev["coeff"]] if rng.random() < 0.3 else list(prev["coeff"])
+        else:
+            weight = int(rng.integers(1, min(4, n_sites) + 1))
+            sites = [int(s) for s in rng.choice(n_sites, weight, replace=False)]
+            paulis = "".join(rng.choice(list("XYZ"), weight))
+            coeff = [
+                [float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))],
+                [int(rng.integers(-3, 4)), 0],
+                [2**60 + int(rng.integers(1000)), -0.0],
+                [float(rng.uniform(-1, 1)) * 1e-15, 0.0],
+            ][int(rng.integers(4))]
+        entry = {"sites": sites, "paulis": paulis, "coeff": coeff}
+        if exotic and rng.random() < 0.5:
+            entry = {**entry, "sites": tuple(sites), "coeff": tuple(coeff)}
+        if exotic and rng.random() < 0.5:
+            entry = MappingProxyType(entry)
+        entries.append(entry)
+    return {"n_sites": n_sites, "terms": entries}
+
+
+def load_error(doc) -> tuple[str, str]:
+    """The messages of the bulk and of the reference loader."""
+    messages = []
+    for loader in (load_spec, reference_load_spec):
+        with pytest.raises(ValidationError) as info:
+            loader(doc)
+        messages.append(str(info.value))
+    return messages[0], messages[1]
+
+
+def dict_long_range_ising(n_sites: int, alpha: float, coupling: float, field: float):
+    acc = {}
+    for i in range(n_sites):
+        for j in range(i + 1, n_sites):
+            c = coupling / float(j - i) ** alpha
+            if c != 0.0:
+                acc[PauliString.from_letters(n_sites, {i: "Z", j: "Z"})] = complex(c)
+    if field != 0.0:
+        for i in range(n_sites):
+            acc[PauliString.from_letters(n_sites, {i: "X"})] = complex(field)
+    return KLocalOperator(n_sites, acc)
 
 
 class TestLoadSpec:
@@ -71,6 +162,61 @@ class TestLoadSpec:
         op = load_spec(doc)
         assert op.n_terms == 1
         assert op.coefficient(PauliString.from_letters(1, {0: "X"})) == pytest.approx(1.5)
+
+
+class TestBulkLoader:
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 130, 256])
+    def test_matches_reference_loader(self, n):
+        rng = np.random.default_rng(n)
+        plain = random_spec(rng, n, 3 * n, exotic=False)
+        exotic = random_spec(rng, n, 3 * n, exotic=True)
+        for doc in (plain, json.dumps(plain), exotic):
+            op = load_spec(doc)
+            assert same_arrays(op, reference_load_spec(doc))
+        assert 0 < op.n_terms < 3 * n
+
+    @pytest.mark.parametrize("rule", sorted(BAD_ENTRIES))
+    def test_first_bad_entry_message(self, rule):
+        entries = [{**GOOD, "sites": [i % 8, (i + 3) % 8]} for i in range(12)]
+        entries[5] = BAD_ENTRIES[rule]
+        doc = {"n_sites": 8, "terms": entries}
+        bulk, reference = load_error(doc)
+        assert bulk == reference
+        assert bulk.startswith("terms[5]: ")
+        rules = sorted(BAD_ENTRIES)
+        entries[9] = BAD_ENTRIES[rules[(rules.index(rule) + 1) % len(rules)]]
+        assert load_error(doc) == (bulk, reference)
+
+
+class TestSpecWriter:
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("long_range_ising", {"n_sites": 256, "alpha": math.inf, "field": 1.05}),
+            ("long_range_ising", {"n_sites": 256, "alpha": 2, "field": 1}),
+            ("long_range_ising", {"n_sites": 7, "alpha": 1.5, "coupling": -0.7}),
+            ("random_klocal", {"n_sites": 130, "k": 3, "n_terms": 60, "seed": 4}),
+            ("product_field", {"n_sites": 65, "axis": "y"}),
+            ("diagonal_commuting", {"n_sites": 70, "k": 3, "seed": 2}),
+        ],
+    )
+    def test_matches_per_term_writer(self, family, params):
+        op = build_model(family, params)
+        entries = reference_spec_entries(op.select(op.mask_order()))
+        expected = json.dumps({"n_sites": op.n_sites, "terms": entries})
+        assert json.dumps(spec_from_operator(op)) == expected
+
+    def test_complex_coefficients(self, rng):
+        op = random_operator(rng, 130, 50, max_weight=4, complex_coeffs=True)
+        assert spec_from_operator(op)["terms"] == reference_spec_entries(
+            op.select(op.mask_order())
+        )
+        assert same_arrays(load_spec(spec_from_operator(op)), op.select(op.mask_order()))
+
+    def test_rejects_identity_term(self):
+        op = KLocalOperator(2, {PauliString.identity(2): 1.0, PauliString.from_label("XI"): 1.0})
+        with pytest.raises(ValidationError, match="identity"):
+            spec_from_operator(op)
 
 
 class TestStructuralConstants:
@@ -129,6 +275,22 @@ class TestModelFamilies:
         )
         const = structural_constants(op)
         assert (const.k, const.g, const.n_terms) == (2, 3.0, 7)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130])
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, 2.0, math.inf])
+    def test_long_range_ising_matches_dict_builder(self, n, alpha):
+        for coupling, field in ((1.0, 0.0), (-0.3, 1.05), (0.0, 0.5)):
+            params = {"n_sites": n, "alpha": alpha, "coupling": coupling, "field": field}
+            expected = dict_long_range_ising(n, alpha, coupling, field)
+            assert same_arrays(build_model("long_range_ising", params), expected)
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 130])
+    def test_product_field_matches_dict_builder(self, n):
+        for axis, letter in (("x", "X"), ("Y", "Y"), ("z", "Z")):
+            expected = KLocalOperator(
+                n, {PauliString.from_letters(n, {i: letter}): complex(-1.0) for i in range(n)}
+            )
+            assert same_arrays(build_model("product_field", {"n_sites": n, "axis": axis}), expected)
 
     def test_random_klocal_hits_g_target(self, rng):
         for seed in (0, 1, 7):

@@ -249,19 +249,39 @@ class TestKLocalOperator:
         assert exact_terms((scalar * op).terms()) == exact_terms(expected)
         assert exact_terms((op * scalar).terms()) == exact_terms(expected)
 
-    def test_from_masks_merges_like_a_dict(self, rng):
+    def test_from_letter_sites_merges_like_a_dict(self, rng):
         # 16 distinct strings straddling words 0/1 and 1/2 of a 130-site chain
         n = 130
         x_masks = [int(rng.integers(4)) << 63 for _ in range(300)]
         z_masks = [int(rng.integers(4)) << 127 for _ in range(300)]
         coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(300)]
         acc: dict[PauliString, complex] = {}
-        for x, z, c in zip(x_masks, z_masks, coeffs):
+        rows, sites, letters = [], [], ""
+        for row, (x, z, c) in enumerate(zip(x_masks, z_masks, coeffs)):
             s = PauliString(n, x, z)
             acc[s] = acc.get(s, 0j) + c
-        merged = KLocalOperator.from_masks(n, x_masks, z_masks, coeffs)
+            for site, letter in sorted(s.letters.items()):
+                rows.append(row)
+                sites.append(site)
+                letters += letter
+        merged = KLocalOperator.from_letter_sites(
+            n, np.array(rows), np.array(sites), letters.encode(), np.array(coeffs)
+        )
         assert merged.n_terms == 16
         assert exact_terms(merged.terms()) == exact_terms(KLocalOperator(n, acc).terms())
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
+    def test_from_letter_sites_inverts_letter_sites(self, rng, n):
+        op = random_operator(rng, n, 60, max_weight=4, complex_coeffs=True)
+        rows, sites = op.letter_sites()
+        letters = op.letters_at(rows, sites)
+        assert list(zip(rows.tolist(), sites.tolist(), letters.decode())) == [
+            (row, site, letter)
+            for row, term in enumerate(op.terms())
+            for site, letter in sorted(term.string.letters.items())
+        ]
+        rebuilt = KLocalOperator.from_letter_sites(n, rows, sites, letters, op.coeff)
+        assert exact_terms(rebuilt.terms()) == exact_terms(op.terms())
 
     def test_magnitudes_match_python_abs(self, rng):
         # NumPy's complex abs may differ from Python's in the last bit
@@ -269,8 +289,8 @@ class TestKLocalOperator:
         coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n) + 1j * (
             rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
         )
-        op = KLocalOperator.from_masks(
-            11, list(range(1, n + 1)), [0] * n, [complex(c) for c in coeffs]
+        op = KLocalOperator(
+            11, {PauliString(11, m, 0): complex(c) for m, c in zip(range(1, n + 1), coeffs)}
         )
         expected = [abs(t.coeff) for t in op.terms()]
         assert [m.hex() for m in op.magnitudes.tolist()] == [m.hex() for m in expected]
