@@ -17,7 +17,7 @@ import math
 import sys
 
 from klocal.bounds import BoundParams, main_rhs, small_time_rhs
-from klocal.models import build_model, structural_constants
+from klocal.models import build_model
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,8 +35,7 @@ def main(argv: list[str] | None = None) -> int:
         "long_range_ising",
         {"n_sites": args.n_sites, "alpha": math.inf, "coupling": args.coupling, "field": args.field},
     )
-    const = structural_constants(h)
-    params = BoundParams(g=const.g, k=const.k)
+    params = BoundParams.from_operator(h)
     print(f"model: nearest-neighbour Ising chain, N={args.n_sites}, "
           f"k={params.k}, g={params.g}, kappa={params.kappa:.1f}")
 

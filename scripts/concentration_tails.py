@@ -26,7 +26,7 @@ from klocal.concentration import (
     tail_profile,
 )
 from klocal.errors import DomainError
-from klocal.models import build_model, structural_constants
+from klocal.models import build_model
 from klocal.oracle import EigenSystem
 from klocal.pauli import KLocalOperator, PauliString
 
@@ -44,8 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         "long_range_ising",
         {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.0},
     )
-    const = structural_constants(h)
-    params = BoundParams(g=const.g, k=const.k)
+    params = BoundParams.from_operator(h)
     eig = EigenSystem(h, n_max=n)
     observable = ExtensiveObservable.collective(n, "z", n_max=n)
     parent = KLocalOperator(n, {PauliString.from_letters(n, {i: "X"}): -1.0 for i in range(n)})

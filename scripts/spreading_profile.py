@@ -19,7 +19,7 @@ import math
 import sys
 
 from klocal.bounds import BoundParams, main_rhs
-from klocal.models import build_model, structural_constants
+from klocal.models import build_model
 from klocal.oracle import EigenSystem, q_local_project, weight_spectrum
 from klocal.pauli import KLocalOperator, PauliString
 
@@ -39,8 +39,7 @@ def main(argv: list[str] | None = None) -> int:
         "long_range_ising",
         {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.0},
     )
-    const = structural_constants(h)
-    params = BoundParams(g=const.g, k=const.k)
+    params = BoundParams.from_operator(h)
     gamma = KLocalOperator(n, {PauliString.from_letters(n, {args.site: "Z"}): 1.0})
     eig = EigenSystem(h, n_max=n)
     print(f"N={n}, k={params.k}, g={params.g}, kappa={params.kappa:.1f}; "

@@ -144,8 +144,7 @@ def main_rhs(params: BoundParams, q0: int, q: int, t: float, gamma_norm: float) 
     if gamma_norm < 0:
         raise DomainError(f"gamma_norm must be nonnegative, got {gamma_norm}")
     n = params.intervals(t)
-    r = 2**n - 1
-    exponent = -(q / r - q0) / params.xi
+    exponent = -(q / params.r_t(t) - q0) / params.xi
     if gamma_norm == 0.0:
         return 0.0
     return _exp_guarded(exponent + math.log(8.0 * gamma_norm * n))
@@ -153,9 +152,7 @@ def main_rhs(params: BoundParams, q0: int, q: int, t: float, gamma_norm: float) 
 
 def delta_value(params: BoundParams, q0: int, q: int, t: float) -> float:
     """Per-interval contraction factor Delta = 4*exp(-(1/xi)*(q/r_t - q0))."""
-    n = params.intervals(t)
-    r = 2**n - 1
-    exponent = -(q / r - q0) / params.xi
+    exponent = -(q / params.r_t(t) - q0) / params.xi
     return _exp_guarded(exponent + math.log(4.0))
 
 
@@ -230,10 +227,8 @@ def topo_error_rhs(params: BoundParams, q0: int, q: int, t: float) -> float:
     of weight q against states dressed up to weight radius r_t from q0."""
     if q0 < 0 or q < 0:
         raise DomainError(f"q0 and q must be nonnegative, got q0={q0}, q={q}")
-    n = params.intervals(t)
-    r = 2**n - 1
-    exponent = -(q0 / r - q) / params.xi
-    return _exp_guarded(exponent + math.log(2.0 * n))
+    exponent = -(q0 / params.r_t(t) - q) / params.xi
+    return _exp_guarded(exponent + math.log(2.0 * params.intervals(t)))
 
 
 def band_rhs(params: BoundParams, t: float, n_sites: int, x_gap: float) -> float:

@@ -2,17 +2,18 @@
 
 Every check that ``klocal truncate`` and ``klocal verify`` report is
 computed here: commutator growth against ``theorem1_rhs``, the
-truncated-witness error against ``small_time_rhs`` or ``main_rhs`` plus
-the pruning budget, the layer packing against k*floor(g/eps) and the
-discretization gap, and, for commuting Hamiltonians, the energy-block
-law (blocks of gamma between windows more than 2gq apart vanish).
+truncated-witness error against the bound its ``TruncationReport``
+carries (``rhs``, evaluated at the exact norm of gamma) plus the pruning
+budget, the layer packing against k*floor(g/eps) and the discretization
+gap, and, for commuting Hamiltonians, the energy-block law (blocks of
+gamma between windows more than 2gq apart vanish).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bounds import BoundParams, main_rhs, small_time_rhs, theorem1_rhs
+from .bounds import BoundParams, theorem1_rhs
 from .layers import discretize, pack_layers, reconstruct
 from .models import structural_constants
 from .oracle import N_MAX_OPERATOR, EigenSystem, operator_norm_exact, spectral_norm, to_dense
@@ -44,7 +45,6 @@ class Check:
 
 
 def witness_check(
-    hamiltonian: KLocalOperator,
     gamma: KLocalOperator,
     report: TruncationReport,
     t: float,
@@ -52,25 +52,18 @@ def witness_check(
     gamma_norm: float | None = None,
 ) -> tuple[Check, float]:
     """Certify a truncated witness of gamma(t) against the exact evolution
-    under ``eig``, the eigensystem of ``hamiltonian``.
+    under ``eig``, the eigensystem of the Hamiltonian it was built from.
 
-    The bound is ``small_time_rhs`` for a single-window report (no
-    schedule) and ``main_rhs`` for a chained one, both evaluated with the
-    exact norm of gamma; the check's RHS adds the report's pruning
-    budget.  Returns the check and the bound without the budget.
-    ``gamma_norm`` spares recomputing the exact norm when the caller
-    already has it.
+    The bound is the report's own ``rhs`` evaluated at the exact norm of
+    gamma; the check's RHS adds the report's pruning budget.  Returns the
+    check and the bound without the budget.  ``gamma_norm`` spares
+    recomputing the exact norm when the caller already has it.
     """
-    params = BoundParams.from_operator(hamiltonian)
     if gamma_norm is None:
         gamma_norm = operator_norm_exact(gamma, n_max=eig.n_sites)
     exact = eig.evolve_operator(gamma, t)
     err = spectral_norm(to_dense(report.witness, n_max=eig.n_sites).matrix - exact.matrix)
-    q0, q = gamma.locality, report.target_q
-    if report.schedule is None:
-        bound = small_time_rhs(params, q0, q, abs(t), gamma_norm)
-    else:
-        bound = main_rhs(params, q0, q, t, gamma_norm)
+    bound = report.rhs(gamma_norm)
     return Check.compare("truncated_witness", err, bound + report.pruning_budget), bound
 
 
@@ -104,7 +97,7 @@ def verify_checks(
     if q is None:
         q = 2**n * max(q0, 1)
     trunc = chained_truncate(hamiltonian, gamma, t, q, threshold=threshold, params=params)
-    witness, _ = witness_check(hamiltonian, gamma, trunc, t, eig, gamma_norm)
+    witness, _ = witness_check(gamma, trunc, t, eig, gamma_norm)
     checks.append(replace(witness, note=f"t={t}, q={q}, intervals={n}"))
 
     if epsilon is None and const.g > 0:

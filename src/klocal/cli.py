@@ -220,7 +220,7 @@ def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list],
         result["intervals"] = report_t.schedule.n
     nmax = _operator_nmax(args)
     if op.n_sites <= nmax:
-        check, rhs = witness_check(op, gamma, report_t, t, EigenSystem(op, nmax))
+        check, rhs = witness_check(gamma, report_t, t, EigenSystem(op, nmax))
         result["oracle_error"] = check.lhs
         result["bound_rhs_exact_norm"] = rhs
         result["certified"] = check.status == "pass"
@@ -392,12 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"klocal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, spec_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *, spec_required: bool = True, dense: bool = False) -> None:
         p.add_argument("--spec", required=spec_required, help="Hamiltonian spec JSON file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--nmax", type=int, default=None, help="dense-size override")
+        if dense:
+            p.add_argument("--nmax", type=int, default=None, help="dense-size override")
 
     p = sub.add_parser("constants", help="structural constants and bound parameters")
     common(p)
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("truncate", help="locality-truncated evolution witness")
-    common(p)
+    common(p, dense=True)
     p.add_argument("--gamma", default=None, help="observable spec JSON (default: Z on site 0)")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--q", type=int, default=None, required=True)
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("verify", help="certification suite for one instance")
-    common(p)
+    common(p, dense=True)
     p.add_argument("--gamma", default=None, help="observable spec JSON (default: Z on site 0)")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--q", type=int, default=None)
@@ -440,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("concentrate", help="tail profile and band matrix")
-    common(p)
+    common(p, dense=True)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--state", default=None, help="product state string (default: all +)")
     p.add_argument("--axis", default="z", choices=("x", "y", "z"))

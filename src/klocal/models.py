@@ -30,6 +30,7 @@ from .errors import ValidationError
 from .pauli import KLocalOperator, PauliString
 
 __all__ = [
+    "N_MAX_SITES",
     "StructuralConstants",
     "load_spec",
     "spec_entries",
@@ -39,6 +40,8 @@ __all__ = [
     "MODEL_FAMILIES",
 ]
 
+# largest n_sites a spec may declare: 1,024 mask words per row
+N_MAX_SITES = 1 << 16
 _AXIS_LETTER = {"x": "X", "y": "Y", "z": "Z"}
 _ENTRY_FIELDS = {"sites", "paulis", "coeff"}
 _PAULI_LETTERS = set("XYZ")
@@ -78,6 +81,8 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     n_sites = document["n_sites"]
     if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites <= 0:
         raise ValidationError(f"n_sites must be a positive integer, got {n_sites!r}")
+    if n_sites > N_MAX_SITES:
+        raise ValidationError(f"n_sites must be at most N_MAX_SITES = {N_MAX_SITES}, got {n_sites}")
     entries = document["terms"]
     if not isinstance(entries, (list, tuple)):
         raise ValidationError("terms must be an array")

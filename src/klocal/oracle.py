@@ -43,6 +43,8 @@ __all__ = [
 
 N_MAX_OPERATOR = 8
 N_MAX_STATE = 12
+_POWER_TOL = 1e-10  # relative change of the estimate that ends power iteration
+_HERMITIAN_TOL = 1e-10  # anti-Hermitian part, relative to the largest entry, that eigh accepts
 
 # Rows map a flattened per-site 2x2 block [B00, B01, B10, B11] to the
 # coefficients (c_I, c_X, c_Y, c_Z); _RECOMP is the exact inverse.
@@ -126,7 +128,7 @@ def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_norm(mat: np.ndarray, tol: float = 1e-10) -> float:
+def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value; exact decomposition below dimension 256,
     power iteration (with exact fallback) above."""
     if min(mat.shape) == 0:
@@ -146,7 +148,7 @@ def spectral_norm(mat: np.ndarray, tol: float = 1e-10) -> float:
             return 0.0
         v = w / nw
         est = math.sqrt(max(s2, 0.0))
-        if abs(est - last) <= tol * max(est, 1.0):
+        if abs(est - last) <= _POWER_TOL * max(est, 1.0):
             return est
         last = est
     return float(np.linalg.svd(mat, compute_uv=False)[0])
@@ -164,14 +166,10 @@ class EigenSystem:
     """Eigendecomposition of one Hamiltonian, reused for every time,
     operator, state and energy window asked of it."""
 
-    def __init__(
-        self,
-        hamiltonian: KLocalOperator | DenseOperator,
-        n_max: int = N_MAX_OPERATOR,
-        tol: float = 1e-10,
-    ):
+    def __init__(self, hamiltonian: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR):
         dense = to_dense(hamiltonian, n_max=n_max)
-        if not dense.is_hermitian(tol=tol * max(1.0, float(np.max(np.abs(dense.matrix))))):
+        scale = max(1.0, float(np.max(np.abs(dense.matrix))))
+        if not dense.is_hermitian(tol=_HERMITIAN_TOL * scale):
             raise ValidationError("Hamiltonian must be Hermitian for evolution")
         self.n_sites = dense.n_sites
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense.matrix)

@@ -10,7 +10,8 @@ gamma(t) is bounded by :func:`klocal.bounds.small_time_rhs` inside the
 window |t| < 2/kappa.  ``chained_truncate`` splits larger times into
 n = ceil(kappa*|t|) intervals and re-truncates at the locality levels of
 :func:`klocal.bounds.q_schedule`, certified by
-:func:`klocal.bounds.main_rhs`.
+:func:`klocal.bounds.main_rhs`.  Each report carries its bound as
+``rhs``, so certificates need not choose between the two.
 
 Each nesting level is pruned at ``threshold``; the summed magnitude of
 dropped coefficients is reported as ``pruning_budget`` and belongs on
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from .bounds import BoundParams, QSchedule, main_rhs, q_schedule, small_time_rhs
 from .errors import DomainError, InfeasibleScheduleError, ValidationError
@@ -52,9 +54,10 @@ class TruncationReport:
         target_q: requested locality ceiling.
         pruning_budget: summed magnitude of pruned coefficients across
             all nesting levels (and all intervals, for chained runs).
-        bound_rhs: analytic error bound evaluated with the cheap norm
-            proxy ``gamma.norm_upper()``; certificates against the exact
-            operator norm should re-evaluate the bound with it.
+        bound_rhs: ``rhs`` at the cheap norm proxy ``gamma.norm_upper()``.
+        rhs: the analytic error bound as a function of the norm of gamma
+            (``small_time_rhs`` or ``main_rhs`` over this run's params, q0,
+            target q and t); certificates evaluate it at the exact norm.
         schedule: locality schedule for chained runs, None otherwise.
     """
 
@@ -63,6 +66,7 @@ class TruncationReport:
     target_q: int
     pruning_budget: float
     bound_rhs: float
+    rhs: Callable[[float], float]
     schedule: QSchedule | None = None
 
 
@@ -146,9 +150,10 @@ def hadamard_truncate(
         if coeff != 0j:
             witness = witness + coeff * level
     assert witness.locality <= q, "nesting exceeded the locality budget"
-    bound = small_time_rhs(params, q0, q, abs(t), gamma.norm_upper())
+    rhs = partial(small_time_rhs, params, q0, q, abs(t))
+    bound = rhs(gamma.norm_upper())
     return TruncationReport(
-        witness=witness, m0=m0, target_q=q, pruning_budget=budget, bound_rhs=bound
+        witness=witness, m0=m0, target_q=q, pruning_budget=budget, bound_rhs=bound, rhs=rhs
     )
 
 
@@ -185,12 +190,13 @@ def chained_truncate(
         witness = step.witness
         budget += step.pruning_budget
         m0 = step.m0
-    bound = main_rhs(params, q0, q, t, gamma.norm_upper())
+    rhs = partial(main_rhs, params, q0, q, t)
     return TruncationReport(
         witness=witness,
         m0=m0,
         target_q=q,
         pruning_budget=budget,
-        bound_rhs=bound,
+        bound_rhs=rhs(gamma.norm_upper()),
+        rhs=rhs,
         schedule=schedule,
     )

@@ -134,13 +134,15 @@ def test_one_eigensystem_per_hamiltonian(run, monkeypatch, name, expected):
 
 @pytest.mark.parametrize(
     "name, expected",
-    # decompose hands its constants to discretize; verify's second call is
-    # witness_check's BoundParams.from_operator
+    # decompose hands its constants to discretize, and the truncation
+    # report carries its bound, so witness_check derives no parameters
     [
         ("decompose_tfi4.json", 1),
         ("decompose_rk130.json", 1),
-        ("verify_tfi4.json", 2),
-        ("verify_diag5.json", 2),
+        ("verify_tfi4.json", 1),
+        ("verify_diag5.json", 1),
+        ("truncate_small_time.json", 1),
+        ("truncate_chained.json", 1),
     ],
 )
 def test_structural_constants_once_per_use(run, monkeypatch, name, expected):

@@ -274,6 +274,28 @@ class TestDeterminismAndErrors:
         code, out = run(capsys, "verify", "--spec", str(path), "--nmax", "9", "--t", "0.0001")
         assert code == 0
 
+    @pytest.mark.parametrize("n_sites", [2**40, 2**70])
+    def test_n_sites_above_cap_exit_code(self, capsys, tmp_path, n_sites):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"n_sites": n_sites, "terms": [{"sites": [0], "paulis": "X", "coeff": [1, 0]}]})
+        )
+        code, out = run(capsys, "constants", "--spec", str(path))
+        assert code == 2
+        assert "n_sites" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["constants"], ["bound", "--evaluator", "main"], ["decompose"]],
+        ids=["constants", "bound", "decompose"],
+    )
+    def test_nmax_only_on_dense_commands(self, capsys, tfi_spec, command):
+        # constants, bound and decompose build no dense operator
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--spec", tfi_spec, "--nmax", "4"])
+        assert exc.value.code == 2
+        assert "--nmax" in capsys.readouterr().err
+
     def test_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "constants", "--spec", str(tmp_path / "nope.json"))
         assert code == 2

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from conftest import random_operator, reference_load_spec, reference_spec_entries, same_arrays
 
+from klocal import models
 from klocal.errors import ValidationError
 from klocal.models import (
     MODEL_FAMILIES,
+    N_MAX_SITES,
     StructuralConstants,
     build_model,
     load_spec,
@@ -150,6 +152,26 @@ class TestLoadSpec:
         doc = {"n_sites": 1, "terms": [{"sites": [0], "paulis": "X", "coeff": [1.0]}]}
         with pytest.raises(ValidationError):
             load_spec(doc)
+
+    @pytest.mark.parametrize("n_sites", [2**40, 2**70])
+    def test_rejects_n_sites_above_cap_before_allocating(self, monkeypatch, n_sites):
+        def allocate(*args):
+            raise AssertionError("the n_sites cap is checked after arrays are built")
+
+        monkeypatch.setattr(models, "_flatten", allocate)
+        monkeypatch.setattr(KLocalOperator, "from_letter_sites", allocate)
+        doc = {"n_sites": n_sites, "terms": [{"sites": [0], "paulis": "X", "coeff": [1, 0]}]}
+        with pytest.raises(ValidationError, match="n_sites"):
+            load_spec(doc)
+
+    def test_loads_at_n_sites_cap(self):
+        last = N_MAX_SITES - 1
+        doc = {"n_sites": N_MAX_SITES, "terms": [{"sites": [last], "paulis": "X", "coeff": [1, 0]}]}
+        op = load_spec(doc)
+        assert op.n_sites == N_MAX_SITES == 2**16
+        assert op.coefficient(PauliString.from_letters(N_MAX_SITES, {last: "X"})) == 1.0
+        with pytest.raises(ValidationError, match="n_sites"):
+            load_spec({**doc, "n_sites": N_MAX_SITES + 1})
 
     def test_merges_duplicate_terms(self):
         doc = {

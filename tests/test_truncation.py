@@ -209,6 +209,34 @@ class TestChainedTruncate:
         assert levels[-1] <= 10
 
 
+class TestReportBound:
+    """The report carries its own bound; certificates evaluate it there."""
+
+    @pytest.mark.parametrize("mode", ["small-time", "chained"])
+    def test_rhs_is_the_mode_bound(self, tfi_chain, mode):
+        gamma = KLocalOperator(
+            4,
+            {
+                PauliString.from_letters(4, {1: "Z"}): 1.0,
+                PauliString.from_letters(4, {2: "X"}): -0.5,
+            },
+        )
+        params = BoundParams.from_operator(tfi_chain)
+        q0 = gamma.locality
+        if mode == "small-time":
+            t, q = -0.5 / params.kappa, 4
+            report = hadamard_truncate(tfi_chain, gamma, t, q)
+            direct = lambda x: small_time_rhs(params, q0, q, abs(t), x)  # noqa: E731
+        else:
+            t, q = 1.5 / params.kappa, 6
+            report = chained_truncate(tfi_chain, gamma, t, q)
+            direct = lambda x: main_rhs(params, q0, q, t, x)  # noqa: E731
+        for x in (0.0, 1e-3, 0.7, 1.0, 1.5, 12.25):
+            assert report.rhs(x) == direct(x)
+        assert report.bound_rhs == report.rhs(gamma.norm_upper())
+        assert report.bound_rhs > 0.0
+
+
 class TestWitnessSlope:
     def test_short_time_derivative_matches(self):
         # the order-1 witness reproduces d/dt Gamma(t) at t -> 0
