@@ -66,13 +66,18 @@ class BoundParams:
             raise ValidationError(f"g must be finite and nonnegative, got {self.g!r}")
 
     @classmethod
+    def from_constants(cls, const) -> "BoundParams":
+        """Parameters from a Hamiltonian's ``StructuralConstants``; k is
+        clamped to >= 1 so the zero operator still yields well-defined
+        (degenerate) bounds."""
+        return cls(g=const.g, k=max(const.k, 1))
+
+    @classmethod
     def from_operator(cls, op) -> "BoundParams":
-        """Derive parameters from a Hamiltonian; k is clamped to >= 1 so
-        the zero operator still yields well-defined (degenerate) bounds."""
+        """Derive parameters from a Hamiltonian (see :meth:`from_constants`)."""
         from .models import structural_constants
 
-        const = structural_constants(op)
-        return cls(g=const.g, k=max(const.k, 1))
+        return cls.from_constants(structural_constants(op))
 
     @property
     def lam(self) -> float:

@@ -84,7 +84,7 @@ def verify_checks(
     and no epsilon is given).
     """
     const = structural_constants(hamiltonian)
-    params = BoundParams(g=const.g, k=max(const.k, 1))
+    params = BoundParams.from_constants(const)
     q0 = gamma.locality
     eig = EigenSystem(hamiltonian, n_max)
     gamma_norm = operator_norm_exact(gamma, n_max=n_max)

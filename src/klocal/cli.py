@@ -102,11 +102,22 @@ def _operator_nmax(args: argparse.Namespace) -> int:
     return args.nmax if args.nmax is not None else N_MAX_OPERATOR
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _float_list(text: str, name: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ValidationError(f"{name} must be a comma-separated list of numbers: {text!r}") from None
+        return [_finite_float(part) for part in text.split(",") if part != ""]
+    except argparse.ArgumentTypeError:
+        raise ValidationError(f"{name} must be a comma-separated list of finite numbers: {text!r}") from None
 
 
 def _int_list(text: str, name: str) -> list[int]:
@@ -122,7 +133,7 @@ def _int_list(text: str, name: str) -> list[int]:
 def _cmd_constants(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
     op, digest = _read_spec(args.spec)
     const = structural_constants(op)
-    params = BoundParams(g=const.g, k=max(const.k, 1))
+    params = BoundParams.from_constants(const)
     result: dict[str, Any] = {
         "n_sites": op.n_sites,
         "k": const.k,
@@ -402,50 +413,50 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="structural constants and bound parameters")
     common(p)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_constants)
 
     p = sub.add_parser("bound", help="evaluate an analytic bound on a grid")
     common(p, spec_required=False)
     p.add_argument("--evaluator", required=True, choices=list(_EVALUATORS))
-    p.add_argument("--g", type=float, default=None)
+    p.add_argument("--g", type=_finite_float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--q0", type=int, default=None)
     p.add_argument("--q", default=None, help="comma-separated q grid (band: x-gap grid)")
     p.add_argument("--t", dest="t_grid", default=None, help="comma-separated t grid")
-    p.add_argument("--gamma-norm", type=float, default=1.0)
+    p.add_argument("--gamma-norm", type=_finite_float, default=1.0)
     p.add_argument("--n-sites", type=int, default=None, help="site count for band bounds")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("truncate", help="locality-truncated evolution witness")
     common(p, dense=True)
     p.add_argument("--gamma", default=None, help="observable spec JSON (default: Z on site 0)")
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
     p.add_argument("--q", type=int, default=None, required=True)
-    p.add_argument("--threshold", type=float, default=DEFAULT_PRUNE_TOL)
+    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_PRUNE_TOL)
     p.add_argument("--mode", choices=("auto", "small-time", "chained"), default="auto")
     p.set_defaults(handler=_cmd_truncate)
 
     p = sub.add_parser("decompose", help="disjoint-support layer decomposition")
     common(p)
-    p.add_argument("--epsilon", type=float, default=None, help="unit norm (default g/10)")
+    p.add_argument("--epsilon", type=_finite_float, default=None, help="unit norm (default g/10)")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("verify", help="certification suite for one instance")
     common(p, dense=True)
     p.add_argument("--gamma", default=None, help="observable spec JSON (default: Z on site 0)")
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=DEFAULT_PRUNE_TOL)
+    p.add_argument("--epsilon", type=_finite_float, default=None)
+    p.add_argument("--threshold", type=_finite_float, default=DEFAULT_PRUNE_TOL)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("concentrate", help="tail profile and band matrix")
     common(p, dense=True)
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_finite_float, default=None)
     p.add_argument("--state", default=None, help="product state string (default: all +)")
     p.add_argument("--axis", default="z", choices=("x", "y", "z"))
-    p.add_argument("--bin-width", type=float, default=None)
+    p.add_argument("--bin-width", type=_finite_float, default=None)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(handler=_cmd_concentrate)

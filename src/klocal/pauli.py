@@ -29,9 +29,14 @@ occurred: in the constructor's mapping or rows, in ``self`` then
 
 Merge rule.  Duplicate strings are merged by summing their coefficients
 from zero in that same order, and merged coefficients with magnitude at
-most ``ZERO_TOL`` are dropped.  Duplicates are found by a stable
-``lexsort`` of the words, and each group is summed with ``bincount``.
-Real and imaginary parts are summed and multiplied with separate
+most ``ZERO_TOL`` are dropped at the end.  A running sum keeps the
+distinct rows so far and their 64-bit keys, which mix all words of a
+row, in sorted order; new rows are sorted by key, looked up with
+``searchsorted``, and merged only once all their words compare equal.
+A key shared by distinct strings makes the running sum key itself again
+with the next salt.  A group's first occurrence is its smallest row, so
+the order the sort gives ties does not matter.  Real and imaginary parts
+are summed (``np.add.at``, in row order) and multiplied with separate
 float64 operations that follow CPython's complex formulas, and
 magnitudes use ``np.hypot`` (NumPy's complex ``abs`` can differ from
 Python's in the last bit), so every coefficient is bit-identical to a
@@ -72,6 +77,8 @@ _PHASE_IM = np.array([p.imag for p in _PHASES])
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # the letter with bits (x, z) is _LETTERS[x + 2z]
 _LETTERS = "IXZY"
+_ASCII_BITS = np.zeros(256, dtype=np.uint8)  # x + 2z of each letter byte
+_ASCII_BITS[list(_LETTERS.encode())] = range(4)
 
 # Python reduces int hashes modulo 2**61 - 1; a second residue keeps masks
 # wider than 61 bits from colliding in bulk.
@@ -283,35 +290,85 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge(x, z, re, im) -> tuple[np.ndarray, ...]:
-    """Merge duplicate rows of (x, z) into their first occurrence.
+def _keys(words: np.ndarray, salt: int) -> np.ndarray:
+    """One 64-bit key per row: the XOR of its words, each first XORed with
+    a seed drawn from ``salt`` and its column and then scrambled."""
+    width = words.shape[1]
+    seeds = [(salt * width + column + 1) * 0x9E3779B97F4A7C15 % 2**64 for column in range(width)]
+    mixed = words.T.copy()  # word columns as rows: loops along short rows are slow
+    mixed ^= np.array(seeds, dtype=np.uint64)[:, None]
+    mixed *= np.uint64(0xBF58476D1CE4E5B9)
+    mixed ^= mixed >> np.uint64(32)
+    mixed *= np.uint64(0x94D049BB133111EB)
+    return np.bitwise_xor.reduce(mixed, axis=0)
 
-    A stable ``lexsort`` of the words makes equal rows adjacent with the
-    first occurrence leading each run, and ``bincount`` sums each group
-    from zero in row order, which is the order a dict accumulator adds in.
-    """
-    columns = [*x.T, *z.T]
-    order = np.lexsort(columns)
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for column in columns:
-        ranked = column[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    if starts.all():
-        return x, z, 0.0 + re, 0.0 + im
-    first = order[starts]
-    by_first = np.argsort(first)
-    slot = np.empty_like(by_first)
-    slot[by_first] = np.arange(len(first))
-    group = np.empty_like(order)
-    group[order] = slot[np.cumsum(starts) - 1]
-    rows = first[by_first]
-    return (
-        x[rows],
-        z[rows],
-        np.bincount(group, weights=re, minlength=len(rows)),
-        np.bincount(group, weights=im, minlength=len(rows)),
-    )
+
+class _RunningSum:
+    """The running sum of the merge rule: distinct rows of [x | z] words in
+    first-occurrence order, their summed coefficients and sorted keys."""
+
+    def __init__(self, width: int):
+        self.words = np.empty((0, width), dtype=np.uint64)
+        self.re = self.im = np.empty(0)
+        self.keys, self.slots = np.empty(0, np.uint64), np.empty(0, np.intp)
+        self.salt = 0
+
+    def add(self, words, re, im) -> "_RunningSum":
+        while (slot := self._slots(words)) is None:
+            # distinct strings share a key: key the stored rows with the next salt
+            self.salt += 1
+            keys = _keys(self.words, self.salt)
+            self.slots = np.argsort(keys)
+            self.keys = keys[self.slots]
+        np.add.at(self.re, slot, re)
+        np.add.at(self.im, slot, im)
+        return self
+
+    def _slots(self, words) -> np.ndarray | None:
+        """The stored row of each row of ``words``, appending new strings
+        at 0.0; None, with nothing changed, if distinct rows share a key."""
+        key = _keys(words, self.salt)
+        order = np.argsort(key)
+        ranked = key[order]
+        leads = np.ones(len(key), dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=leads[1:])
+        starts = np.flatnonzero(leads)
+        group = np.empty_like(order)
+        group[order] = leads.cumsum() - 1
+        # the smallest row of a group comes first, whatever the order of ties
+        first = np.minimum.reduceat(order, starts)
+        if len(starts) < len(key) and not (words == words.take(first[group], axis=0)).all():
+            return None
+        unique, n_old = ranked[starts], len(self.keys)
+        slot = np.full(len(unique), -1)
+        if n_old:
+            at = np.searchsorted(self.keys, unique)
+            seen = np.flatnonzero(self.keys[at.clip(max=n_old - 1)] == unique)
+            slot[seen] = self.slots[at[seen]]
+            if not (self.words.take(slot[seen], axis=0) == words.take(first[seen], axis=0)).all():
+                return None
+        new = np.flatnonzero(slot < 0)
+        by_first = new[np.argsort(first[new])]
+        slot[by_first] = np.arange(n_old, n_old + len(new))
+        rows = words if len(new) == len(words) else words.take(first[by_first], axis=0)
+        self.words = np.concatenate([self.words, rows]) if n_old else rows
+        self.re, self.im = (np.concatenate([part, np.zeros(len(new))]) for part in (self.re, self.im))
+        if n_old:
+            self.keys = np.insert(self.keys, at[new], unique[new])
+            self.slots = np.insert(self.slots, at[new], slot[new])
+        else:
+            self.keys, self.slots = unique, slot
+        return slot[group]
+
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """(x, z, re, im) of the distinct rows; x and z are views of the words."""
+        width = self.words.shape[1] // 2
+        return self.words[:, :width], self.words[:, width:], self.re, self.im
+
+
+def _merge(words, re, im) -> tuple[np.ndarray, ...]:
+    """Merge duplicate rows of [x | z] words into their first occurrence."""
+    return _RunningSum(words.shape[1]).add(words, re, im).rows()
 
 
 class KLocalOperator:
@@ -353,14 +410,14 @@ class KLocalOperator:
         :meth:`letter_sites` with :meth:`letters_at`.  Sites are taken as
         in range and distinct within a row."""
         coeff = np.asarray(coeff, dtype=complex)
-        x, z = np.zeros((2, len(coeff), _n_words(n_sites)), dtype=np.uint64)
-        cells = rows * x.shape[1] + sites // 64
+        width = _n_words(n_sites)
+        words = np.zeros((len(coeff), 2 * width), dtype=np.uint64)
+        cells = rows * (2 * width) + sites // 64
         bits = np.uint64(1) << (sites % 64).astype(np.uint64)
-        letters = np.frombuffer(letters, dtype=np.uint8)
-        for words, carriers in ((x, b"XY"), (z, b"ZY")):
-            hit = np.isin(letters, np.frombuffer(carriers, dtype=np.uint8))
-            np.bitwise_or.at(words.reshape(-1), cells, np.where(hit, bits, 0))
-        return cls._from_rows(n_sites, *_merge(x, z, coeff.real, coeff.imag))
+        code = _ASCII_BITS[np.frombuffer(letters, dtype=np.uint8)]
+        for offset, bit in ((0, code & 1), (width, code >> 1)):
+            np.bitwise_or.at(words.reshape(-1), cells + offset, bits * bit)
+        return cls._from_rows(n_sites, *_merge(words, coeff.real, coeff.imag))
 
     @classmethod
     def _from_rows(cls, n_sites: int, x, z, re, im) -> "KLocalOperator":
@@ -469,7 +526,7 @@ class KLocalOperator:
         dropped, added up in row order; ``threshold=0.0`` is the identity
         transformation.
         """
-        if threshold < 0:
+        if not threshold >= 0:
             raise ValidationError(f"threshold must be nonnegative, got {threshold}")
         mags = self.magnitudes
         drop = mags <= threshold
@@ -487,8 +544,7 @@ class KLocalOperator:
                 f"operators on {self.n_sites} and {other.n_sites} sites"
             )
         rows = _merge(
-            np.concatenate([self.x, other.x]),
-            np.concatenate([self.z, other.z]),
+            np.concatenate([np.concatenate([op.x, op.z], axis=1) for op in (self, other)]),
             np.concatenate([self.coeff.real, other.coeff.real]),
             np.concatenate([self.coeff.imag, other.coeff.imag]),
         )
@@ -542,8 +598,9 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     contribute nothing, and an anticommuting pair contributes
     ``2 * c_P * c_Q * phase(PQ)`` on the product string, so every
     surviving string straddles supports from both operands.  Products
-    are merged in chunks of about ``b.n_terms`` rows, in (P, Q) order,
-    which bounds peak memory.
+    join one running sum (see the merge rule) in chunks of about
+    ``b.n_terms`` rows, in (P, Q) order, so the strings seen so far are
+    never sorted again and the pending chunk bounds peak memory.
     """
     if a.n_sites != b.n_sites:
         raise DimensionMismatchError(f"operators on {a.n_sites} and {b.n_sites} sites")
@@ -555,7 +612,10 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     # terms of a that share no site with b commute with all of it
     b_support = np.bitwise_or.reduce(bx | bz, axis=0)
     overlapping = np.flatnonzero(((a.x | a.z) & b_support).any(axis=1))
+    width = bx.shape[1]
+    a_words, b_words = np.hstack([a.x, a.z]), np.hstack([bx, bz])
     chunk = max(b.n_terms, 1024)
+    total = _RunningSum(2 * width)
     parts: list[tuple[np.ndarray, ...]] = []
     n_pending = 0
     for row, ca in zip(overlapping.tolist(), a.coeff[overlapping].tolist()):
@@ -563,16 +623,18 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
         hit = _anticommuting(x_words, z_words, xa, za)
         if not hit.size:
             continue
-        xb = bx[hit]
-        x3 = xb ^ xa
-        z3 = bz[hit] ^ za
-        phi = (a_y[row] + b_y[hit] - _popcount(x3 & z3) + 2 * _popcount(za & xb)) & 3
+        words = b_words.take(hit, axis=0)
+        phi = a_y[row] + b_y[hit] + 2 * _popcount(za & words[:, :width])
+        words ^= a_words[row]
+        phi = (phi - _popcount(words[:, :width] & words[:, width:])) & 3
         scaled = 2.0 * ca
         re, im = _cmul(scaled.real, scaled.imag, b_re[hit], b_im[hit])
-        parts.append((x3, z3, *_cmul(re, im, _PHASE_RE[phi], _PHASE_IM[phi])))
+        parts.append((words, *_cmul(re, im, _PHASE_RE[phi], _PHASE_IM[phi])))
         n_pending += hit.size
         if n_pending >= chunk:
-            parts, n_pending = [_merge(*map(np.concatenate, zip(*parts)))], 0
-    if not parts:
-        return KLocalOperator.zero(a.n_sites)
-    return KLocalOperator._from_rows(a.n_sites, *_merge(*map(np.concatenate, zip(*parts))))
+            pending, parts, n_pending = [np.concatenate(column) for column in zip(*parts)], [], 0
+            total.add(*pending)
+    if parts:
+        pending, parts = [np.concatenate(column) for column in zip(*parts)], []
+        total.add(*pending)
+    return KLocalOperator._from_rows(a.n_sites, *total.rows())

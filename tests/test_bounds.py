@@ -20,6 +20,8 @@ from klocal.bounds import (
     topo_error_rhs,
 )
 from klocal.errors import DomainError, InfeasibleScheduleError, ValidationError
+from klocal.models import structural_constants
+from klocal.pauli import KLocalOperator
 
 UNIT = BoundParams(g=1.0, k=1)
 
@@ -53,6 +55,12 @@ class TestBoundParams:
     def test_from_operator(self, tfi_chain):
         p = BoundParams.from_operator(tfi_chain)
         assert (p.g, p.k) == (3.0, 2)
+        assert BoundParams.from_constants(structural_constants(tfi_chain)) == p
+
+    def test_from_constants_clamps_k(self):
+        const = structural_constants(KLocalOperator.zero(3))
+        assert const.k == 0
+        assert BoundParams.from_constants(const) == BoundParams(g=0.0, k=1)
 
 
 class TestTheorem1:

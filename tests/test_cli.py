@@ -296,6 +296,37 @@ class TestDeterminismAndErrors:
         assert exc.value.code == 2
         assert "--nmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["constants"], "--t"),
+            (["bound", "--evaluator", "theorem1"], "--gamma-norm"),
+            (["bound", "--evaluator", "theorem1"], "--g"),
+            (["truncate", "--q", "3"], "--t"),
+            (["truncate", "--q", "3"], "--threshold"),
+            (["decompose"], "--epsilon"),
+            (["verify"], "--t"),
+            (["verify"], "--epsilon"),
+            (["verify"], "--threshold"),
+            (["concentrate"], "--t"),
+            (["concentrate"], "--bin-width"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_float_option_exit_code(self, capsys, tfi_spec, command, option, value):
+        # NaN and inf used to end in tracebacks, or (truncate --threshold
+        # nan) in a certified report with "threshold": NaN
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--spec", tfi_spec, f"{option}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be finite, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["nan", "0.1,inf", "1e400", "0.1,x"])
+    def test_non_finite_bound_t_grid_exit_code(self, capsys, grid):
+        code, out = run(capsys, "bound", "--evaluator", "main", "--g", "1", "--k", "2", "--t", grid)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith("--t must be a comma-separated list")
+
     def test_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "constants", "--spec", str(tmp_path / "nope.json"))
         assert code == 2

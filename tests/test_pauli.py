@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klocal import pauli
 from klocal.errors import DimensionMismatchError, ValidationError
 from klocal.models import build_model
 from klocal.pauli import (
@@ -198,6 +199,9 @@ class TestKLocalOperator:
         kept, dropped = op.prune(1e-6)
         assert kept.n_terms == 1
         assert dropped == pytest.approx(1e-9)
+        for bad in (-1e-9, math.nan):
+            with pytest.raises(ValidationError, match="threshold must be nonnegative"):
+                op.prune(bad)
 
     def test_prune_adds_dropped_magnitudes_in_row_order(self, rng):
         op = random_operator(rng, 90, 3000, max_weight=4, complex_coeffs=True)
@@ -452,3 +456,185 @@ class TestCommutator:
         b = KLocalOperator(2, {PauliString.from_letters(2, {0: "Z"}): 1.1})
         c = commutator(a, b)
         assert (c * 1j).is_hermitian()
+
+
+# ------------------------------------------------------------ keyed merge
+
+_KEYS = pauli._keys
+_ARGSORT = np.argsort
+
+# mixers that make distinct strings share keys under the first salts
+MIXERS = {
+    "real mixer": _KEYS,
+    "one key at salt 0": lambda w, salt: np.zeros(len(w), np.uint64) if salt == 0 else _KEYS(w, salt),
+    "one key at salts 0-2": lambda w, salt: np.zeros(len(w), np.uint64) if salt < 3 else _KEYS(w, salt),
+    "first word at salt 0": lambda w, salt: w[:, 0].copy() if salt == 0 else _KEYS(w, salt),
+}
+
+# grouping sorts that order equal keys differently
+ARGSORTS = {
+    "stable": lambda a, *args, **kwargs: _ARGSORT(a, kind="stable"),
+    "reversed ties": lambda a, *args, **kwargs: len(a) - 1 - _ARGSORT(a[::-1], kind="stable"),
+}
+
+
+class _Salts(list):
+    """The salts a patched mixer was called with."""
+
+    def check(self) -> None:
+        """Colliding mixers were recovered from; the real one never collides."""
+        assert max(self) >= 1 if self.recovers else set(self) == {0}
+
+
+@pytest.fixture(params=sorted(MIXERS))
+def salts(request, monkeypatch):
+    """Patch the row mixer and return the salts it was called with."""
+    used = _Salts()
+
+    def keys(words, salt):
+        used.append(salt)
+        return MIXERS[request.param](words, salt)
+
+    monkeypatch.setattr(pauli, "_keys", keys)
+    used.recovers = request.param != "real mixer"
+    return used
+
+
+def _dict_sum(n: int, rows) -> list[Term]:
+    """Canonical terms of the (string, coeff) rows summed in a dict."""
+    acc: dict[PauliString, complex] = {}
+    for string, c in rows:
+        acc[string] = acc.get(string, 0j) + c
+    return [Term(s, c) for s, c in acc.items() if not abs(c) <= ZERO_TOL]
+
+
+def _running_sum(n: int, batches) -> KLocalOperator:
+    """The operator that one running sum makes of the batches of rows."""
+    width = pauli._n_words(n)
+    total = pauli._RunningSum(2 * width)
+    for batch in batches:
+        words = [pauli._pack([getattr(s, mask) for s, _ in batch], width) for mask in ("x_mask", "z_mask")]
+        coeff = np.array([c for _, c in batch], dtype=complex)
+        total.add(np.hstack(words), coeff.real, coeff.imag)
+    return KLocalOperator._from_rows(n, *total.rows())
+
+
+def _late_batches(n: int) -> list[list[tuple[PauliString, complex]]]:
+    """Five batches: S first occurs in the third and recurs in the next two
+    with order-sensitive magnitudes; A cancels to exactly 0.0 in the second
+    batch and comes back in the fifth; B cancels for good; C and D carry
+    -0.0 parts; E and F differ only in the last word."""
+    s = PauliString.from_letters(n, {0: "X", n - 1: "Z"})
+    a, b = PauliString.from_letters(n, {1: "Y"}), PauliString.from_letters(n, {2: "Z", 3: "Z"})
+    c, d = PauliString.from_letters(n, {4: "X"}), PauliString.from_letters(n, {5: "Y"})
+    e = PauliString.from_letters(n, {n - 2: "X"})
+    f = PauliString.from_letters(n, {n - 2: "Z"})
+    return [
+        [(a, 0.5), (b, 0.25 - 1j), (c, complex(-0.0, 1.0))],
+        [(e, 1.0), (a, -0.5), (b, -0.25 + 1j), (d, complex(2.0, -0.0))],
+        [(s, 1e16), (f, 3j), (s, 1.0), (e, 1e-3)],
+        [(s, -1e16), (c, complex(-0.0, -0.0)), (f, -3j)],
+        [(s, 1.0), (a, 0.125), (s, complex(0.0, -0.0))],
+    ]
+
+
+class TestKeyedMerge:
+    def test_keys_depend_on_salt_and_column(self):
+        # a single top bit, or one word in different columns, still gives
+        # distinct keys, and another salt gives another key to every row
+        words = np.zeros((5, 4), dtype=np.uint64)
+        words[0, 0] = words[1, 1] = words[2, 3] = np.uint64(1 << 63)
+        words[3, 2] = words[4, 3] = 1
+        for salt in range(4):
+            assert len(set(_KEYS(words, salt).tolist())) == 5
+        assert not (_KEYS(words, 0) == _KEYS(words, 1)).any()
+        for rows in (words[:1], words[:, :1], words):  # the input is left as it was
+            before = rows.copy()
+            _KEYS(rows, 2)
+            assert np.array_equal(rows, before)
+
+    @pytest.mark.parametrize("n", [8, 64, 130])
+    def test_running_sum_matches_dict(self, salts, n):
+        batches = _late_batches(n)
+        got = _running_sum(n, batches)
+        expected = _dict_sum(n, [row for batch in batches for row in batch])
+        assert exact_terms(got.terms()) == exact_terms(expected)
+        # A kept its first place while it summed to 0.0, B and F were
+        # dropped at the end, and the -0.0 parts of C and D summed to 0.0
+        assert [t.string.letters for t in got.terms()] == [{1: "Y"}, {4: "X"}, {n - 2: "X"}, {5: "Y"}, {0: "X", n - 1: "Z"}]
+        assert (got.coeff[1].real.hex(), got.coeff[3].imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
+        # S summed in row order: (1e16 + 1) - 1e16 + 1, not 2
+        assert got.coeff[4] == 1.0
+        salts.check()
+
+    @pytest.mark.parametrize("n", [5, 64, 130])
+    def test_commutator_with_collisions(self, salts, n):
+        rng = np.random.default_rng(n)
+        for n_left, n_right in [(3, 4), (40, 60), (120, 400)]:
+            a = _clustered_operator(rng, n, n_left)
+            b = _clustered_operator(rng, n, n_right)
+            assert exact_terms(commutator(a, b).terms()) == exact_terms(reference_commutator(a, b))
+        salts.check()
+
+    def test_sum_and_letter_sites_with_collisions(self, salts, rng):
+        n = 130
+        a = random_operator(rng, n, 200, max_weight=2, complex_coeffs=True)
+        b = random_operator(rng, n, 200, max_weight=2, complex_coeffs=True) + (-1.0) * a.select(
+            np.arange(0, a.n_terms, 3)
+        )
+        expected = _dict_sum(n, [(t.string, t.coeff) for t in (*a.terms(), *b.terms())])
+        assert exact_terms((a + b).terms()) == exact_terms(expected)
+        rows, sites = b.letter_sites()
+        doubled = np.concatenate([rows, rows + b.n_terms])
+        rebuilt = KLocalOperator.from_letter_sites(
+            n, doubled, np.tile(sites, 2), b.letters_at(rows, sites) * 2, np.tile(b.coeff, 2)
+        )
+        expected = _dict_sum(n, [(t.string, t.coeff) for t in 2 * b.terms()])
+        assert exact_terms(rebuilt.terms()) == exact_terms(expected)
+
+    def test_commutator_chunks(self, salts, monkeypatch, rng):
+        # every a term anticommutes with all 1024 b terms, so each a term
+        # fills one chunk; the products of the last three a terms are the
+        # same 1024 strings, which first occur in the third chunk
+        n = 12
+        sizes: list[int] = []
+        add = pauli._RunningSum.add
+        monkeypatch.setattr(
+            pauli._RunningSum, "add", lambda self, w, re, im: sizes.append(len(w)) or add(self, w, re, im)
+        )
+
+        def coeff():
+            scale = 10.0 ** rng.integers(-8, 9, 2)
+            return complex(*(scale * rng.uniform(-1, 1, 2)))
+
+        b = KLocalOperator(n, {
+            PauliString.from_letters(n, {0: "X", **{s: "Z" for s in range(1, 11) if m >> s & 1}}): coeff()
+            for m in range(0, 2048, 2)
+        })
+        a = KLocalOperator(n, {
+            PauliString.from_letters(n, letters): coeff()
+            for letters in ({0: "Z", 11: "X"}, {0: "Z", 1: "Z", 11: "Y"}, {0: "Z"}, {0: "Z", 1: "Z"}, {0: "Z", 7: "Z"})
+        })
+        got = commutator(a, b)
+        assert sizes == [1024] * 5
+        assert exact_terms(got.terms()) == exact_terms(reference_commutator(a, b))
+        assert got.n_terms == 3 * 1024
+
+    @pytest.mark.parametrize("kind", sorted(ARGSORTS))
+    def test_independent_of_tie_order(self, monkeypatch, rng, kind):
+        n = 128
+        ising = build_model(
+            "long_range_ising", {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.05}
+        )
+        h = ising + (-0.5) * build_model("product_field", {"n_sites": n, "axis": "z"})
+        gamma = KLocalOperator(n, {PauliString.from_letters(n, {84: "Z"}): 1.0})
+        x = random_operator(rng, n, 300, max_weight=2, complex_coeffs=True)
+
+        def run():
+            levels = [exact_terms(level.terms()) for _, level, _ in nested_commutator_levels(h, gamma, 10)]
+            batches = _late_batches(n)
+            return levels, exact_terms((x + h).terms()), exact_terms(_running_sum(n, batches).terms())
+
+        default = run()
+        monkeypatch.setattr(np, "argsort", ARGSORTS[kind])
+        assert run() == default

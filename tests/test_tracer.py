@@ -25,6 +25,8 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 SPANS = {
     "truncate_small_time.json": {
         "truncation.hadamard",
+        "pauli.commutator",
+        "pauli.prune",
         "oracle.eigh",
         "models.structural_constants",
     },
