@@ -14,15 +14,15 @@ that started as a product state and evolved for a short time:
 - ``fit_tail_constants``: least-squares constants for the analytic tail
   shape c1 * exp(-R / (c2 * r_t * sqrt(t * N))) (fitted, never asserted).
 
-The spectrum of A is exact (integers in [-N, N], no eigensolver), but
-the means <A> it is compared with and the band edges -N + x*w are
+The spectrum of A is exact (integers in [-N, N], no eigensolver) and its
+eigenbasis is applied one site at a time, never as a 2**N x 2**N matrix,
+but the means <A> it is compared with and the band edges -N + x*w are
 floating-point numbers; ``SPECTRAL_TOL`` = 1e-9 keeps an eigenvalue that
 sits on a threshold or a bin edge on the intended side of it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,11 +58,11 @@ __all__ = [
 
 SPECTRAL_TOL = 1e-9
 
-# Columns: the +1 and the -1 eigenvector of each letter (bit value 0 is +1).
+# Columns: the +1 and the -1 eigenvector of each letter (bit value 0 is
+# +1); Z needs no rotation.
 _SITE_EIGENBASES = {
     "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
     "Y": np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) / math.sqrt(2.0),
-    "Z": np.eye(2, dtype=complex),
 }
 
 _NAMED_SITE_STATES = {
@@ -81,6 +81,8 @@ class ExtensiveObservable:
     The spectrum is in closed form, with no eigensolver: eigenvector j is
     the Kronecker product of single-site eigenvectors (site 0 last) picked
     by the bits of j, with exact eigenvalue sum_i c_i (1 - 2 bit_i(j)).
+    Only the per-site ``letters`` are kept; ``to_eigenbasis`` applies the
+    eigenbasis V one 2x2 factor at a time.
     """
 
     def __init__(self, site_terms: Sequence[Term], n_sites: int, n_max: int = N_MAX_STATE):
@@ -103,8 +105,7 @@ class ExtensiveObservable:
         self.n_sites = n_sites
         self.site_terms = tuple(site_terms)
         ordered = [by_site[i] for i in range(n_sites)]
-        bases = [_SITE_EIGENBASES[term.string.letters[i]] for i, term in enumerate(ordered)]
-        self.eigenvectors = functools.reduce(np.kron, reversed(bases), np.ones((1, 1)))
+        self.letters = "".join(term.string.letters[i] for i, term in enumerate(ordered))
         signs = np.sign([complex(term.coeff).real for term in ordered])
         bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1
         self.eigenvalues = (1 - 2 * bits) @ signs
@@ -121,8 +122,23 @@ class ExtensiveObservable:
         ]
         return cls(terms, n_sites, n_max=n_max)
 
+    def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
+        """V+ a for a state vector, V+ a V for a matrix, one site at a time;
+        Z sites are left untouched."""
+        n, dim = self.n_sites, 2**self.n_sites
+        if a.shape not in ((dim,), (dim, dim)):
+            raise ValidationError(f"shape {a.shape} does not match {n} sites")
+        out = a.reshape((2,) * (n * a.ndim))
+        for site, v in ((s, _SITE_EIGENBASES[c]) for s, c in enumerate(self.letters) if c != "Z"):
+            # site s is axis n-1-s among the rows and 2n-1-s among the columns
+            for axis, factor in [(n - 1 - site, v.conj().T), (2 * n - 1 - site, v.T)][: a.ndim]:
+                out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
+        return out.reshape(a.shape)
+
     def expectation(self, psi: np.ndarray) -> float:
-        amps = self.eigenvectors.conj().T @ psi
+        return self._mean(self.to_eigenbasis(psi))
+
+    def _mean(self, amps: np.ndarray) -> float:
         return float(np.real(np.vdot(amps, self.eigenvalues * amps)))
 
 
@@ -196,9 +212,9 @@ def tail_profile(
         raise ValidationError(f"state shape {psi.shape} does not match {observable.n_sites} sites")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValidationError("state is not normalized")
-    amps = observable.eigenvectors.conj().T @ psi
+    amps = observable.to_eigenbasis(psi)
     weights = np.abs(amps) ** 2
-    mean = observable.expectation(psi)
+    mean = observable._mean(amps)
     if r_grid is None:
         top = observable.n_sites
         r_grid = list(range(0, max(int(math.floor(top - mean)), 0) + 1))
@@ -251,7 +267,7 @@ def band_matrix(
     idx = np.floor((observable.eigenvalues - anchor) / bin_width + SPECTRAL_TOL).astype(int)
     n_bins = int(math.floor(2 * n / bin_width)) + 1
     idx = np.clip(idx, 0, n_bins - 1)
-    rotated = observable.eigenvectors.conj().T @ dense.matrix @ observable.eigenvectors
+    rotated = observable.to_eigenbasis(dense.matrix)
     norms = np.zeros((n_bins, n_bins))
     members = [np.flatnonzero(idx == b) for b in range(n_bins)]
     occupancy = np.array([rows.size > 0 for rows in members])

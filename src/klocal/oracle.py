@@ -15,6 +15,7 @@ Conventions (shared with :mod:`klocal.concentration`):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,7 +79,8 @@ def _check_sites(n_sites: int, n_max: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """A 2**n x 2**n matrix tagged with its site count."""
+    """A 2**n x 2**n matrix tagged with its site count.  ``pauli_coefficients``
+    is computed on first read and kept, so the matrix must not change then."""
 
     n_sites: int
     matrix: np.ndarray
@@ -92,6 +94,18 @@ class DenseOperator:
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+
+    @functools.cached_property
+    def pauli_coefficients(self) -> np.ndarray:
+        """Read-only Pauli-basis coefficient tensor; see :func:`pauli_coefficients`."""
+        n = self.n_sites
+        # pair row bit j with column bit j: axes (0, n, 1, n+1, ...)
+        t = self.matrix.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+        t = t.reshape((4,) * n)
+        for axis in range(n):
+            t = np.moveaxis(np.tensordot(_DECOMP, t, axes=(1, axis)), 0, axis)
+        t.flags.writeable = False
+        return t
 
 
 def _pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +201,8 @@ class EigenSystem:
     def evolve_operator(self, gamma: KLocalOperator | DenseOperator, t: float) -> DenseOperator:
         """Heisenberg picture gamma(t) = exp(-iHt) gamma exp(+iHt), exactly."""
         u = self.unitary(t)
-        return DenseOperator(self.n_sites, u @ self._matrix(gamma) @ u.conj().T)
+        left = u @ self._matrix(gamma)
+        return DenseOperator(self.n_sites, left @ np.conjugate(u, out=u).T)
 
     def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
         amps = self.eigenvectors.conj().T @ psi
@@ -223,19 +238,10 @@ def pauli_coefficients(dense: DenseOperator) -> np.ndarray:
     (I, X, Y, Z) along each axis; c_P = Tr(P M)/2**n.
 
     Tensor axis j corresponds to site n-1-j (most-significant site
-    first, matching the row-index bit order of the dense matrix).
+    first, matching the row-index bit order of the dense matrix).  The
+    tensor is computed once per operator and is read-only.
     """
-    n = dense.n_sites
-    if n == 0:
-        return dense.matrix.reshape(()).copy()
-    t = dense.matrix.reshape((2,) * (2 * n))
-    perm = []
-    for j in range(n):
-        perm.extend((j, n + j))
-    t = t.transpose(perm).reshape((4,) * n)
-    for axis in range(n):
-        t = np.moveaxis(np.tensordot(_DECOMP, t, axes=(1, axis)), 0, axis)
-    return t
+    return dense.pauli_coefficients
 
 
 def coefficients_to_matrix(coeffs: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +64,28 @@ class TestProductStates:
         np.testing.assert_allclose(psi, expected, atol=1e-12)
 
 
+# Columns: the +1 and the -1 eigenvector of each letter, the dense reference
+# for ExtensiveObservable's factored eigenbasis.
+SITE_BASES = {
+    "X": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "Y": np.array([[1, 1], [1j, -1j]]) / math.sqrt(2),
+    "Z": np.eye(2),
+}
+
+
+def kron_eigenbasis(letters: str) -> np.ndarray:
+    """V = V_{n-1} (x) ... (x) V_0 for per-site letters in site order."""
+    return functools.reduce(np.kron, [SITE_BASES[c] for c in reversed(letters)], np.ones((1, 1)))
+
+
+def assert_rotates_like(a: ExtensiveObservable, v: np.ndarray, rng) -> None:
+    dim = v.shape[0]
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    np.testing.assert_allclose(a.to_eigenbasis(psi), v.conj().T @ psi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.to_eigenbasis(m), v.conj().T @ m @ v, rtol=0, atol=1e-12)
+
+
 class TestExtensiveObservable:
     def test_collective_spectrum(self):
         a = ExtensiveObservable.collective(3, "z")
@@ -91,22 +115,43 @@ class TestExtensiveObservable:
             Term(PauliString.from_letters(n, {i: letter}), sign) for i in rng.permutation(n)
         ]
         a = ExtensiveObservable(terms, n)
-        v = a.eigenvectors
+        v = kron_eigenbasis(letter * n)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(2**n), rtol=0, atol=1e-12)
         matrix = to_dense(KLocalOperator(n, {t.string: t.coeff for t in terms})).matrix
         np.testing.assert_allclose(matrix @ v, v * a.eigenvalues, rtol=0, atol=1e-12)
         assert np.all(np.abs(a.eigenvalues) <= n)
+        assert_rotates_like(a, v, rng)
 
-    def test_mixed_axes_diagonalize(self):
+    def test_mixed_axes_diagonalize(self, rng):
         terms = [
             Term(PauliString.from_letters(4, {i: letter}), (-1.0) ** i)
             for i, letter in enumerate("YXZY")
         ]
         a = ExtensiveObservable(terms[::-1], 4)
+        v = kron_eigenbasis("YXZY")
         matrix = to_dense(KLocalOperator(4, {t.string: t.coeff for t in terms})).matrix
-        np.testing.assert_allclose(
-            matrix @ a.eigenvectors, a.eigenvectors * a.eigenvalues, rtol=0, atol=1e-12
-        )
+        np.testing.assert_allclose(matrix @ v, v * a.eigenvalues, rtol=0, atol=1e-12)
+        assert_rotates_like(a, v, rng)
+
+    def test_z_axis_rotation_is_the_identity(self, rng):
+        a = ExtensiveObservable.collective(3, "z")
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        assert np.array_equal(a.to_eigenbasis(m), m)
+
+    def test_to_eigenbasis_shape_validation(self):
+        a = ExtensiveObservable.collective(3, "x")
+        with pytest.raises(ValidationError, match="shape"):
+            a.to_eigenbasis(np.ones(4, dtype=complex))
+
+    def test_collective_builds_no_dense_basis(self):
+        # a dense 2**12 x 2**12 complex eigenbasis alone would be 268 MB
+        tracemalloc.start()
+        try:
+            ExtensiveObservable.collective(12, "x")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_non_real_coefficient_rejected(self):
         z0 = PauliString.from_letters(1, {0: "Z"})

@@ -12,6 +12,7 @@ from klocal.oracle import (
     DenseOperator,
     EigenSystem,
     apply_pauli_string,
+    coefficients_to_matrix,
     energy_block_norm,
     heisenberg_evolve,
     operator_norm_exact,
@@ -133,6 +134,15 @@ class TestEvolution:
         expected = -1j * to_dense(commutator(h, gamma)).matrix
         assert spectral_norm(derivative - expected) < 1e-7
 
+    def test_evolve_operator_repeats_and_keeps_eigenvectors(self, rng):
+        eig = EigenSystem(random_operator(rng, 3, 4))
+        gamma = random_operator(rng, 3, 2)
+        eigenvectors = eig.eigenvectors.copy()
+        first = eig.evolve_operator(gamma, 0.37).matrix
+        second = eig.evolve_operator(gamma, 0.37).matrix
+        assert np.array_equal(first, second)
+        assert np.array_equal(eig.eigenvectors, eigenvectors)
+
 
 class TestPauliBasis:
     def test_roundtrip(self, rng):
@@ -145,6 +155,15 @@ class TestPauliBasis:
             assert np.sum(np.abs(coeffs) ** 2) * 2**n == pytest.approx(
                 np.linalg.norm(m, "fro") ** 2
             )
+            np.testing.assert_allclose(coefficients_to_matrix(coeffs), m, rtol=0, atol=1e-12)
+
+    def test_coefficients_computed_once_and_read_only(self, rng):
+        dense = to_dense(random_operator(rng, 3, 4))
+        coeffs = pauli_coefficients(dense)
+        assert pauli_coefficients(dense) is coeffs
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[(0,) * 3] = 1.0
 
     def test_known_coefficients(self):
         op = KLocalOperator(

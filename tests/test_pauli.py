@@ -351,6 +351,8 @@ class TestKLocalOperator:
         rescaled = [Term(t.string, t.coeff * s) for t, s in zip(picked, scale.tolist())]
         assert exact_terms(op.select(rows).terms()) == exact_terms(picked)
         assert exact_terms(op.select(rows, scale).terms()) == exact_terms(rescaled)
+        mask = np.isin(np.arange(op.n_terms), rows)
+        assert exact_terms(op.select(mask).terms()) == exact_terms([terms[r] for r in sorted(rows)])
 
     def test_term_norm(self):
         t = Term(PauliString.from_letters(2, {0: "X"}), 3.0 - 4.0j)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from klocal.oracle import DenseOperator
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 N_SITES = 4
 
@@ -62,6 +64,25 @@ CASES = [
         },
     ),
 ]
+
+
+def test_spreading_profile_transforms_each_operator_once(tmp_path, monkeypatch):
+    # one Pauli transform per time point, shared by weight_spectrum and the
+    # eight q_local_project calls (4 transforms, not 36); the last
+    # --n-sites wins over the one _run passes
+    transform = DenseOperator.__dict__["pauli_coefficients"]
+    calls = []
+
+    def counted(dense):
+        calls.append(dense)
+        return original(dense)
+
+    original = transform.func
+    monkeypatch.setattr(transform, "func", counted)
+    _run("spreading_profile", "--n-sites", "8", "--t-points", "4", "--out", str(tmp_path / "s.csv"))
+    assert len(calls) == 4
+    _, rows = _read(tmp_path / "s.csv")
+    assert len(rows) == 4 * 8
 
 
 @pytest.mark.parametrize("name, argv, outputs", CASES, ids=[case[0] for case in CASES])
