@@ -71,13 +71,12 @@ def test_spreading_profile_transforms_each_operator_once(tmp_path, monkeypatch):
     # eight q_local_project calls (4 transforms, not 36); the last
     # --n-sites wins over the one _run passes
     transform = DenseOperator.__dict__["pauli_coefficients"]
-    calls = []
+    original, calls = transform.func, []
 
     def counted(dense):
-        calls.append(dense)
+        calls.append(dense.n_sites)
         return original(dense)
 
-    original = transform.func
     monkeypatch.setattr(transform, "func", counted)
     _run("spreading_profile", "--n-sites", "8", "--t-points", "4", "--out", str(tmp_path / "s.csv"))
     assert len(calls) == 4
