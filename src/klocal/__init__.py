@@ -1,10 +1,8 @@
 """Locality-spreading bounds and certification tools for k-local spin systems."""
 
 from .bounds import (
-    AmplificationCheck,
     BoundParams,
     QSchedule,
-    amplification_check,
     band_rhs,
     delta_value,
     main_rhs,
@@ -67,9 +65,7 @@ from .pauli import (
     ZERO_TOL,
     KLocalOperator,
     PauliString,
-    Term,
     commutator,
-    mul_strings,
 )
 from .truncation import (
     DEFAULT_PRUNE_TOL,

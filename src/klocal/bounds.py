@@ -23,12 +23,10 @@ from .errors import DomainError, InfeasibleScheduleError, ValidationError
 __all__ = [
     "BoundParams",
     "QSchedule",
-    "AmplificationCheck",
     "theorem1_rhs",
     "small_time_rhs",
     "main_rhs",
     "delta_value",
-    "amplification_check",
     "q_schedule",
     "topo_error_rhs",
     "band_rhs",
@@ -146,6 +144,8 @@ def main_rhs(params: BoundParams, q0: int, q: int, t: float, gamma_norm: float) 
 
     Uses |t|; at t = 0 the interval count is remapped to n = 1, r_t = 1.
     """
+    if q < 0:
+        raise DomainError(f"q must be nonnegative, got {q}")
     if gamma_norm < 0:
         raise DomainError(f"gamma_norm must be nonnegative, got {gamma_norm}")
     n = params.intervals(t)
@@ -157,35 +157,10 @@ def main_rhs(params: BoundParams, q0: int, q: int, t: float, gamma_norm: float) 
 
 def delta_value(params: BoundParams, q0: int, q: int, t: float) -> float:
     """Per-interval contraction factor Delta = 4*exp(-(1/xi)*(q/r_t - q0))."""
+    if q < 0:
+        raise DomainError(f"q must be nonnegative, got {q}")
     exponent = -(q / params.r_t(t) - q0) / params.xi
     return _exp_guarded(exponent + math.log(4.0))
-
-
-@dataclass(frozen=True)
-class AmplificationCheck:
-    """Arithmetic witness for (Delta+1)**n - 1 <= 2*n*Delta.
-
-    The comparison is only claimed in the regime ``lhs <= 1``
-    (``applicable``); outside it the chained bound is trivial anyway.
-    """
-
-    lhs: float
-    rhs: float
-    applicable: bool
-
-    @property
-    def holds(self) -> bool:
-        return (not self.applicable) or self.lhs <= self.rhs
-
-
-def amplification_check(delta: float, n: int) -> AmplificationCheck:
-    if delta < 0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    lhs = (delta + 1.0) ** n - 1.0
-    rhs = 2.0 * n * delta
-    return AmplificationCheck(lhs=lhs, rhs=rhs, applicable=lhs <= 1.0)
 
 
 @dataclass(frozen=True)

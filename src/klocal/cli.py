@@ -11,8 +11,8 @@ Subcommands:
 - ``concentrate``: tail profile and band matrix of an evolved product
   state.
 
-Reports are deterministic for a fixed config and seed (no timestamps;
-the input file enters via its SHA-256).  Exit codes: 0 success, 1 bound
+Reports are deterministic for a fixed config (no timestamps; the input
+file enters via its SHA-256).  Exit codes: 0 success, 1 bound
 violation, 2 invalid input or parameters, 3 resource limit.
 """
 
@@ -63,6 +63,8 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+
+_MAX_INTERVALS = 1023  # the largest n with 2**n - 1 below the float maximum
 
 
 def _read_spec(path: str) -> tuple[KLocalOperator, str]:
@@ -120,6 +122,17 @@ def _float_list(text: str, name: str) -> list[float]:
         raise ValidationError(f"{name} must be a comma-separated list of finite numbers: {text!r}") from None
 
 
+def _light_cone_radius(params: BoundParams, t: float) -> int:
+    """r_t = 2**n - 1 at ``--t``; it must convert to a float, so n <= 1023."""
+    n = params.intervals(t)
+    if n > _MAX_INTERVALS:
+        raise DomainError(
+            f"--t {t} needs n = ceil(kappa*|t|) = {n} intervals; r_t = 2**n - 1 "
+            f"exceeds the float range above n = {_MAX_INTERVALS}"
+        )
+    return params.r_t(t)
+
+
 def _int_list(text: str, name: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -148,7 +161,7 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
         result["t"] = args.t
         result["intervals"] = params.intervals(args.t)
         result["delta_t"] = params.delta_t(args.t)
-        result["r_t"] = params.r_t(args.t)
+        result["r_t"] = _light_cone_radius(params, args.t)
     rows = [["quantity", "value"]] + [[key, value] for key, value in result.items()]
     return {"input_hash": digest, "result": result}, rows, EXIT_OK
 
@@ -328,6 +341,7 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
     n_sites = op.n_sites
     params = BoundParams.from_operator(op)
     t = args.t if args.t is not None else 0.0
+    r_t = _light_cone_radius(params, t)
     nmax = args.nmax if args.nmax is not None else N_MAX_STATE
     state = args.state or "+" * n_sites
     observable = ExtensiveObservable.collective(n_sites, args.axis, n_max=nmax)
@@ -344,14 +358,14 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
 
     parent = _bloch_parent(state, n_sites)
     parent_t = eig.evolve_operator(parent, t)
-    width = args.bin_width if args.bin_width is not None else float(params.r_t(t))
+    width = args.bin_width if args.bin_width is not None else float(r_t)
     band = band_matrix(parent_t, observable, width, n_max=nmax)
 
     tail_rows: list[list] = []
     for r, tail in profile.samples:
         if fitted is not None and fitted[1] != math.inf:
             c1, c2 = fitted
-            bound = c1 * math.exp(-r / (c2 * params.r_t(t) * math.sqrt(t * n_sites)))
+            bound = c1 * math.exp(-r / (c2 * r_t * math.sqrt(t * n_sites)))
         else:
             bound = ""
         tail_rows.append(["tail", r, "", tail, bound])
@@ -407,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=spec_required, help="Hamiltonian spec JSON file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         if dense:
             p.add_argument("--nmax", type=int, default=None, help="dense-size override")
 
@@ -459,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=_finite_float, default=None)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--q", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="probe sampler seed (with --q)")
     p.set_defaults(handler=_cmd_concentrate)
 
     return parser
@@ -474,7 +488,6 @@ def _render(report: dict[str, Any], rows: list[list], args: argparse.Namespace) 
     envelope = {
         "command": args.command,
         "version": __version__,
-        "seed": getattr(args, "seed", 0),
         "config": _config_dict(args),
     }
     envelope.update(report)

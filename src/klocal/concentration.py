@@ -40,7 +40,7 @@ from .oracle import (
     spectral_norm,
     to_dense,
 )
-from .pauli import KLocalOperator, PauliString, Term
+from .pauli import KLocalOperator, PauliString
 
 __all__ = [
     "SPECTRAL_TOL",
@@ -76,7 +76,8 @@ _NAMED_SITE_STATES = {
 
 
 class ExtensiveObservable:
-    """A = sum_i c_i sigma_i^{a_i}, one single-site term per site, c_i = +-1.
+    """A = sum_i c_i sigma_i^{a_i}: letter a_i (X, Y or Z) and sign
+    c_i = +-1 on each site i.
 
     The spectrum is in closed form, with no eigensolver: eigenvector j is
     the Kronecker product of single-site eigenvectors (site 0 last) picked
@@ -85,42 +86,26 @@ class ExtensiveObservable:
     eigenbasis V one 2x2 factor at a time.
     """
 
-    def __init__(self, site_terms: Sequence[Term], n_sites: int, n_max: int = N_MAX_STATE):
-        if len(site_terms) != n_sites:
-            raise ValidationError(
-                f"need one site term per site: got {len(site_terms)} for {n_sites} sites"
-            )
-        by_site = {}
-        for term in site_terms:
-            if term.weight != 1:
-                raise ValidationError(f"site term {term} is not single-site")
-            if complex(term.coeff).imag != 0:
-                raise ValidationError(f"site term {term} has a non-real coefficient")
-            if abs(term.norm - 1.0) > 1e-12:
-                raise ValidationError(f"site term {term} does not have unit norm")
-            by_site[term.support[0]] = term
-        if sorted(by_site) != list(range(n_sites)):
-            raise ValidationError("site terms must cover every site exactly once")
+    def __init__(self, letters: str, signs: Sequence[float] | None = None, n_max: int = N_MAX_STATE):
+        """``letters[i]`` and ``signs[i]`` (default all +1) belong to site i."""
+        n_sites = len(letters)
+        if not set(letters) <= set("XYZ"):
+            raise ValidationError(f"site letters must be X, Y or Z, got {letters!r}")
+        signs = np.ones(n_sites) if signs is None else np.asarray(signs)
+        if signs.shape != (n_sites,) or not np.all((signs == 1) | (signs == -1)):
+            raise ValidationError(f"need a sign of +1 or -1 for each of {n_sites} sites, got {signs}")
         _check_sites(n_sites, n_max, "dense operator")
         self.n_sites = n_sites
-        self.site_terms = tuple(site_terms)
-        ordered = [by_site[i] for i in range(n_sites)]
-        self.letters = "".join(term.string.letters[i] for i, term in enumerate(ordered))
-        signs = np.sign([complex(term.coeff).real for term in ordered])
+        self.letters = letters
         bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1
-        self.eigenvalues = (1 - 2 * bits) @ signs
+        self.eigenvalues = (1 - 2 * bits) @ np.where(signs == 1, 1.0, -1.0)
 
     @classmethod
     def collective(cls, n_sites: int, axis: str = "z", n_max: int = N_MAX_STATE) -> "ExtensiveObservable":
         """A = sum_i sigma_i^axis."""
-        letter = {"x": "X", "y": "Y", "z": "Z"}.get(axis.lower())
-        if letter is None:
+        if axis.lower() not in ("x", "y", "z"):
             raise ValidationError(f"axis must be x, y or z, got {axis!r}")
-        terms = [
-            Term(PauliString.from_letters(n_sites, {i: letter}), 1.0 + 0j)
-            for i in range(n_sites)
-        ]
-        return cls(terms, n_sites, n_max=n_max)
+        return cls(axis.upper() * n_sites, n_max=n_max)
 
     def to_eigenbasis(self, a: np.ndarray) -> np.ndarray:
         """V+ a for a state vector, V+ a V for a matrix, one site at a time;
@@ -134,9 +119,6 @@ class ExtensiveObservable:
             for axis, factor in [(n - 1 - site, v.conj().T), (2 * n - 1 - site, v.T)][: a.ndim]:
                 out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
         return out.reshape(a.shape)
-
-    def expectation(self, psi: np.ndarray) -> float:
-        return self._mean(self.to_eigenbasis(psi))
 
     def _mean(self, amps: np.ndarray) -> float:
         return float(np.real(np.vdot(amps, self.eigenvalues * amps)))
@@ -358,6 +340,8 @@ def fit_tail_constants(
     if t <= 0:
         raise DomainError(f"fit requires t > 0, got {t}")
     scale = params.r_t(t) * math.sqrt(t * n_sites)
+    if not math.isfinite(scale):
+        raise DomainError(f"r_t * sqrt(t*N) overflows at t={t}; no fit in its units")
     rs = np.array([r for r, tail in profile.samples if tail > 0.0])
     logs = np.array([math.log(tail) for _, tail in profile.samples if tail > 0.0])
     if rs.size < 2:

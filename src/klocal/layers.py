@@ -57,11 +57,6 @@ class UnitPool:
     source_g: float
     source_k: int
 
-    def per_site_multiplicity(self) -> list[int]:
-        rows, sites = self.units.letter_sites()
-        copies = np.asarray(self.multiplicity, dtype=np.int64)[rows]
-        return np.bincount(np.repeat(sites, copies), minlength=self.n_sites).tolist()
-
     @property
     def total_multiplicity(self) -> int:
         return sum(self.multiplicity)
@@ -148,7 +143,7 @@ def discretize(hamiltonian: KLocalOperator, epsilon: float, const: StructuralCon
     """
     if not ZERO_TOL < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and above {ZERO_TOL}, got {epsilon}")
-    if hamiltonian.coefficient(PauliString.identity(hamiltonian.n_sites)):
+    if hamiltonian.coefficient(PauliString(hamiltonian.n_sites)):
         raise ValidationError("identity term cannot be packed into layers")
     order = hamiltonian.mask_order()
     norms = hamiltonian.magnitudes[order]

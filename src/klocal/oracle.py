@@ -108,13 +108,14 @@ class DenseOperator:
         return t
 
 
-def _pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """The string as a signed permutation: P|i> = values[i] |flips[i]>,
-    with flips = i XOR x and values = i**|x AND z| * (-1)**|i AND z|."""
-    idx = np.arange(1 << string.n_sites, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(string.z_mask)) & np.uint64(1)).astype(float)
-    phase = 1j ** ((string.x_mask & string.z_mask).bit_count() & 3)
-    return idx ^ np.uint64(string.x_mask), phase * signs
+def _pauli_action(n_sites: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    """The string with masks (x, z) as a signed permutation: P|i> =
+    values[i] |flips[i]>, with flips = i XOR x and values =
+    i**|x AND z| * (-1)**|i AND z|."""
+    idx = np.arange(1 << n_sites, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z)) & np.uint64(1)).astype(float)
+    phase = 1j ** ((x & z).bit_count() & 3)
+    return idx ^ np.uint64(x), phase * signs
 
 
 def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) -> DenseOperator:
@@ -125,9 +126,10 @@ def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) ->
     dim = 2**op.n_sites
     mat = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for term in op.terms():
-        rows, values = _pauli_action(term.string)
-        mat[rows, cols] += term.coeff * values
+    # a dense operator has at most 64 sites, so its strings fit in word 0
+    for x, z, c in zip(op.x[:, 0].tolist(), op.z[:, 0].tolist(), op.coeff.tolist()):
+        rows, values = _pauli_action(op.n_sites, x, z)
+        mat[rows, cols] += c * values
     return DenseOperator(n_sites=op.n_sites, matrix=mat)
 
 
@@ -136,7 +138,7 @@ def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
     dim = 1 << string.n_sites
     if psi.shape != (dim,):
         raise ValidationError(f"state shape {psi.shape} does not match {string.n_sites} sites")
-    flips, values = _pauli_action(string)
+    flips, values = _pauli_action(string.n_sites, string.x_mask, string.z_mask)
     out = np.empty(dim, dtype=complex)
     out[flips] = values * psi
     return out

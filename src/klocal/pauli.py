@@ -9,14 +9,17 @@ site with both bits set carries Y.  With the convention
 products and commutators reduce to XORs, ANDs and popcounts, so the
 algebra never touches a matrix.
 
-Storage.  ``PauliString`` and ``Term`` are value types with Python-int
-masks.  ``KLocalOperator`` keeps its terms as word-packed arrays: ``x``
+Storage.  ``KLocalOperator`` keeps its terms as word-packed arrays: ``x``
 and ``z`` of shape (terms, W) and dtype uint64, W = ceil(n_sites/64),
 with site ``i`` at bit ``i % 64`` of word ``i // 64``, and ``coeff`` of
-dtype complex128.  ``terms()`` builds the value types on demand.  Only
-this module reads the words: other modules get the (row, site) pairs of
-the letters from ``letter_sites()`` and the letters themselves from
-``letters_at()``, build an operator from such arrays with
+dtype complex128.  ``PauliString``, a value type with Python-int masks,
+only names a single string: as a key of the constructor's mapping and
+as the argument of ``coefficient`` and of
+:func:`klocal.oracle.apply_pauli_string`.  Outside this module only
+:func:`klocal.oracle.to_dense` reads the words (word 0 of each row: a
+dense operator has at most 64 sites).  Other modules get the (row, site)
+pairs of the letters from ``letter_sites()`` and the letters themselves
+from ``letters_at()``, build an operator from such arrays with
 ``from_letter_sites()``, get the rows sorted by (x_mask, z_mask) from
 ``mask_order()``, and a sub-operator from ``select()``, which picks rows
 in a given order and can rescale each one.  The layers of
@@ -50,8 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,9 +62,7 @@ from .errors import DimensionMismatchError, ValidationError
 __all__ = [
     "ZERO_TOL",
     "PauliString",
-    "Term",
     "KLocalOperator",
-    "mul_strings",
     "commutator",
 ]
 
@@ -70,9 +70,9 @@ __all__ = [
 # operators are put in canonical form.
 ZERO_TOL = 1e-14
 
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-_PHASE_RE = np.array([p.real for p in _PHASES])
-_PHASE_IM = np.array([p.imag for p in _PHASES])
+# real and imaginary parts of the phases 1, i, -1, -i
+_PHASE_RE = np.array([1.0, 0.0, -1.0, 0.0])
+_PHASE_IM = np.array([0.0, 1.0, 0.0, -1.0])
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # the letter with bits (x, z) is _LETTERS[x + 2z]
@@ -83,14 +83,6 @@ _ASCII_BITS[list(_LETTERS.encode())] = range(4)
 # Python reduces int hashes modulo 2**61 - 1; a second residue keeps masks
 # wider than 61 bits from colliding in bulk.
 _HASH_PRIME = 1_000_000_007
-
-
-def _mask_sites(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class PauliString:
@@ -118,10 +110,6 @@ class PauliString:
         raise AttributeError("PauliString is immutable")
 
     @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        return cls(n_sites, 0, 0)
-
-    @classmethod
     def from_letters(cls, n_sites: int, letters: Mapping[int, str]) -> "PauliString":
         """Build a string from a ``{site: letter}`` map, letters in XYZ."""
         x = z = 0
@@ -137,43 +125,6 @@ class PauliString:
             z |= bz << site
         return cls(n_sites, x, z)
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Build from a dense label such as ``"XIZ"`` (index i = site i)."""
-        letters = {i: ch for i, ch in enumerate(label) if ch != "I"}
-        return cls.from_letters(len(label), letters)
-
-    @property
-    def support_mask(self) -> int:
-        return self.x_mask | self.z_mask
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(_mask_sites(self.support_mask))
-
-    @property
-    def weight(self) -> int:
-        """Number of sites carrying a non-identity letter."""
-        return self.support_mask.bit_count()
-
-    @property
-    def letters(self) -> dict[int, str]:
-        x, z = self.x_mask, self.z_mask
-        return {s: _LETTERS[(x >> s & 1) + 2 * (z >> s & 1)] for s in _mask_sites(x | z)}
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        """True iff the two strings commute as operators."""
-        if self.n_sites != other.n_sites:
-            raise DimensionMismatchError(
-                f"strings on {self.n_sites} and {other.n_sites} sites"
-            )
-        anti = (self.x_mask & other.z_mask).bit_count() + (self.z_mask & other.x_mask).bit_count()
-        return anti % 2 == 0
-
-    def label(self) -> str:
-        letters = self.letters
-        return "".join(letters.get(i, "I") for i in range(self.n_sites))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliString):
             return NotImplemented
@@ -188,49 +139,13 @@ class PauliString:
         return hash((self.n_sites, x, z, x % _HASH_PRIME, z % _HASH_PRIME))
 
     def __repr__(self) -> str:
-        letters = self.letters
-        if not letters:
-            return f"PauliString(I, n={self.n_sites})"
-        body = " ".join(f"{letter}{site}" for site, letter in sorted(letters.items()))
-        return f"PauliString({body}, n={self.n_sites})"
-
-
-def mul_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Multiply two strings, returning ``(phase, product)`` with phase in {1, i, -1, -i}.
-
-    The product string's weight never exceeds ``a.weight + b.weight``.
-    """
-    if a.n_sites != b.n_sites:
-        raise DimensionMismatchError(f"strings on {a.n_sites} and {b.n_sites} sites")
-    x3 = a.x_mask ^ b.x_mask
-    z3 = a.z_mask ^ b.z_mask
-    phi = (
-        (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-    ) & 3
-    return _PHASES[phi], PauliString(a.n_sites, x3, z3)
-
-
-@dataclass(frozen=True)
-class Term:
-    """One weighted Pauli string."""
-
-    string: PauliString
-    coeff: complex
-
-    @property
-    def weight(self) -> int:
-        return self.string.weight
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.string.support
-
-    @property
-    def norm(self) -> float:
-        return abs(self.coeff)
+        x, z = self.x_mask, self.z_mask
+        body = " ".join(
+            f"{_LETTERS[(x >> s & 1) + 2 * (z >> s & 1)]}{s}"
+            for s in range(self.n_sites)
+            if (x | z) >> s & 1
+        )
+        return f"PauliString({body or 'I'}, n={self.n_sites})"
 
 
 # ------------------------------------------------------------ word arrays
@@ -251,13 +166,6 @@ def _pack(masks: Sequence[int], n_words: int) -> np.ndarray:
         shift = 64 * word
         out[:, word] = np.fromiter((m >> shift & _WORD_MASK for m in masks), np.uint64, n_rows)
     return out
-
-
-def _unpack(words: np.ndarray) -> list[int]:
-    """Inverse of :func:`_pack`."""
-    width = 8 * words.shape[1]
-    raw = words.astype("<u8", copy=False).tobytes()
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -442,13 +350,6 @@ class KLocalOperator:
     def zero(cls, n_sites: int) -> "KLocalOperator":
         return cls(n_sites)
 
-    def terms(self) -> list[Term]:
-        n = self.n_sites
-        return [
-            Term(PauliString(n, x, z), c)
-            for x, z, c in zip(_unpack(self.x), _unpack(self.z), self.coeff.tolist())
-        ]
-
     def coefficient(self, string: PauliString) -> complex:
         if string.n_sites != self.n_sites:
             return 0j
@@ -469,10 +370,6 @@ class KLocalOperator:
     def locality(self) -> int:
         """Largest weight among stored strings (0 for the zero operator)."""
         return int(_popcount(self.x | self.z).max(initial=0))
-
-    @property
-    def support_mask(self) -> int:
-        return _unpack(np.bitwise_or.reduce(self.x | self.z, axis=0, keepdims=True))[0]
 
     def letter_sites(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, site) of every non-identity letter, rows ascending and
@@ -585,10 +482,12 @@ class KLocalOperator:
     def __repr__(self) -> str:
         if self.is_zero:
             return f"KLocalOperator(0, n={self.n_sites})"
-        parts = []
-        for term in self.terms()[:6]:
-            body = "".join(f"{l}{i}" for i, l in sorted(term.string.letters.items())) or "I"
-            parts.append(f"({term.coeff:.4g})*{body}")
+        head = self.select(np.arange(min(self.n_terms, 6)))
+        rows, sites = head.letter_sites()
+        bodies = [""] * head.n_terms
+        for row, site, letter in zip(rows.tolist(), sites.tolist(), head.letters_at(rows, sites).decode()):
+            bodies[row] += f"{letter}{site}"
+        parts = [f"({c:.4g})*{body or 'I'}" for c, body in zip(head.coeff.tolist(), bodies)]
         tail = " + ..." if self.n_terms > 6 else ""
         return f"KLocalOperator({' + '.join(parts)}{tail}, n={self.n_sites})"
 

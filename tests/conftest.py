@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from klocal.errors import ValidationError
-from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString, Term
+from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString
 
 _LETTERS = "XYZ"
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -44,14 +44,32 @@ def random_operator(
     return op
 
 
-def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[Term]:
+def _masks(words: np.ndarray) -> list[int]:
+    """Each row of a (rows, W) uint64 word array as one Python int."""
+    return [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in words]
+
+
+def terms_of(op: KLocalOperator) -> list[tuple[PauliString, complex]]:
+    """The (string, coefficient) pairs of ``op``, row by row, read from its
+    words."""
+    strings = [PauliString(op.n_sites, x, z) for x, z in zip(_masks(op.x), _masks(op.z))]
+    return list(zip(strings, op.coeff.tolist()))
+
+
+def letters_of(string: PauliString) -> dict[int, str]:
+    """The ``{site: letter}`` map of a string, sites ascending."""
+    x, z = string.x_mask, string.z_mask
+    return {s: "IXZY"[(x >> s & 1) + 2 * (z >> s & 1)] for s in range(string.n_sites) if (x | z) >> s & 1}
+
+
+def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[tuple[PauliString, complex]]:
     """Terms of [a, b] from the plain pair loop over Python-int masks and
     complex scalars, merged in a dict in (a, b) pair order and put in
     canonical form by hand: the reference that the vectorised
     ``klocal.pauli.commutator`` must match bit for bit."""
     n = a.n_sites
-    left = [(t.string.x_mask, t.string.z_mask, t.string.support_mask, t.coeff) for t in a.terms()]
-    right = [(t.string.x_mask, t.string.z_mask, t.string.support_mask, t.coeff) for t in b.terms()]
+    left = [(s.x_mask, s.z_mask, s.x_mask | s.z_mask, c) for s, c in terms_of(a)]
+    right = [(s.x_mask, s.z_mask, s.x_mask | s.z_mask, c) for s, c in terms_of(b)]
     acc: dict[tuple[int, int], complex] = {}
     for xa, za, sa, ca in left:
         for xb, zb, sb, cb in right:
@@ -73,7 +91,7 @@ def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[Term]:
     for (x, z), c in acc.items():
         c = 0j + c
         if not abs(c) <= ZERO_TOL:
-            terms.append(Term(PauliString(n, x, z), c))
+            terms.append((PauliString(n, x, z), c))
     return terms
 
 
@@ -152,19 +170,26 @@ def reference_load_spec(document) -> KLocalOperator:
 
 def reference_spec_entries(op: KLocalOperator) -> list[dict]:
     """The per-term spec writer that ``klocal.models.spec_entries``
-    replaced: one entry per ``Term``, sites ascending."""
+    replaced: one entry per term, sites ascending."""
     entries = []
-    for term in op.terms():
-        letters = term.string.letters
-        sites = sorted(letters)
+    for string, coeff in terms_of(op):
+        letters = letters_of(string)
         entries.append(
             {
-                "sites": sites,
-                "paulis": "".join(letters[s] for s in sites),
-                "coeff": [term.coeff.real, term.coeff.imag],
+                "sites": list(letters),
+                "paulis": "".join(letters.values()),
+                "coeff": [coeff.real, coeff.imag],
             }
         )
     return entries
+
+
+def per_site_multiplicity(pool) -> np.ndarray:
+    """Unit copies of a ``UnitPool`` that touch each site, counted from
+    ``letter_sites()``."""
+    rows, sites = pool.units.letter_sites()
+    copies = np.asarray(pool.multiplicity, dtype=np.int64)[rows]
+    return np.bincount(sites, weights=copies, minlength=pool.n_sites)
 
 
 def same_arrays(a: KLocalOperator, b: KLocalOperator) -> bool:
@@ -177,13 +202,13 @@ def same_arrays(a: KLocalOperator, b: KLocalOperator) -> bool:
     )
 
 
-def exact_terms(terms: list[Term]) -> list[tuple[int, int, int, str, str]]:
-    """Terms in order with the exact bits of each coefficient
-    (``float.hex`` tells -0.0 from 0.0)."""
-    return [
-        (t.string.n_sites, t.string.x_mask, t.string.z_mask, t.coeff.real.hex(), t.coeff.imag.hex())
-        for t in terms
-    ]
+def exact_terms(terms) -> list[tuple[int, int, int, str, str]]:
+    """(string, coefficient) pairs, or the terms of an operator, in order
+    with the exact bits of each coefficient (``float.hex`` tells -0.0 from
+    0.0)."""
+    if isinstance(terms, KLocalOperator):
+        terms = terms_of(terms)
+    return [(s.n_sites, s.x_mask, s.z_mask, c.real.hex(), c.imag.hex()) for s, c in terms]
 
 
 @pytest.fixture

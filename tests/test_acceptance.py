@@ -33,7 +33,7 @@ from klocal.oracle import (
 from klocal.pauli import KLocalOperator, PauliString, commutator
 from klocal.truncation import chained_truncate, hadamard_truncate
 
-from conftest import random_operator, random_pauli_string
+from conftest import per_site_multiplicity, random_operator, random_pauli_string
 
 
 def tfi_chain(n: int, coupling: float = 1.0, field: float = 1.0) -> KLocalOperator:
@@ -192,7 +192,7 @@ def test_criterion_4_layer_decomposition(acceptance_report):
         ok = (
             cert["all_ok"]
             and decomp.layer_count <= const.k * cap
-            and max(pool.per_site_multiplicity(), default=0) <= cap
+            and per_site_multiplicity(pool).max(initial=0) <= cap
         )
         if n <= 6:
             dense_checks += 1
@@ -345,8 +345,7 @@ def test_criterion_7_algebra_kernel(acceptance_report):
         if trial % 5 == 1 and n >= 4:
             half = n // 2
             left = random_operator(rng, n, 2, max_weight=half)
-            mask = (1 << half) - 1
-            if left.support_mask & ~mask == 0:
+            if (left.letter_sites()[1] < half).all():
                 right_site = n - 1
                 right = KLocalOperator(
                     n, {PauliString.from_letters(n, {right_site: "Y"}): 1.0}

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from klocal.bounds import (
     BoundParams,
-    amplification_check,
     band_rhs,
     delta_value,
     main_rhs,
@@ -128,6 +127,12 @@ class TestMainBound:
         values = [main_rhs(UNIT, 1, q, 0.05, 1.0) for q in (4, 8, 16, 32)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_negative_q_rejected(self):
+        with pytest.raises(DomainError, match="q must be nonnegative"):
+            main_rhs(UNIT, 1, -4, 0.001, 1.0)
+        with pytest.raises(DomainError, match="q must be nonnegative"):
+            delta_value(UNIT, 1, -4, 0.001)
+
     def test_no_overflow_large_q(self):
         assert main_rhs(UNIT, 1, 10_000, 0.01, 1.0) == 0.0 or main_rhs(
             UNIT, 1, 10_000, 0.01, 1.0
@@ -136,25 +141,23 @@ class TestMainBound:
 
 class TestAmplification:
     def test_frozen_check(self):
+        # (delta+1)^n - 1 <= 2*n*delta at the parameters of the chained
+        # bound, where the left side stays <= 1
         delta = delta_value(UNIT, 1, 30, 0.05)
-        check = amplification_check(delta, UNIT.intervals(0.05))
-        # (delta+1)^n - 1 <= 2*n*delta while the lhs stays <= 1
-        assert check.applicable
-        assert check.lhs == pytest.approx((1.0078125**2) - 1.0)
-        assert check.rhs == pytest.approx(0.03125)
-        assert check.holds
-
-    def test_inapplicable_when_large(self):
-        check = amplification_check(4.0, 5)
-        assert not check.applicable
-        assert check.holds  # vacuously
+        n = UNIT.intervals(0.05)
+        assert delta == pytest.approx(0.0078125) and n == 2
+        lhs = (delta + 1.0) ** n - 1.0
+        assert lhs == pytest.approx(1.0078125**2 - 1.0) and lhs <= 1.0
+        assert 2.0 * n * delta == pytest.approx(0.03125)
+        assert lhs <= 2.0 * n * delta
 
     @given(st.floats(0.0, 2.0), st.integers(1, 8))
     @settings(max_examples=300)
     def test_amplification_property(self, delta, n):
-        check = amplification_check(delta, n)
-        if check.applicable:
-            assert check.lhs <= check.rhs * (1 + 1e-12)
+        # (delta+1)^n - 1 <= 2*n*delta wherever the left side is <= 1
+        lhs = (delta + 1.0) ** n - 1.0
+        if lhs <= 1.0:
+            assert lhs <= 2.0 * n * delta * (1 + 1e-12)
 
 
 class TestQSchedule:

@@ -52,12 +52,24 @@ class TestConstants:
         assert result["kappa"] == pytest.approx(288.0)
 
     def test_report_envelope(self, capsys, tfi_spec):
-        code, out = run(capsys, "constants", "--spec", tfi_spec, "--seed", "5")
+        code, out = run(capsys, "constants", "--spec", tfi_spec)
         report = json.loads(out)
         assert report["version"] == __version__
-        assert report["seed"] == 5
         assert len(report["input_hash"]) == 64
         assert report["command"] == "constants"
+        assert report["config"] == {"command": "constants", "spec": tfi_spec}
+
+    @pytest.mark.parametrize("t", ["100", "-3.56"])
+    def test_light_cone_radius_beyond_float_range(self, capsys, tfi_spec, t):
+        # kappa = 288: n = ceil(288 * 100) = 28800 and ceil(288 * 3.56) = 1026
+        code, out = run(capsys, "constants", "--spec", tfi_spec, f"--t={t}")
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert "--t" in message and "1023" in message
+        # n = 1023 is the largest that still gives a finite r_t
+        code, out = run(capsys, "constants", "--spec", tfi_spec, "--t", "3.55")
+        assert code == 0
+        assert json.loads(out)["result"]["r_t"] == 2**1023 - 1
 
     def test_csv_projection(self, capsys, tfi_spec):
         code, out = run(capsys, "constants", "--spec", tfi_spec, "--format", "csv")
@@ -104,6 +116,16 @@ class TestBound:
         error = json.loads(out)["error"]
         assert error["code"] == "invalid"
         assert "q0" in error["message"] and q0 in error["message"]
+
+    @pytest.mark.parametrize("evaluator", ["theorem1", "small_time", "main", "delta", "topo", "band"])
+    def test_rejects_negative_q(self, capsys, evaluator):
+        code, out = run(
+            capsys, "bound", "--evaluator", evaluator, "--g", "1", "--k", "2", "--q=-4", "--t", "0.001"
+        )
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid"
+        assert error["type"] == "DomainError"
 
     def test_band_rejects_zero_sites(self, capsys):
         code, out = run(
@@ -212,6 +234,33 @@ class TestConcentrate:
         assert '"fitted_c2": Infinity' in out
         assert json.loads(out)["result"]["fitted_c2"] == math.inf
 
+    def test_seed_is_echoed_once(self, capsys, tfi_spec):
+        # --seed drives the --q probe sampler, so only concentrate has it
+        code, out = run(
+            capsys, "concentrate", "--spec", tfi_spec, "--t", "0.002", "--q", "2", "--seed", "5"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert "seed" not in report
+        assert report["config"]["seed"] == 5
+        _, other = run(
+            capsys, "concentrate", "--spec", tfi_spec, "--t", "0.002", "--q", "2", "--seed", "6"
+        )
+        assert json.loads(other)["result"]["probe"] != report["result"]["probe"]
+
+    def test_light_cone_radius_beyond_float_range(self, capsys, tfi_spec):
+        # kappa = 288, so n = ceil(288 * 4) = 1152 intervals
+        code, out = run(capsys, "concentrate", "--spec", tfi_spec, "--t", "4")
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert "--t" in message and "1152" in message
+
+    def test_fit_skipped_when_its_scale_overflows(self, capsys, tfi_spec):
+        # n = 1023 gives a finite r_t, but r_t * sqrt(t*N) overflows
+        code, out = run(capsys, "concentrate", "--spec", tfi_spec, "--t", "3.55", "--format", "csv")
+        assert code == 0
+        assert all(line.endswith(",") for line in out.splitlines() if line.startswith("tail,"))
+
 
 class TestDeterminismAndErrors:
     def test_byte_identical_reports(self, capsys, tfi_spec):
@@ -295,6 +344,18 @@ class TestDeterminismAndErrors:
             main([*command, "--spec", tfi_spec, "--nmax", "4"])
         assert exc.value.code == 2
         assert "--nmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["constants"], ["bound", "--evaluator", "main"], ["truncate", "--q", "3"], ["decompose"], ["verify"]],
+        ids=["constants", "bound", "truncate", "decompose", "verify"],
+    )
+    def test_seed_only_on_concentrate(self, capsys, tfi_spec, command):
+        # only concentrate samples anything (its --q probes)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--spec", tfi_spec, "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, option",

@@ -23,7 +23,7 @@ from klocal.concentration import (
 from klocal.errors import DomainError, ResourceLimitError, ValidationError
 from klocal.models import build_model
 from klocal.oracle import to_dense
-from klocal.pauli import KLocalOperator, PauliString, Term
+from klocal.pauli import KLocalOperator, PauliString
 
 
 class TestProductStates:
@@ -94,13 +94,21 @@ class TestExtensiveObservable:
 
     def test_expectation(self):
         a = ExtensiveObservable.collective(2, "z")
-        assert a.expectation(build_product_state("00", 2)) == pytest.approx(2.0)
-        assert a.expectation(build_product_state("01", 2)) == pytest.approx(0.0)
+        assert tail_profile(build_product_state("00", 2), a).mean == pytest.approx(2.0)
+        assert tail_profile(build_product_state("01", 2), a).mean == pytest.approx(0.0)
+        mixed = ExtensiveObservable("XZ", [-1.0, 1.0])
+        assert tail_profile(build_product_state("-1", 2), mixed).mean == pytest.approx(0.0)
+        assert tail_profile(build_product_state("-0", 2), mixed).mean == pytest.approx(2.0)
 
     def test_unit_norm_site_terms_required(self):
-        term = PauliString.from_letters(2, {0: "Z"})
-        with pytest.raises(ValidationError):
-            ExtensiveObservable([Term(term, 2.0)], 2)
+        for signs in ([2.0, 1.0], [1.0], [1.0, 1.0, -1.0], [0.0, 1.0]):
+            with pytest.raises(ValidationError, match="sign"):
+                ExtensiveObservable("ZZ", signs)
+        for letters in ("ZI", "zz", "XW"):
+            with pytest.raises(ValidationError, match="letters"):
+                ExtensiveObservable(letters)
+        with pytest.raises(ValidationError, match="axis"):
+            ExtensiveObservable.collective(3, "w")
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -111,25 +119,21 @@ class TestExtensiveObservable:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_closed_form_diagonalizes(self, letter, sign, n):
         rng = np.random.default_rng(n)
-        terms = [
-            Term(PauliString.from_letters(n, {i: letter}), sign) for i in rng.permutation(n)
-        ]
-        a = ExtensiveObservable(terms, n)
+        a = ExtensiveObservable(letter * n, [sign] * n)
         v = kron_eigenbasis(letter * n)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(2**n), rtol=0, atol=1e-12)
-        matrix = to_dense(KLocalOperator(n, {t.string: t.coeff for t in terms})).matrix
+        terms = {PauliString.from_letters(n, {i: letter}): sign for i in rng.permutation(n)}
+        matrix = to_dense(KLocalOperator(n, terms)).matrix
         np.testing.assert_allclose(matrix @ v, v * a.eigenvalues, rtol=0, atol=1e-12)
         assert np.all(np.abs(a.eigenvalues) <= n)
         assert_rotates_like(a, v, rng)
 
     def test_mixed_axes_diagonalize(self, rng):
-        terms = [
-            Term(PauliString.from_letters(4, {i: letter}), (-1.0) ** i)
-            for i, letter in enumerate("YXZY")
-        ]
-        a = ExtensiveObservable(terms[::-1], 4)
+        signs = [(-1.0) ** i for i in range(4)]
+        a = ExtensiveObservable("YXZY", signs)
         v = kron_eigenbasis("YXZY")
-        matrix = to_dense(KLocalOperator(4, {t.string: t.coeff for t in terms})).matrix
+        terms = {PauliString.from_letters(4, {i: c}): s for i, (c, s) in enumerate(zip("YXZY", signs))}
+        matrix = to_dense(KLocalOperator(4, terms)).matrix
         np.testing.assert_allclose(matrix @ v, v * a.eigenvalues, rtol=0, atol=1e-12)
         assert_rotates_like(a, v, rng)
 
@@ -154,9 +158,8 @@ class TestExtensiveObservable:
         assert peak < 2 * 2**20
 
     def test_non_real_coefficient_rejected(self):
-        z0 = PauliString.from_letters(1, {0: "Z"})
-        with pytest.raises(ValidationError, match="non-real"):
-            ExtensiveObservable([Term(z0, 1j)], 1)
+        with pytest.raises(ValidationError, match="sign"):
+            ExtensiveObservable("Z", [1j])
 
 
 class TestTailProfile:

@@ -13,7 +13,7 @@ from klocal.models import build_model, structural_constants
 from klocal.oracle import operator_norm_exact, to_dense
 from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString, commutator
 
-from conftest import random_operator
+from conftest import per_site_multiplicity, random_operator, terms_of
 
 
 def chain_hamiltonian():
@@ -32,11 +32,11 @@ class TestDiscretize:
         assert pool.total_multiplicity == 2
         assert pool.gap_upper == pytest.approx(0.05)
         (mult,) = pool.multiplicity
-        (term,) = pool.units.terms()
+        (coeff,) = pool.units.coeff.tolist()
         assert mult == 2
-        assert abs(term.coeff) == pytest.approx(0.5)
+        assert abs(coeff) == pytest.approx(0.5)
         # unit keeps the original phase
-        assert term.coeff == pytest.approx(0.5 * 1.05 / 1.05)
+        assert coeff == pytest.approx(0.5 * 1.05 / 1.05)
 
     def test_sub_epsilon_term_dropped_into_gap(self):
         op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 0.2})
@@ -93,13 +93,11 @@ class TestPackLayers:
             decomp = pack_layers(discretize(op, eps, const))
             for layer in decomp.layers:
                 seen = 0
-                for term in layer.terms():
-                    assert seen & term.string.support_mask == 0
-                    seen |= term.string.support_mask
-                ops = [
-                    KLocalOperator(op.n_sites, {term.string: term.coeff})
-                    for term in layer.terms()
-                ]
+                for string, _ in terms_of(layer):
+                    support = string.x_mask | string.z_mask
+                    assert seen & support == 0
+                    seen |= support
+                ops = [KLocalOperator(op.n_sites, {string: c}) for string, c in terms_of(layer)]
                 for i, a in enumerate(ops):
                     for b in ops[i + 1 :]:
                         assert commutator(a, b).is_zero
@@ -145,4 +143,4 @@ class TestPackLayers:
             eps = const.g / 4.1
             pool = discretize(op, eps, const)
             cap = math.floor(const.g / eps)
-            assert max(pool.per_site_multiplicity(), default=0) <= cap
+            assert per_site_multiplicity(pool).max(initial=0) <= cap

@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from conftest import random_operator, reference_load_spec, reference_spec_entries, same_arrays
+from conftest import random_operator, reference_load_spec, reference_spec_entries, same_arrays, terms_of
 
 from klocal import models
 from klocal.errors import ValidationError
@@ -236,7 +236,7 @@ class TestSpecWriter:
         assert same_arrays(load_spec(spec_from_operator(op)), op.select(op.mask_order()))
 
     def test_rejects_identity_term(self):
-        op = KLocalOperator(2, {PauliString.identity(2): 1.0, PauliString.from_label("XI"): 1.0})
+        op = KLocalOperator(2, {PauliString(2): 1.0, PauliString.from_letters(2, {0: "X"}): 1.0})
         with pytest.raises(ValidationError, match="identity"):
             spec_from_operator(op)
 
@@ -335,11 +335,10 @@ class TestModelFamilies:
 
     def test_diagonal_commuting_is_z_only(self):
         op = build_model("diagonal_commuting", {"n_sites": 6, "k": 3, "n_terms": 12, "seed": 5})
-        for term in op.terms():
-            assert set(term.string.letters.values()) <= {"Z"}
-            assert term.weight <= 3
-        strings = [t.string for t in op.terms()]
-        assert all(a.commutes_with(b) for a in strings for b in strings)
+        # no X bits: every string is a product of Zs, so all commute
+        for string, _ in terms_of(op):
+            assert string.x_mask == 0 and 1 <= string.z_mask.bit_count() <= 3
+        assert op.terms_commute
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):

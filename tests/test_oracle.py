@@ -24,7 +24,7 @@ from klocal.oracle import (
 )
 from klocal.pauli import KLocalOperator, PauliString, commutator
 
-from conftest import random_operator, random_pauli_string
+from conftest import letters_of, random_operator, random_pauli_string
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,7 +42,7 @@ def string_matrix(s: PauliString) -> np.ndarray:
 def kron_reference(s: PauliString) -> np.ndarray:
     """Matrix of a string as a direct Kronecker product, site 0 last."""
     mats = {"X": X, "Y": Y, "Z": Z}
-    factors = [mats.get(s.letters.get(i), np.eye(2)) for i in range(s.n_sites)]
+    factors = [mats.get(letters_of(s).get(i), np.eye(2)) for i in range(s.n_sites)]
     expected = factors[-1]
     for f in factors[-2::-1]:
         expected = np.kron(expected, f)

@@ -12,17 +12,23 @@ from hypothesis import strategies as st
 from klocal import pauli
 from klocal.errors import DimensionMismatchError, ValidationError
 from klocal.models import build_model
+from klocal.oracle import to_dense
 from klocal.pauli import (
     ZERO_TOL,
     KLocalOperator,
     PauliString,
-    Term,
     commutator,
-    mul_strings,
 )
 from klocal.truncation import nested_commutator_levels
 
-from conftest import exact_terms, random_operator, random_pauli_string, reference_commutator
+from conftest import (
+    exact_terms,
+    letters_of,
+    random_operator,
+    random_pauli_string,
+    reference_commutator,
+    terms_of,
+)
 
 
 def strings(n_sites: int):
@@ -63,22 +69,14 @@ def _clustered_operator(rng: np.random.Generator, n_sites: int, n_terms: int) ->
 class TestPauliString:
     def test_from_letters_roundtrip(self):
         s = PauliString.from_letters(5, {0: "X", 2: "Y", 4: "Z"})
-        assert s.letters == {0: "X", 2: "Y", 4: "Z"}
-        assert s.weight == 3
-        assert s.support == (0, 2, 4)
-        assert s.label() == "XIYIZ"
-
-    def test_from_label(self):
-        assert PauliString.from_label("XIYIZ") == PauliString.from_letters(
-            5, {0: "X", 2: "Y", 4: "Z"}
-        )
-        assert PauliString.from_label("III") == PauliString.identity(3)
+        assert (s.x_mask, s.z_mask) == (0b00101, 0b10100)
+        assert letters_of(s) == {0: "X", 2: "Y", 4: "Z"}
+        assert repr(s) == "PauliString(X0 Y2 Z4, n=5)"
 
     def test_identity(self):
-        ident = PauliString.identity(4)
-        assert ident.weight == 0
-        assert ident.support == ()
-        assert ident.label() == "IIII"
+        ident = PauliString(4)
+        assert ident == PauliString.from_letters(4, {}) == PauliString(4, 0, 0)
+        assert repr(ident) == "PauliString(I, n=4)"
 
     def test_masks(self):
         s = PauliString.from_letters(3, {0: "X", 1: "Y", 2: "Z"})
@@ -89,14 +87,14 @@ class TestPauliString:
         # an np.int64 site must not overflow its mask to zero past bit 63
         s = PauliString.from_letters(128, {np.int64(70): "Z", np.int64(3): "X"})
         assert s == PauliString.from_letters(128, {70: "Z", 3: "X"})
-        assert s.support == (3, 70)
+        assert (s.x_mask, s.z_mask) == (1 << 3, 1 << 70)
         assert type(s.z_mask) is int
 
     def test_support_of_wide_masks(self):
         sites = (0, 63, 64, 127, 200, 255)
         s = PauliString.from_letters(256, {i: "Y" for i in sites})
-        assert s.support == sites
-        assert s.letters == {i: "Y" for i in sites}
+        assert s.x_mask == s.z_mask == sum(1 << i for i in sites)
+        assert repr(s) == "PauliString(Y0 Y63 Y64 Y127 Y200 Y255, n=256)"
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -110,7 +108,7 @@ class TestPauliString:
         # Python reduces int hashes modulo 2**61 - 1; hashing the masks
         # alone gave these 32,896 strings only 1,952 distinct hashes
         op = build_model("long_range_ising", {"n_sites": 256, "alpha": 2, "field": 1})
-        strings = [t.string for t in op.terms()]
+        strings = [s for s, _ in terms_of(op)]
         assert len({hash(s) for s in strings}) == len(strings) == 32896
         twin = PauliString(256, strings[-1].x_mask, strings[-1].z_mask)
         assert twin == strings[-1] and hash(twin) == hash(strings[-1])
@@ -119,34 +117,25 @@ class TestPauliString:
 
     @given(strings(4), strings(4))
     def test_commutes_with_matches_product(self, a, b):
-        p1, ab = mul_strings(a, b)
-        p2, ba = mul_strings(b, a)
-        assert ab == ba
-        assert a.commutes_with(b) == (p1 == p2)
+        # the commutator of two strings vanishes exactly when their
+        # matrices commute
+        pa, pb = (to_dense(KLocalOperator(4, {s: 1.0})).matrix for s in (a, b))
+        commuting = np.array_equal(pa @ pb, pb @ pa)
+        assert commutator(KLocalOperator(4, {a: 1.0}), KLocalOperator(4, {b: 1.0})).is_zero == commuting
 
     def test_single_site_products(self):
-        n = 1
-        x = PauliString.from_letters(n, {0: "X"})
-        y = PauliString.from_letters(n, {0: "Y"})
-        z = PauliString.from_letters(n, {0: "Z"})
-        assert mul_strings(x, y) == (1j, z)
-        assert mul_strings(y, x) == (-1j, z)
-        assert mul_strings(y, z) == (1j, x)
-        assert mul_strings(z, x) == (1j, y)
-        assert mul_strings(x, x) == (1, PauliString.identity(n))
+        # [P, Q] = 2PQ for anticommuting P, Q: XY = iZ, YZ = iX, ZX = iY
+        op = {c: KLocalOperator(1, {PauliString.from_letters(1, {0: c}): 1.0}) for c in "XYZ"}
+        for p, q, r in ("XYZ", "YZX", "ZXY"):
+            assert commutator(op[p], op[q]) == 2j * op[r]
+            assert commutator(op[q], op[p]) == -2j * op[r]
+        assert commutator(op["X"], op["X"]).is_zero
 
     @given(strings(5))
     def test_square_is_identity(self, s):
-        assert mul_strings(s, s) == (1, PauliString.identity(5))
-
-    @given(strings(4), strings(4), strings(4))
-    def test_product_associative(self, a, b, c):
-        p1, ab = mul_strings(a, b)
-        p2, ab_c = mul_strings(ab, c)
-        p3, bc = mul_strings(b, c)
-        p4, a_bc = mul_strings(a, bc)
-        assert ab_c == a_bc
-        assert p1 * p2 == pytest.approx(p3 * p4)
+        # the phase i**|x & z| makes every string Hermitian and unitary
+        matrix = to_dense(KLocalOperator(5, {s: 1.0})).matrix
+        assert np.array_equal(matrix @ matrix, np.eye(32))
 
 
 # --------------------------------------------------------------- operators
@@ -176,7 +165,7 @@ class TestKLocalOperator:
             },
         )
         assert op.locality == 2
-        assert op.support_mask == 0b1011
+        assert set(op.letter_sites()[1].tolist()) == {0, 1, 3}
 
     def test_norm_upper(self):
         op = KLocalOperator(
@@ -208,11 +197,11 @@ class TestKLocalOperator:
         op = op * 1e-3 + random_operator(rng, 90, 50, max_weight=2)
         kept, dropped = op.prune(2e-3)
         expected = 0.0
-        for t in op.terms():
-            if abs(t.coeff) <= 2e-3:
-                expected += abs(t.coeff)
+        for _, c in terms_of(op):
+            if abs(c) <= 2e-3:
+                expected += abs(c)
         assert dropped.hex() == expected.hex()
-        assert kept.n_terms + sum(abs(t.coeff) <= 2e-3 for t in op.terms()) == op.n_terms
+        assert kept.n_terms + sum(abs(c) <= 2e-3 for _, c in terms_of(op)) == op.n_terms
 
     def test_hermiticity(self):
         s = PauliString.from_letters(1, {0: "Y"})
@@ -235,9 +224,20 @@ class TestKLocalOperator:
         strings = [PauliString.from_letters(70, {i: "XYZ"[i % 3], 69 - i: "Z"}) for i in range(6)]
         forward = KLocalOperator(70, {s: 0.5 + i for i, s in enumerate(strings)})
         backward = KLocalOperator(70, {s: 0.5 + i for i, s in reversed(list(enumerate(strings)))})
-        assert [t.string for t in forward.terms()] != [t.string for t in backward.terms()]
+        assert [s for s, _ in terms_of(forward)] != [s for s, _ in terms_of(backward)]
         assert forward == backward and hash(forward) == hash(backward)
         assert forward != 2.0 * backward
+
+    def test_repr(self):
+        strings = [PauliString.from_letters(70, {i: "XYZ"[i % 3], 69 - i: "Z"}) for i in range(6)]
+        op = KLocalOperator(70, {s: 0.5 - 1j * i for i, s in enumerate([*strings, PauliString(70)])})
+        assert repr(op) == (
+            "KLocalOperator((0.5+0j)*X0Z69 + (0.5-1j)*Y1Z68 + (0.5-2j)*Z2Z67 + (0.5-3j)*X3Z66"
+            " + (0.5-4j)*Y4Z65 + (0.5-5j)*Z5Z64 + ..., n=70)"
+        )
+        op = KLocalOperator(70, {PauliString(70): 2.0, strings[1]: -1j})
+        assert repr(op) == "KLocalOperator((2+0j)*I + (0-1j)*Y1Z68, n=70)"
+        assert repr(KLocalOperator.zero(3)) == "KLocalOperator(0, n=3)"
 
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     @pytest.mark.parametrize(
@@ -246,12 +246,12 @@ class TestKLocalOperator:
     def test_scalar_product_matches_python(self, rng, scalar, complex_coeffs):
         op = random_operator(rng, 70, 40, max_weight=3, complex_coeffs=complex_coeffs)
         expected = []
-        for t in op.terms():
-            c = 0j + complex(scalar) * t.coeff
+        for string, coeff in terms_of(op):
+            c = 0j + complex(scalar) * coeff
             if not abs(c) <= ZERO_TOL:
-                expected.append(Term(t.string, c))
-        assert exact_terms((scalar * op).terms()) == exact_terms(expected)
-        assert exact_terms((op * scalar).terms()) == exact_terms(expected)
+                expected.append((string, c))
+        assert exact_terms((scalar * op)) == exact_terms(expected)
+        assert exact_terms((op * scalar)) == exact_terms(expected)
 
     def test_from_letter_sites_merges_like_a_dict(self, rng):
         # 16 distinct strings straddling words 0/1 and 1/2 of a 130-site chain
@@ -264,7 +264,7 @@ class TestKLocalOperator:
         for row, (x, z, c) in enumerate(zip(x_masks, z_masks, coeffs)):
             s = PauliString(n, x, z)
             acc[s] = acc.get(s, 0j) + c
-            for site, letter in sorted(s.letters.items()):
+            for site, letter in letters_of(s).items():
                 rows.append(row)
                 sites.append(site)
                 letters += letter
@@ -272,7 +272,7 @@ class TestKLocalOperator:
             n, np.array(rows), np.array(sites), letters.encode(), np.array(coeffs)
         )
         assert merged.n_terms == 16
-        assert exact_terms(merged.terms()) == exact_terms(KLocalOperator(n, acc).terms())
+        assert exact_terms(merged) == exact_terms(KLocalOperator(n, acc))
 
     @pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
     def test_from_letter_sites_inverts_letter_sites(self, rng, n):
@@ -281,11 +281,11 @@ class TestKLocalOperator:
         letters = op.letters_at(rows, sites)
         assert list(zip(rows.tolist(), sites.tolist(), letters.decode())) == [
             (row, site, letter)
-            for row, term in enumerate(op.terms())
-            for site, letter in sorted(term.string.letters.items())
+            for row, (string, _) in enumerate(terms_of(op))
+            for site, letter in letters_of(string).items()
         ]
         rebuilt = KLocalOperator.from_letter_sites(n, rows, sites, letters, op.coeff)
-        assert exact_terms(rebuilt.terms()) == exact_terms(op.terms())
+        assert exact_terms(rebuilt) == exact_terms(op)
 
     def test_magnitudes_match_python_abs(self, rng):
         # NumPy's complex abs may differ from Python's in the last bit
@@ -296,7 +296,7 @@ class TestKLocalOperator:
         op = KLocalOperator(
             11, {PauliString(11, m, 0): complex(c) for m, c in zip(range(1, n + 1), coeffs)}
         )
-        expected = [abs(t.coeff) for t in op.terms()]
+        expected = [abs(c) for _, c in terms_of(op)]
         assert [m.hex() for m in op.magnitudes.tolist()] == [m.hex() for m in expected]
         assert op.norm_upper() == math.fsum(expected)
 
@@ -309,13 +309,12 @@ class TestKLocalOperator:
         assert op.x.shape == op.z.shape == (2, 3)
         assert op.x.dtype == np.uint64 and op.coeff.dtype == np.complex128
         assert op.locality == 4
-        assert op.support_mask == strings[0].support_mask | strings[1].support_mask
         assert op.coefficient(strings[1]) == -2.0j
         assert op.coefficient(PauliString.from_letters(130, {64: "Y"})) == 0j
-        assert [t.string for t in op.terms()] == strings
+        assert [s for s, _ in terms_of(op)] == strings
         rows, sites = op.letter_sites()
         assert list(zip(rows.tolist(), sites.tolist())) == [
-            (row, site) for row, s in enumerate(strings) for site in s.support
+            (row, site) for row, s in enumerate(strings) for site in letters_of(s)
         ]
         with pytest.raises(ValueError):
             op.coeff[0] = 0.0
@@ -325,10 +324,14 @@ class TestKLocalOperator:
         for trial in range(20):
             op = random_operator(rng, n, 6, max_weight=3)
             if trial % 2:
-                diagonal = {PauliString(n, 0, t.string.support_mask): t.coeff for t in op.terms()}
+                diagonal = {PauliString(n, 0, s.x_mask | s.z_mask): c for s, c in terms_of(op)}
                 op = KLocalOperator(n, diagonal)
-            strings = [t.string for t in op.terms()]
-            pairwise = all(a.commutes_with(b) for a in strings for b in strings)
+            strings = [s for s, _ in terms_of(op)]
+            pairwise = all(
+                ((a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()) % 2 == 0
+                for a in strings
+                for b in strings
+            )
             assert op.terms_commute == pairwise
 
     @pytest.mark.parametrize("n", [5, 64, 65, 130])
@@ -337,27 +340,22 @@ class TestKLocalOperator:
         # strings that only a lower word, or only the z words, tell apart
         for letters in ({0: "X"}, {n - 1: "X"}, {0: "X", n - 1: "Z"}, {n // 2: "Y"}, {0: "Z"}):
             op = op + KLocalOperator(n, {PauliString.from_letters(n, letters): 0.5})
-        strings = [t.string for t in op.terms()]
+        strings = [s for s, _ in terms_of(op)]
         expected = sorted(range(op.n_terms), key=lambda i: (strings[i].x_mask, strings[i].z_mask))
         assert op.mask_order().tolist() == expected
 
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     def test_select_rescales_like_python(self, rng, complex_coeffs):
         op = random_operator(rng, 130, 40, max_weight=3, complex_coeffs=complex_coeffs)
-        terms = op.terms()
+        terms = terms_of(op)
         rows = rng.permutation(op.n_terms)[:25]
         scale = rng.uniform(-2.0, 2.0, len(rows))
         picked = [terms[r] for r in rows.tolist()]
-        rescaled = [Term(t.string, t.coeff * s) for t, s in zip(picked, scale.tolist())]
-        assert exact_terms(op.select(rows).terms()) == exact_terms(picked)
-        assert exact_terms(op.select(rows, scale).terms()) == exact_terms(rescaled)
+        rescaled = [(string, c * s) for (string, c), s in zip(picked, scale.tolist())]
+        assert exact_terms(op.select(rows)) == exact_terms(picked)
+        assert exact_terms(op.select(rows, scale)) == exact_terms(rescaled)
         mask = np.isin(np.arange(op.n_terms), rows)
-        assert exact_terms(op.select(mask).terms()) == exact_terms([terms[r] for r in sorted(rows)])
-
-    def test_term_norm(self):
-        t = Term(PauliString.from_letters(2, {0: "X"}), 3.0 - 4.0j)
-        assert t.norm == pytest.approx(5.0)
-        assert t.weight == 1
+        assert exact_terms(op.select(mask)) == exact_terms([terms[r] for r in sorted(rows)])
 
 
 # ------------------------------------------------------------- commutators
@@ -398,7 +396,7 @@ class TestCommutator:
         for _ in range(25):
             a = random_operator(rng, 6, 3, max_weight=2)
             s = random_pauli_string(rng, 6, 3)
-            free = [i for i in range(6) if not (a.support_mask >> i) & 1]
+            free = sorted(set(range(6)) - set(a.letter_sites()[1].tolist()))
             if not free:
                 continue
             letters = {free[0]: "Y"}
@@ -421,7 +419,7 @@ class TestCommutator:
             a = _clustered_operator(rng, n, n_left)
             b = _clustered_operator(rng, n, n_right)
             got = commutator(a, b)
-            assert exact_terms(got.terms()) == exact_terms(reference_commutator(a, b))
+            assert exact_terms(got) == exact_terms(reference_commutator(a, b))
 
     def test_mixed_field_ising_levels_match_reference(self):
         n = 128
@@ -435,7 +433,7 @@ class TestCommutator:
         for m, level, _ in nested_commutator_levels(h, gamma, 12):
             if m:
                 exact = commutator(h, previous)
-                assert exact_terms(exact.terms()) == exact_terms(reference_commutator(h, previous))
+                assert exact_terms(exact) == exact_terms(reference_commutator(h, previous))
                 sizes.append(level.n_terms)
             previous = level
         assert sizes == [1, 4, 6, 16, 25, 54, 91, 177, 285, 515, 845, 1478]
@@ -502,12 +500,12 @@ def salts(request, monkeypatch):
     return used
 
 
-def _dict_sum(n: int, rows) -> list[Term]:
+def _dict_sum(n: int, rows) -> list[tuple[PauliString, complex]]:
     """Canonical terms of the (string, coeff) rows summed in a dict."""
     acc: dict[PauliString, complex] = {}
     for string, c in rows:
         acc[string] = acc.get(string, 0j) + c
-    return [Term(s, c) for s, c in acc.items() if not abs(c) <= ZERO_TOL]
+    return [(s, c) for s, c in acc.items() if not abs(c) <= ZERO_TOL]
 
 
 def _running_sum(n: int, batches) -> KLocalOperator:
@@ -560,10 +558,10 @@ class TestKeyedMerge:
         batches = _late_batches(n)
         got = _running_sum(n, batches)
         expected = _dict_sum(n, [row for batch in batches for row in batch])
-        assert exact_terms(got.terms()) == exact_terms(expected)
+        assert exact_terms(got) == exact_terms(expected)
         # A kept its first place while it summed to 0.0, B and F were
         # dropped at the end, and the -0.0 parts of C and D summed to 0.0
-        assert [t.string.letters for t in got.terms()] == [{1: "Y"}, {4: "X"}, {n - 2: "X"}, {5: "Y"}, {0: "X", n - 1: "Z"}]
+        assert [letters_of(s) for s, _ in terms_of(got)] == [{1: "Y"}, {4: "X"}, {n - 2: "X"}, {5: "Y"}, {0: "X", n - 1: "Z"}]
         assert (got.coeff[1].real.hex(), got.coeff[3].imag.hex()) == ("0x0.0p+0", "0x0.0p+0")
         # S summed in row order: (1e16 + 1) - 1e16 + 1, not 2
         assert got.coeff[4] == 1.0
@@ -575,7 +573,7 @@ class TestKeyedMerge:
         for n_left, n_right in [(3, 4), (40, 60), (120, 400)]:
             a = _clustered_operator(rng, n, n_left)
             b = _clustered_operator(rng, n, n_right)
-            assert exact_terms(commutator(a, b).terms()) == exact_terms(reference_commutator(a, b))
+            assert exact_terms(commutator(a, b)) == exact_terms(reference_commutator(a, b))
         salts.check()
 
     def test_sum_and_letter_sites_with_collisions(self, salts, rng):
@@ -584,15 +582,15 @@ class TestKeyedMerge:
         b = random_operator(rng, n, 200, max_weight=2, complex_coeffs=True) + (-1.0) * a.select(
             np.arange(0, a.n_terms, 3)
         )
-        expected = _dict_sum(n, [(t.string, t.coeff) for t in (*a.terms(), *b.terms())])
-        assert exact_terms((a + b).terms()) == exact_terms(expected)
+        expected = _dict_sum(n, terms_of(a) + terms_of(b))
+        assert exact_terms((a + b)) == exact_terms(expected)
         rows, sites = b.letter_sites()
         doubled = np.concatenate([rows, rows + b.n_terms])
         rebuilt = KLocalOperator.from_letter_sites(
             n, doubled, np.tile(sites, 2), b.letters_at(rows, sites) * 2, np.tile(b.coeff, 2)
         )
-        expected = _dict_sum(n, [(t.string, t.coeff) for t in 2 * b.terms()])
-        assert exact_terms(rebuilt.terms()) == exact_terms(expected)
+        expected = _dict_sum(n, 2 * terms_of(b))
+        assert exact_terms(rebuilt) == exact_terms(expected)
 
     def test_commutator_chunks(self, salts, monkeypatch, rng):
         # every a term anticommutes with all 1024 b terms, so each a term
@@ -619,7 +617,7 @@ class TestKeyedMerge:
         })
         got = commutator(a, b)
         assert sizes == [1024] * 5
-        assert exact_terms(got.terms()) == exact_terms(reference_commutator(a, b))
+        assert exact_terms(got) == exact_terms(reference_commutator(a, b))
         assert got.n_terms == 3 * 1024
 
     @pytest.mark.parametrize("kind", sorted(ARGSORTS))
@@ -633,9 +631,9 @@ class TestKeyedMerge:
         x = random_operator(rng, n, 300, max_weight=2, complex_coeffs=True)
 
         def run():
-            levels = [exact_terms(level.terms()) for _, level, _ in nested_commutator_levels(h, gamma, 10)]
+            levels = [exact_terms(level) for _, level, _ in nested_commutator_levels(h, gamma, 10)]
             batches = _late_batches(n)
-            return levels, exact_terms((x + h).terms()), exact_terms(_running_sum(n, batches).terms())
+            return levels, exact_terms((x + h)), exact_terms(_running_sum(n, batches))
 
         default = run()
         monkeypatch.setattr(np, "argsort", ARGSORTS[kind])
