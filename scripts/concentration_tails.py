@@ -17,18 +17,10 @@ import csv
 import math
 import sys
 
-from klocal.bounds import BoundParams, band_rhs
-from klocal.concentration import (
-    ExtensiveObservable,
-    band_matrix,
-    build_product_state,
-    fit_tail_constants,
-    tail_profile,
-)
-from klocal.errors import DomainError
+from klocal.bounds import BoundParams
+from klocal.concentration import concentrate
 from klocal.models import build_model
 from klocal.oracle import EigenSystem
-from klocal.pauli import KLocalOperator, PauliString
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,8 +38,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     params = BoundParams.from_operator(h)
     eig = EigenSystem(h, n_max=n)
-    observable = ExtensiveObservable.collective(n, "z", n_max=n)
-    parent = KLocalOperator(n, {PauliString.from_letters(n, {i: "X"}): -1.0 for i in range(n)})
     fracs = [float(x) for x in args.t_fracs.split(",")]
 
     tails_path = f"{args.out_prefix}_tails.csv"
@@ -59,31 +49,14 @@ def main(argv: list[str] | None = None) -> int:
         band_writer.writerow(["t", "x", "x_prime", "norm", "bound"])
         for frac in fracs:
             t = frac / params.kappa
-            psi = eig.evolve_state(build_product_state("+" * n), t)
-            profile = tail_profile(psi, observable)
-            try:
-                c1, c2 = fit_tail_constants(profile, params, t, n)
-            except DomainError:
-                c1, c2 = float("nan"), float("nan")
-            r_t = params.r_t(t)
-            for r, tail in profile.samples:
-                fitted = (
-                    c1 * math.exp(-r / (c2 * r_t * math.sqrt(t * n)))
-                    if math.isfinite(c1) and math.isfinite(c2)
-                    else float("nan")
-                )
-                tail_writer.writerow([t, r, tail, fitted])
-
-            parent_t = eig.evolve_operator(parent, t)
-            band = band_matrix(parent_t, observable, float(r_t), n_max=n)
-            occupied = [b for b in range(band.n_bins) if band.occupancy[b]]
-            for bx in occupied:
-                for by in occupied:
-                    band_writer.writerow(
-                        [t, bx, by, band.norms[bx, by], band_rhs(params, t, n, abs(bx - by))]
-                    )
+            found = concentrate(eig, params, "+" * n, t, n_max=n)
+            for r, tail, curve in found.tails:
+                tail_writer.writerow([t, r, tail, math.nan if curve is None else curve])
+            for entry in found.bands:
+                band_writer.writerow([t, *entry])
+            c1, c2 = found.fitted or (math.nan, math.nan)
             print(f"t = {t:.5f} ({frac}/kappa): "
-                  f"mean <A> = {profile.mean:+.4f}, fitted (c1, c2) = ({c1:.3g}, {c2:.3g})")
+                  f"mean <A> = {found.profile.mean:+.4f}, fitted (c1, c2) = ({c1:.3g}, {c2:.3g})")
     print(f"wrote {tails_path} and {bands_path}")
     return 0
 

@@ -34,6 +34,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _EXP_MAX = 700.0
+_MAX_INTERVALS = 1023  # the largest n with 2**n - 1 below the float maximum
 
 
 def _exp_guarded(log_value: float) -> float:
@@ -103,6 +104,16 @@ class BoundParams:
     def r_t(self, t: float) -> int:
         """Reachable weight radius 2**n - 1."""
         return 2 ** self.intervals(t) - 1
+
+    def light_cone_radius(self, t: float) -> int:
+        """r_t where it must convert to a float, so n <= 1023."""
+        n = self.intervals(t)
+        if n > _MAX_INTERVALS:
+            raise DomainError(
+                f"--t {t} needs n = ceil(kappa*|t|) = {n} intervals; r_t = 2**n - 1 "
+                f"exceeds the float range above n = {_MAX_INTERVALS}"
+            )
+        return self.r_t(t)
 
 
 def theorem1_rhs(params: BoundParams, q: int, gamma_norm: float) -> float:

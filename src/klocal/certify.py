@@ -1,26 +1,31 @@
 """Certificates: a measured left-hand side held against an analytic bound.
 
-Every check that ``klocal truncate`` and ``klocal verify`` report is
-computed here: commutator growth against ``theorem1_rhs``, the
-truncated-witness error against the bound its ``TruncationReport``
-carries (``rhs``, evaluated at the exact norm of gamma) plus the pruning
-budget, the layer packing against k*floor(g/eps) and the discretization
-gap, and, for commuting Hamiltonians, the energy-block law (blocks of
-gamma between windows more than 2gq apart vanish).
+Every check that ``klocal truncate``, ``klocal decompose`` and ``klocal
+verify`` report is computed here: commutator growth against
+``theorem1_rhs``, the truncated-witness error against the bound its
+``TruncationReport`` carries (``rhs``, evaluated at the exact norm of
+gamma) plus the pruning budget, the layer packing (``layer_certificate``:
+the count against k*floor(g/eps), disjointness, the per-site
+multiplicity cap and the reconstruction distance against the
+discretization gap), and, for commuting Hamiltonians, the energy-block
+law (blocks of gamma between windows more than 2gq apart vanish).  The
+concentration rows of ``klocal concentrate`` pair their values with
+their envelopes in ``concentration.concentrate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any
 
 from .bounds import BoundParams, theorem1_rhs
-from .layers import discretize, pack_layers, reconstruct
+from .layers import LayerDecomposition, discretize, pack_layers, reconstruct
 from .models import structural_constants
 from .oracle import N_MAX_OPERATOR, EigenSystem, operator_norm_exact, spectral_norm, to_dense
 from .pauli import KLocalOperator, commutator
 from .truncation import DEFAULT_PRUNE_TOL, TruncationReport, chained_truncate
 
-__all__ = ["Check", "witness_check", "verify_checks"]
+__all__ = ["Check", "witness_check", "layer_certificate", "verify_checks"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,38 @@ def witness_check(
     return Check.compare("truncated_witness", err, bound + report.pruning_budget), bound
 
 
+def layer_certificate(
+    hamiltonian: KLocalOperator, decomp: LayerDecomposition, note: str = ""
+) -> tuple[dict[str, Any], list[Check]]:
+    """Hold the layer packing ``decomp`` of ``hamiltonian`` against its
+    guarantees: at most k*floor(g/eps) layers, disjoint supports (hence
+    commuting units) within each layer, at most floor(g/eps) units on any
+    site, and a reconstruction within the discretization gap of the
+    source in norm_upper.
+
+    Returns the certificates under the keys of the ``decompose`` report,
+    and as checks with ``note`` on the reconstruction check.
+    """
+    cert = decomp.verify()
+    distance = (reconstruct(decomp) - hamiltonian).norm_upper()
+    structure_ok = cert["disjoint_ok"] and cert["multiplicity_ok"]
+    report = {
+        "layer_count": cert["layer_count"],
+        "layer_bound": cert["layer_bound"],
+        "within_layer_disjoint": cert["disjoint_ok"],
+        "within_layer_commuting": cert["disjoint_ok"],
+        "per_site_multiplicity_cap": cert["per_site_cap"],
+        "reconstruction_gap_upper": decomp.reconstruction_gap,
+        "reconstruction_vs_source_norm_upper": distance,
+    }
+    checks = [
+        Check.compare("layer_count", float(cert["layer_count"]), float(cert["layer_bound"])),
+        Check.compare("layer_reconstruction", distance, decomp.reconstruction_gap + 1e-12, note),
+        Check.compare("layer_structure", float(not structure_ok), 0.0, "" if structure_ok else str(cert)),
+    ]
+    return report, checks
+
+
 def verify_checks(
     hamiltonian: KLocalOperator,
     gamma: KLocalOperator,
@@ -104,22 +141,7 @@ def verify_checks(
         epsilon = const.g / 10.0
     if epsilon is not None:
         decomp = pack_layers(discretize(hamiltonian, epsilon, const))
-        cert = decomp.verify()
-        checks.append(
-            Check.compare("layer_count", float(cert["layer_count"]), float(cert["layer_bound"]))
-        )
-        checks.append(
-            Check.compare(
-                "layer_reconstruction",
-                (reconstruct(decomp) - hamiltonian).norm_upper(),
-                decomp.reconstruction_gap + 1e-12,
-                note=f"epsilon={epsilon}",
-            )
-        )
-        if cert["disjoint_ok"] and cert["multiplicity_ok"]:
-            checks.append(Check.compare("layer_structure", 0.0, 0.0))
-        else:
-            checks.append(Check.compare("layer_structure", 1.0, 0.0, note=str(cert)))
+        checks += layer_certificate(hamiltonian, decomp, f"epsilon={epsilon}")[1]
 
     checks.append(_energy_block_check(hamiltonian, gamma, 2.0 * const.g * q0, eig))
     return checks

@@ -41,17 +41,10 @@ from .bounds import (
     theorem1_rhs,
     topo_error_rhs,
 )
-from .certify import verify_checks, witness_check
-from .concentration import (
-    ExtensiveObservable,
-    band_matrix,
-    build_product_state,
-    fit_tail_constants,
-    tail_profile,
-    topo_error_estimate,
-)
-from .errors import DomainError, KLocalError, ResourceLimitError, ValidationError
-from .layers import discretize, pack_layers, reconstruct
+from .certify import layer_certificate, verify_checks, witness_check
+from .concentration import concentrate, topo_error_estimate
+from .errors import KLocalError, ResourceLimitError, ValidationError
+from .layers import discretize, pack_layers
 from .models import load_spec, structural_constants
 from .oracle import N_MAX_OPERATOR, N_MAX_STATE, EigenSystem
 from .pauli import KLocalOperator, PauliString
@@ -63,8 +56,6 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
-
-_MAX_INTERVALS = 1023  # the largest n with 2**n - 1 below the float maximum
 
 
 def _read_spec(path: str) -> tuple[KLocalOperator, str]:
@@ -85,10 +76,6 @@ def _config_dict(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _default_gamma(n_sites: int) -> KLocalOperator:
-    return KLocalOperator(n_sites, {PauliString.from_letters(n_sites, {0: "Z"}): 1.0 + 0j})
-
-
 def _load_gamma(args: argparse.Namespace, n_sites: int) -> tuple[KLocalOperator, str | None]:
     if getattr(args, "gamma", None):
         gamma, digest = _read_spec(args.gamma)
@@ -97,7 +84,7 @@ def _load_gamma(args: argparse.Namespace, n_sites: int) -> tuple[KLocalOperator,
                 f"gamma is on {gamma.n_sites} sites but the Hamiltonian has {n_sites}"
             )
         return gamma, digest
-    return _default_gamma(n_sites), None
+    return KLocalOperator(n_sites, {PauliString.from_letters(n_sites, {0: "Z"}): 1.0 + 0j}), None
 
 
 def _operator_nmax(args: argparse.Namespace) -> int:
@@ -120,17 +107,6 @@ def _float_list(text: str, name: str) -> list[float]:
         return [_finite_float(part) for part in text.split(",") if part != ""]
     except argparse.ArgumentTypeError:
         raise ValidationError(f"{name} must be a comma-separated list of finite numbers: {text!r}") from None
-
-
-def _light_cone_radius(params: BoundParams, t: float) -> int:
-    """r_t = 2**n - 1 at ``--t``; it must convert to a float, so n <= 1023."""
-    n = params.intervals(t)
-    if n > _MAX_INTERVALS:
-        raise DomainError(
-            f"--t {t} needs n = ceil(kappa*|t|) = {n} intervals; r_t = 2**n - 1 "
-            f"exceeds the float range above n = {_MAX_INTERVALS}"
-        )
-    return params.r_t(t)
 
 
 def _int_list(text: str, name: str) -> list[int]:
@@ -161,7 +137,7 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
         result["t"] = args.t
         result["intervals"] = params.intervals(args.t)
         result["delta_t"] = params.delta_t(args.t)
-        result["r_t"] = _light_cone_radius(params, args.t)
+        result["r_t"] = params.light_cone_radius(args.t)
     rows = [["quantity", "value"]] + [[key, value] for key, value in result.items()]
     return {"input_hash": digest, "result": result}, rows, EXIT_OK
 
@@ -268,26 +244,13 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
         if const.g <= 0:
             raise ValidationError("Hamiltonian has g = 0; pass --epsilon explicitly")
         epsilon = const.g / 10.0
-    pool = discretize(op, epsilon, const)
-    decomp = pack_layers(pool)
-    exported = decomp.to_json_dict()
-    discretized = reconstruct(decomp)
-    exported["certificates"]["reconstruction_vs_source_norm_upper"] = (
-        (discretized - op).norm_upper()
-    )
-    rows = [["layer", "sites", "paulis", "coeff_re", "coeff_im", "count"]]
-    for layer_index, layer in enumerate(exported["layers"]):
-        for entry in layer:
-            rows.append(
-                [
-                    layer_index,
-                    " ".join(str(s) for s in entry["sites"]),
-                    entry["paulis"],
-                    entry["coeff"][0],
-                    entry["coeff"][1],
-                    entry["count"],
-                ]
-            )
+    decomp = pack_layers(discretize(op, epsilon, const))
+    exported = {**decomp.to_json_dict(), "certificates": layer_certificate(op, decomp)[0]}
+    rows = [["layer", "sites", "paulis", "coeff_re", "coeff_im", "count"]] + [
+        [index, " ".join(map(str, entry["sites"])), entry["paulis"], *entry["coeff"], entry["count"]]
+        for index, layer in enumerate(exported["layers"])
+        for entry in layer
+    ]
     return {"input_hash": digest, "result": exported}, rows, EXIT_OK
 
 
@@ -318,90 +281,34 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], i
     return {"input_hash": digest, "result": result}, rows, code
 
 
-def _bloch_parent(site_states: str, n_sites: int) -> KLocalOperator:
-    """Parent one-local Hamiltonian with the product state as ground state
-    at energy -N: h_i = -(v_i . sigma_i) with unit Bloch vectors v_i."""
-    acc: dict[PauliString, complex] = {}
-    for i, ch in enumerate(site_states):
-        a, b = build_product_state(ch, 1)
-        bloch = {
-            "X": 2.0 * (np.conj(a) * b).real,
-            "Y": 2.0 * (np.conj(a) * b).imag,
-            "Z": (abs(a) ** 2 - abs(b) ** 2),
-        }
-        for letter, component in bloch.items():
-            if abs(component) > 1e-14:
-                string = PauliString.from_letters(n_sites, {i: letter})
-                acc[string] = acc.get(string, 0j) - component
-    return KLocalOperator(n_sites, acc)
-
-
 def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
     op, digest = _read_spec(args.spec)
-    n_sites = op.n_sites
     params = BoundParams.from_operator(op)
     t = args.t if args.t is not None else 0.0
-    r_t = _light_cone_radius(params, t)
     nmax = args.nmax if args.nmax is not None else N_MAX_STATE
-    state = args.state or "+" * n_sites
-    observable = ExtensiveObservable.collective(n_sites, args.axis, n_max=nmax)
-    eig = EigenSystem(op, nmax)
-    psi_0 = build_product_state(state, n_sites)
-    psi_t = eig.evolve_state(psi_0, t)
-    profile = tail_profile(psi_t, observable)
-    fitted: tuple[float, float] | None = None
-    if t > 0:
-        try:
-            fitted = fit_tail_constants(profile, params, t, n_sites)
-        except DomainError:
-            fitted = None
-
-    parent = _bloch_parent(state, n_sites)
-    parent_t = eig.evolve_operator(parent, t)
-    width = args.bin_width if args.bin_width is not None else float(r_t)
-    band = band_matrix(parent_t, observable, width, n_max=nmax)
-
-    tail_rows: list[list] = []
-    for r, tail in profile.samples:
-        if fitted is not None and fitted[1] != math.inf:
-            c1, c2 = fitted
-            bound = c1 * math.exp(-r / (c2 * r_t * math.sqrt(t * n_sites)))
-        else:
-            bound = ""
-        tail_rows.append(["tail", r, "", tail, bound])
-    band_rows: list[list] = []
-    occupied = [b for b in range(band.n_bins) if band.occupancy[b]]
-    for bx in occupied:
-        for by in occupied:
-            gap = abs(bx - by)
-            band_rows.append(
-                ["band", bx, by, band.norms[bx, by], band_rhs(params, t, n_sites, gap)]
-            )
+    state = args.state or "+" * op.n_sites
+    params.light_cone_radius(t)  # a --t without a float r_t fails before the eigendecomposition
+    found = concentrate(EigenSystem(op, nmax), params, state, t, args.axis, args.bin_width, nmax)
     result = {
         "t": t,
         "state": state,
         "axis": args.axis,
-        "mean": profile.mean,
-        "tail": [{"R": r, "tail": tail} for r, tail in profile.samples],
-        "fitted_c1": fitted[0] if fitted else None,
-        "fitted_c2": fitted[1] if fitted else None,
-        "bin_width": width,
-        "band_norms": band.norms.tolist(),
-        "band_occupancy": band.occupancy.tolist(),
+        "mean": found.profile.mean,
+        "tail": [{"R": r, "tail": tail} for r, tail in found.profile.samples],
+        "fitted_c1": found.fitted[0] if found.fitted else None,
+        "fitted_c2": found.fitted[1] if found.fitted else None,
+        "bin_width": found.band.bin_width,
+        "band_norms": found.band.norms.tolist(),
+        "band_occupancy": found.band.occupancy.tolist(),
     }
-    rows = [["kind", "a", "b", "value", "bound"]] + tail_rows + band_rows
+    rows = [["kind", "a", "b", "value", "bound"]]
+    rows += [["tail", r, "", tail, "" if curve is None else curve] for r, tail, curve in found.tails]
+    rows += [["band", *entry] for entry in found.bands]
     if args.q is not None:
         # distinguishability of the evolved state from the initial one
         # under random weight-q probes
-        probe = topo_error_estimate(psi_0, psi_t, args.q, n_samples=args.samples, seed=args.seed)
-        result["probe"] = {
-            "q": probe.q,
-            "n_samples": probe.n_samples,
-            "diag_max": probe.diag_max,
-            "cross_max": probe.cross_max,
-            "eps_hat": probe.eps_hat,
-            "eps_hat_unit": probe.eps_hat_unit,
-        }
+        probe = topo_error_estimate(found.psi_0, found.psi_t, args.q, n_samples=args.samples, seed=args.seed)
+        result["probe"] = {**asdict(probe), "eps_hat": probe.eps_hat, "eps_hat_unit": probe.eps_hat_unit}
         rows.append(["probe", probe.q, probe.n_samples, probe.eps_hat, ""])
     return {"input_hash": digest, "result": result}, rows, EXIT_OK
 

@@ -12,7 +12,9 @@ that started as a product state and evolved for a short time:
 - ``topo_error_estimate``: sampled distinguishability of two states by
   weight-q Pauli probes;
 - ``fit_tail_constants``: least-squares constants for the analytic tail
-  shape c1 * exp(-R / (c2 * r_t * sqrt(t * N))) (fitted, never asserted).
+  shape c1 * exp(-R / (c2 * r_t * sqrt(t * N))) (fitted, never asserted);
+- ``concentrate``: the ``klocal concentrate`` pipeline on one
+  eigensystem, each tail and band value beside its envelope.
 
 The spectrum of A is exact (integers in [-N, N], no eigensolver) and its
 eigenbasis is applied one site at a time, never as a 2**N x 2**N matrix,
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundParams
+from .bounds import BoundParams, band_rhs
 from .errors import DomainError, ValidationError
 from .oracle import (
     N_MAX_STATE,
@@ -48,12 +50,14 @@ __all__ = [
     "TailProfile",
     "BandMatrix",
     "TopoErrorEstimate",
+    "Concentration",
     "build_product_state",
     "evolve_product_state",
     "tail_profile",
     "band_matrix",
     "topo_error_estimate",
     "fit_tail_constants",
+    "concentrate",
 ]
 
 SPECTRAL_TOL = 1e-9
@@ -120,9 +124,6 @@ class ExtensiveObservable:
                 out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
         return out.reshape(a.shape)
 
-    def _mean(self, amps: np.ndarray) -> float:
-        return float(np.real(np.vdot(amps, self.eigenvalues * amps)))
-
 
 def build_product_state(site_states: str | Sequence, n_sites: int | None = None) -> np.ndarray:
     """Assemble a product state from named site states or 2-vectors.
@@ -171,12 +172,6 @@ class TailProfile:
     mean: float
     samples: tuple[tuple[float, float], ...]
 
-    def tail(self, r: float) -> float:
-        for rr, tt in self.samples:
-            if rr == r:
-                return tt
-        raise KeyError(f"R={r} not in the profile grid")
-
 
 def tail_profile(
     psi: np.ndarray,
@@ -196,7 +191,7 @@ def tail_profile(
         raise ValidationError("state is not normalized")
     amps = observable.to_eigenbasis(psi)
     weights = np.abs(amps) ** 2
-    mean = observable._mean(amps)
+    mean = float(np.real(np.vdot(amps, observable.eigenvalues * amps)))
     if r_grid is None:
         top = observable.n_sites
         r_grid = list(range(0, max(int(math.floor(top - mean)), 0) + 1))
@@ -216,7 +211,6 @@ class BandMatrix:
     """
 
     bin_width: float
-    anchor: float
     norms: np.ndarray
     occupancy: np.ndarray
 
@@ -235,18 +229,18 @@ def band_matrix(
 
     Bins are anchored at the bottom of the spectrum (-N) and have width
     ``bin_width``; a commuting pair (op diagonal in the A eigenbasis)
-    yields a diagonal band matrix.
+    yields a diagonal band matrix.  A width that makes more bins than the
+    2**N + 1 that fit a dense operator's size is rejected.
     """
+    n = observable.n_sites
     if bin_width <= 0:
         raise DomainError(f"bin_width must be positive, got {bin_width}")
-    dense = to_dense(op, n_max=n_max)
-    if dense.n_sites != observable.n_sites:
-        raise ValidationError(
-            f"operator on {dense.n_sites} sites, observable on {observable.n_sites}"
+    if 2 * n / bin_width >= 2**n + 1:
+        raise DomainError(
+            f"bin_width {bin_width} cuts [-{n}, {n}] into more than 2**N + 1 = {2**n + 1} bins"
         )
-    n = observable.n_sites
-    anchor = -float(n)
-    idx = np.floor((observable.eigenvalues - anchor) / bin_width + SPECTRAL_TOL).astype(int)
+    dense = to_dense(op, n_max=n_max)
+    idx = np.floor((observable.eigenvalues + n) / bin_width + SPECTRAL_TOL).astype(int)
     n_bins = int(math.floor(2 * n / bin_width)) + 1
     idx = np.clip(idx, 0, n_bins - 1)
     rotated = observable.to_eigenbasis(dense.matrix)
@@ -260,7 +254,7 @@ def band_matrix(
             if cols.size == 0:
                 continue
             norms[bx, by] = spectral_norm(rotated[np.ix_(rows, cols)])
-    return BandMatrix(bin_width=bin_width, anchor=anchor, norms=norms, occupancy=occupancy)
+    return BandMatrix(bin_width=bin_width, norms=norms, occupancy=occupancy)
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,6 @@ class TopoErrorEstimate:
 
     q: int
     n_samples: int
-    seed: int
     diag_max: float
     cross_max: float
 
@@ -320,9 +313,7 @@ def topo_error_estimate(
         cross = abs(np.vdot(psi, probe_phi))
         diag_max = max(diag_max, float(diag))
         cross_max = max(cross_max, float(cross))
-    return TopoErrorEstimate(
-        q=q, n_samples=n_samples, seed=seed, diag_max=diag_max, cross_max=cross_max
-    )
+    return TopoErrorEstimate(q=q, n_samples=n_samples, diag_max=diag_max, cross_max=cross_max)
 
 
 def fit_tail_constants(
@@ -339,7 +330,7 @@ def fit_tail_constants(
     """
     if t <= 0:
         raise DomainError(f"fit requires t > 0, got {t}")
-    scale = params.r_t(t) * math.sqrt(t * n_sites)
+    scale = params.light_cone_radius(t) * math.sqrt(t * n_sites)
     if not math.isfinite(scale):
         raise DomainError(f"r_t * sqrt(t*N) overflows at t={t}; no fit in its units")
     rs = np.array([r for r, tail in profile.samples if tail > 0.0])
@@ -356,3 +347,79 @@ def fit_tail_constants(
     c1 = float(math.exp(intercept))
     c2 = float(-1.0 / (slope * scale))
     return c1, c2
+
+
+def _bloch_parent(site_states: str, n_sites: int) -> KLocalOperator:
+    """Parent one-local Hamiltonian with the product state ``site_states``
+    (named site states only) as ground state at energy -N:
+    h_i = -(v_i . sigma_i) with unit Bloch vectors v_i."""
+    terms = {}
+    for i, ch in enumerate(site_states):
+        a, b = _NAMED_SITE_STATES[ch]
+        ab = np.conj(a) * b
+        for letter, component in zip("XYZ", (2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2)):
+            if abs(component) > 1e-14:
+                terms[PauliString.from_letters(n_sites, {i: letter})] = -component
+    return KLocalOperator(n_sites, terms)
+
+
+@dataclass(frozen=True)
+class Concentration:
+    """One evolved product state held against the concentration bounds.
+
+    ``tails`` holds (R, tail(R), fitted curve) for each sample of
+    ``profile``, the curve being None without a decaying fit; ``bands``
+    holds (x, x', ||P_x h(t) P_x'||, band_rhs) for each pair of occupied
+    bins of ``band``.
+    """
+
+    psi_0: np.ndarray
+    psi_t: np.ndarray
+    profile: TailProfile
+    fitted: tuple[float, float] | None
+    tails: tuple[tuple[float, float, float | None], ...]
+    band: BandMatrix
+    bands: tuple[tuple[int, int, float, float], ...]
+
+
+def concentrate(
+    eig: EigenSystem,
+    params: BoundParams,
+    state: str,
+    t: float,
+    axis: str = "z",
+    bin_width: float | None = None,
+    n_max: int = N_MAX_STATE,
+) -> Concentration:
+    """Evolve the product state ``state`` for time t under the Hamiltonian
+    of ``eig``, whose bound parameters are ``params``.
+
+    The tail profile of A = sum_i sigma_i^axis is fitted (for t > 0) to
+    c1 * exp(-R / (c2 * r_t * sqrt(t*N))), and the one-local parent of
+    the state, evolved to t, is cut into bins of A of width ``bin_width``
+    (default r_t).
+    """
+    n_sites = eig.n_sites
+    r_t = params.light_cone_radius(t)
+    observable = ExtensiveObservable.collective(n_sites, axis, n_max=n_max)
+    psi_0 = build_product_state(state, n_sites)
+    psi_t = eig.evolve_state(psi_0, t)
+    profile = tail_profile(psi_t, observable)
+    try:
+        fitted = fit_tail_constants(profile, params, t, n_sites)
+    except DomainError:
+        fitted = None
+    c1, c2 = fitted if fitted is not None else (math.nan, math.inf)
+    tails = tuple(
+        (r, tail, c1 * math.exp(-r / (c2 * r_t * math.sqrt(t * n_sites))) if c2 != math.inf else None)
+        for r, tail in profile.samples
+    )
+    parent_t = eig.evolve_operator(_bloch_parent(state, n_sites), t)
+    band = band_matrix(parent_t, observable, float(r_t) if bin_width is None else bin_width, n_max)
+    occupied = np.flatnonzero(band.occupancy).tolist()
+    bands = tuple(
+        (bx, by, band.norms[bx, by], band_rhs(params, t, n_sites, abs(bx - by)))
+        for bx in occupied
+        for by in occupied
+    )
+    return Concentration(psi_0, psi_t, profile, fitted, tails, band, bands)

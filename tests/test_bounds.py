@@ -56,6 +56,13 @@ class TestBoundParams:
         assert (p.g, p.k) == (3.0, 2)
         assert BoundParams.from_constants(structural_constants(tfi_chain)) == p
 
+    def test_light_cone_radius_float_range(self):
+        p = BoundParams(g=3.0, k=2)  # kappa = 288
+        assert p.light_cone_radius(0.05) == p.r_t(0.05) == 2**15 - 1
+        assert float(p.light_cone_radius(3.55)) == float(2**1023 - 1)  # n = 1023
+        with pytest.raises(DomainError, match="1152 intervals"):
+            p.light_cone_radius(4.0)
+
     def test_from_constants_clamps_k(self):
         const = structural_constants(KLocalOperator.zero(3))
         assert const.k == 0

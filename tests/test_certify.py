@@ -13,13 +13,17 @@ Each report file is the stdout of the command in ``GOLDEN_RUNS`` run
 inside ``tests/golden``, captured before the code it guards was
 restructured: the certificates moving into ``klocal.certify``; for
 ``concentrate_tfi4.json``, the dense evolution moving into one
-``EigenSystem`` per Hamiltonian; and for ``decompose_rk130.json``, the
-layers becoming operators.  Regenerate one only when its report is
-meant to change.
+``EigenSystem`` per Hamiltonian; for ``decompose_rk130.json``, the
+layers becoming operators; and for the CSV reports in ``GOLDEN_CSV``
+(the same commands with ``--format csv``), the concentrate pipeline and
+the layer certificates moving into the library.  Regenerate one only
+when its report is meant to change.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
@@ -29,6 +33,7 @@ import pytest
 
 from klocal import models
 from klocal.cli import main
+from klocal.layers import LayerDecomposition
 from klocal.oracle import EigenSystem
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,6 +53,11 @@ GOLDEN_RUNS = {
     "concentrate_tfi4.json": ["concentrate", "--spec", "tfi4.json", "--t", "0.05", "--q", "2"],
 }
 
+GOLDEN_CSV = {
+    "concentrate_tfi4.csv": GOLDEN_RUNS["concentrate_tfi4.json"],
+    "decompose_tfi4.csv": GOLDEN_RUNS["decompose_tfi4.json"],
+}
+
 CHECK_FIELDS = {"check", "lhs", "rhs", "margin", "status", "note"}
 
 
@@ -60,6 +70,15 @@ def run(capsys, monkeypatch):
         return json.loads(capsys.readouterr().out)
 
     return invoke
+
+
+def assert_rows_close(actual: list[list[str]], expected: list[list[str]]) -> None:
+    """CSV cells agree as text, or as floats to 1e-12 relative."""
+    assert len(actual) == len(expected)
+    for i, (got, want) in enumerate(zip(actual, expected)):
+        assert len(got) == len(want), f"row {i}"
+        for a, e in zip(got, want):
+            assert a == e or math.isclose(float(a), float(e), rel_tol=1e-12), f"row {i}: {a} != {e}"
 
 
 def assert_close(actual, expected, where: str = "report") -> None:
@@ -114,6 +133,15 @@ def test_golden_report(run, name):
     assert_close(run(*GOLDEN_RUNS[name]), expected)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_golden_csv_report(capsys, monkeypatch, name):
+    monkeypatch.chdir(GOLDEN)
+    assert main([*GOLDEN_CSV[name], "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    with open(GOLDEN / name, newline="") as fh:
+        assert_rows_close(rows, list(csv.reader(fh)))
+
+
 @pytest.mark.parametrize(
     "name, expected",
     # the collective observable of concentrate has a closed-form spectrum
@@ -130,6 +158,23 @@ def test_one_eigensystem_per_hamiltonian(run, monkeypatch, name, expected):
     monkeypatch.setattr(EigenSystem, "__init__", counted)
     run(*GOLDEN_RUNS[name])
     assert len(built) == expected
+
+
+@pytest.mark.parametrize(
+    "name", ["decompose_tfi4.json", "decompose_rk130.json", "verify_tfi4.json", "verify_diag5.json"]
+)
+def test_one_layer_verify_per_run(run, monkeypatch, name):
+    # layer_certificate is its one caller
+    calls = []
+    original = LayerDecomposition.verify
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LayerDecomposition, "verify", counted)
+    run(*GOLDEN_RUNS[name])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

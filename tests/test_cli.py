@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,17 @@ class TestConcentrate:
         assert code == 2
         message = json.loads(out)["error"]["message"]
         assert "--t" in message and "1152" in message
+
+    def test_bin_width_beyond_spectrum_size(self, capsys, tfi_spec):
+        # 8 / 1e-9 bins on [-4, 4]; the band array would have 8e9 rows
+        tracemalloc.start()
+        code, out = run(capsys, "concentrate", "--spec", tfi_spec, "--t", "0.002", "--bin-width", "1e-9")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert "bin_width 1e-09" in message and "2**N + 1 = 17 bins" in message
+        assert peak < 2**20
 
     def test_fit_skipped_when_its_scale_overflows(self, capsys, tfi_spec):
         # n = 1023 gives a finite r_t, but r_t * sqrt(t*N) overflows

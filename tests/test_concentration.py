@@ -168,10 +168,10 @@ class TestTailProfile:
         a = ExtensiveObservable.collective(5, "z")
         profile = tail_profile(psi, a, r_grid=[0.0, 1.0, 2.0])
         assert profile.mean == pytest.approx(5.0)
-        assert profile.tail(0.0) == pytest.approx(1.0)
+        (r0, tail0), *above = profile.samples
+        assert r0 == 0.0 and tail0 == pytest.approx(1.0)
         # any R >= 1 exceeds the top of the spectrum
-        assert profile.tail(1.0) == 0.0
-        assert profile.tail(2.0) == 0.0
+        assert above == [(1.0, 0.0), (2.0, 0.0)]
 
     def test_binomial_reference(self):
         # |+>^N with A = sum Z: tail(R)^2 = binomial upper tail
@@ -231,6 +231,14 @@ class TestBandMatrix:
         op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 1.0})
         with pytest.raises(DomainError):
             band_matrix(op, a, 0.0)
+
+    def test_bin_count_capped_at_spectrum_size(self):
+        # 2 sites: at most 2**2 + 1 = 5 bins on [-2, 2]
+        a = ExtensiveObservable.collective(2, "z")
+        op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 1.0})
+        assert band_matrix(op, a, 0.81).n_bins == 5
+        with pytest.raises(DomainError, match="bin_width 0.8 "):
+            band_matrix(op, a, 0.8)  # floor(4 / 0.8) + 1 = 6 bins
 
 
 class TestTopoProbes:
@@ -293,3 +301,10 @@ class TestTailFit:
         params = BoundParams(g=1.0, k=2)
         with pytest.raises(DomainError):
             fit_tail_constants(profile, params, 0.0, 3)
+
+    def test_light_cone_beyond_float_range(self):
+        # kappa = 288 and t = 4 give n = 1152 intervals, whose r_t has no
+        # float: a DomainError, not a bare OverflowError
+        profile = tail_profile(build_product_state("++++"), ExtensiveObservable.collective(4, "z"))
+        with pytest.raises(DomainError, match="1152 intervals"):
+            fit_tail_constants(profile, BoundParams(3.0, 2), 4.0, 4)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from klocal.certify import layer_certificate
 from klocal.errors import DomainError, ValidationError
 from klocal.layers import discretize, pack_layers, reconstruct
 from klocal.models import build_model, structural_constants
@@ -126,8 +127,10 @@ class TestPackLayers:
         h = chain_hamiltonian()
         decomp = pack_layers(discretize(h, 0.5, structural_constants(h)))
         doc = decomp.to_json_dict()
-        assert set(doc) == {"n_sites", "epsilon", "layers", "certificates"}
-        cert = doc["certificates"]
+        assert set(doc) == {"n_sites", "epsilon", "layers"}
+        # the decompose report adds the certificates from klocal.certify
+        cert, checks = layer_certificate(h, decomp)
+        assert all(check.status == "pass" for check in checks)
         assert cert["layer_count"] == decomp.layer_count
         assert cert["layer_count"] <= cert["layer_bound"]
         assert cert["within_layer_disjoint"] and cert["within_layer_commuting"]

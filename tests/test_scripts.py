@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import io
+import json
+import math
 from pathlib import Path
 
 import pytest
 
+from klocal.cli import main
+from klocal.models import build_model, spec_from_operator
 from klocal.oracle import DenseOperator
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -92,3 +97,27 @@ def test_script_writes_csv(tmp_path, name, argv, outputs):
         assert header == want_header
         assert len(rows) == want_rows
         assert all(len(row) == len(header) for row in rows)
+
+
+def test_concentration_tails_rows_match_concentrate(tmp_path, capsys):
+    # the script and `klocal concentrate` on the same chain at the same t:
+    # (R, tail, fitted curve) and (x, x', norm, bound) agree
+    _run("concentration_tails", "--t-fracs", "0.5", "--out-prefix", str(tmp_path / "conc"))
+    _, tails = _read(tmp_path / "conc_tails.csv")
+    _, bands = _read(tmp_path / "conc_bands.csv")
+    chain = build_model(
+        "long_range_ising", {"n_sites": N_SITES, "alpha": math.inf, "coupling": 1.0, "field": 1.0}
+    )
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps(spec_from_operator(chain)))
+    capsys.readouterr()
+    assert main(["concentrate", "--spec", str(spec), "--t", tails[0][0], "--format", "csv"]) == 0
+    _, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    cli_tails = [[r, tail, curve] for kind, r, _, tail, curve in rows if kind == "tail"]
+    cli_bands = [row[1:] for row in rows if row[0] == "band"]
+    for got, want in [(cli_tails, [row[1:] for row in tails]), (cli_bands, [row[1:] for row in bands])]:
+        assert len(got) == len(want) > 0
+        for got_row, want_row in zip(got, want):
+            assert len(got_row) == len(want_row)
+            for a, e in zip(got_row, want_row):
+                assert a == e or math.isclose(float(a), float(e), rel_tol=1e-12, abs_tol=1e-15), (a, e)

@@ -23,6 +23,17 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 SPANS = {
+    "concentrate_tfi4.json": {
+        "concentration.tail_profile",
+        "concentration.band_matrix",
+        "concentration.observable",
+        "oracle.eigh",
+    },
+    "decompose_tfi4.json": {
+        "layers.discretize",
+        "layers.pack_layers",
+        "layers.verify",
+    },
     "truncate_small_time.json": {
         "truncation.hadamard",
         "pauli.commutator",
