@@ -287,8 +287,7 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
     t = args.t if args.t is not None else 0.0
     nmax = args.nmax if args.nmax is not None else N_MAX_STATE
     state = args.state or "+" * op.n_sites
-    params.light_cone_radius(t)  # a --t without a float r_t fails before the eigendecomposition
-    found = concentrate(EigenSystem(op, nmax), params, state, t, args.axis, args.bin_width, nmax)
+    found = concentrate(op, params, state, t, args.axis, args.bin_width, nmax)
     result = {
         "t": t,
         "state": state,

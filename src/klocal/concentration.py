@@ -13,8 +13,8 @@ that started as a product state and evolved for a short time:
   weight-q Pauli probes;
 - ``fit_tail_constants``: least-squares constants for the analytic tail
   shape c1 * exp(-R / (c2 * r_t * sqrt(t * N))) (fitted, never asserted);
-- ``concentrate``: the ``klocal concentrate`` pipeline on one
-  eigensystem, each tail and band value beside its envelope.
+- ``concentrate``: the ``klocal concentrate`` pipeline, each tail and
+  band value beside its envelope.
 
 The spectrum of A is exact (integers in [-N, N], no eigensolver) and its
 eigenbasis is applied one site at a time, never as a 2**N x 2**N matrix,
@@ -34,10 +34,12 @@ import numpy as np
 from .bounds import BoundParams, band_rhs
 from .errors import DomainError, ValidationError
 from .oracle import (
+    _HERMITIAN_TOL,
     N_MAX_STATE,
     DenseOperator,
     EigenSystem,
     _check_sites,
+    _pauli_action,
     apply_pauli_string,
     spectral_norm,
     to_dense,
@@ -155,14 +157,34 @@ def build_product_state(site_states: str | Sequence, n_sites: int | None = None)
 
 
 def evolve_product_state(
-    hamiltonian: KLocalOperator | DenseOperator,
+    hamiltonian: KLocalOperator,
     site_states: str | Sequence,
     t: float,
     n_max: int = N_MAX_STATE,
 ) -> np.ndarray:
-    """exp(-iHt) applied to a product state, exactly."""
-    eig = EigenSystem(hamiltonian, n_max)
-    return eig.evolve_state(build_product_state(site_states, n_sites=eig.n_sites), t)
+    """exp(-iHt) applied to a product state, without a 2**N x 2**N matrix:
+    a Taylor series of order 18 in ceil(|t| * norm_upper) substeps tau, so
+    ||H tau|| <= 1 and each substep's remainder is at most e/19! < 2.2e-17.
+    """
+    h = hamiltonian
+    if not h.is_hermitian(tol=_HERMITIAN_TOL * max(1.0, np.max(h.magnitudes, initial=0.0))):
+        raise ValidationError("Hamiltonian must be Hermitian for evolution")
+    _check_sites(h.n_sites, n_max, "statevector")
+    psi = build_product_state(site_states, n_sites=h.n_sites)
+    # (H psi)[j] = sum over X masks x of d_x[j ^ x] psi[j ^ x], where d_x sums
+    # the signed diagonals of the strings with X mask x (all in word 0)
+    masks, group = np.unique(h.x[:, 0], return_inverse=True)
+    sources = np.arange(psi.size, dtype=np.uint64) ^ masks[:, None]
+    diagonals = np.zeros(sources.shape, dtype=complex)
+    for g, x, z, c in zip(group.tolist(), h.x[:, 0].tolist(), h.z[:, 0].tolist(), h.coeff.real.tolist()):
+        diagonals[g] += c * _pauli_action(h.n_sites, x, z)[1][sources[g]]
+    steps = math.ceil(abs(t) * h.norm_upper())
+    for _ in range(steps):
+        term = psi
+        for order in range(1, 19):
+            term = (-1j * t / (steps * order)) * np.sum(diagonals * term[sources], axis=0)
+            psi = psi + term
+    return psi
 
 
 @dataclass(frozen=True)
@@ -181,8 +203,8 @@ def tail_profile(
     """Tail weights of ``observable`` in state ``psi``.
 
     The default grid is integer offsets 0, 1, ..., up to the distance
-    from ceil(<A>) to the top of the spectrum at N.  Projector membership
-    uses the spectral tolerance, so exact integer spectra behave exactly.
+    from <A> to the top of the spectrum at N.  Its end and projector
+    membership use the spectral tolerance, so exact spectra behave exactly.
     """
     dim = 2**observable.n_sites
     if psi.shape != (dim,):
@@ -193,8 +215,7 @@ def tail_profile(
     weights = np.abs(amps) ** 2
     mean = float(np.real(np.vdot(amps, observable.eigenvalues * amps)))
     if r_grid is None:
-        top = observable.n_sites
-        r_grid = list(range(0, max(int(math.floor(top - mean)), 0) + 1))
+        r_grid = list(range(0, max(int(math.floor(observable.n_sites - mean + SPECTRAL_TOL)), 0) + 1))
     samples = []
     for r in r_grid:
         mask = observable.eigenvalues >= mean + r - SPECTRAL_TOL
@@ -219,6 +240,16 @@ class BandMatrix:
         return self.norms.shape[0]
 
 
+def _bin_count(n: int, bin_width: float) -> int:
+    """Number of bins of width ``bin_width`` that cover [-N, N]."""
+    if bin_width <= 0 or 2 * n / bin_width >= 2**n + 1:
+        raise DomainError(
+            f"bin_width {bin_width} must be positive and cut [-{n}, {n}] "
+            f"into at most 2**N + 1 = {2**n + 1} bins"
+        )
+    return int(math.floor(2 * n / bin_width)) + 1
+
+
 def band_matrix(
     op: KLocalOperator | DenseOperator,
     observable: ExtensiveObservable,
@@ -233,26 +264,17 @@ def band_matrix(
     2**N + 1 that fit a dense operator's size is rejected.
     """
     n = observable.n_sites
-    if bin_width <= 0:
-        raise DomainError(f"bin_width must be positive, got {bin_width}")
-    if 2 * n / bin_width >= 2**n + 1:
-        raise DomainError(
-            f"bin_width {bin_width} cuts [-{n}, {n}] into more than 2**N + 1 = {2**n + 1} bins"
-        )
+    n_bins = _bin_count(n, bin_width)
     dense = to_dense(op, n_max=n_max)
     idx = np.floor((observable.eigenvalues + n) / bin_width + SPECTRAL_TOL).astype(int)
-    n_bins = int(math.floor(2 * n / bin_width)) + 1
     idx = np.clip(idx, 0, n_bins - 1)
     rotated = observable.to_eigenbasis(dense.matrix)
     norms = np.zeros((n_bins, n_bins))
     members = [np.flatnonzero(idx == b) for b in range(n_bins)]
     occupancy = np.array([rows.size > 0 for rows in members])
-    for bx, rows in enumerate(members):
-        if rows.size == 0:
-            continue
-        for by, cols in enumerate(members):
-            if cols.size == 0:
-                continue
+    occupied = [(b, rows) for b, rows in enumerate(members) if rows.size]
+    for bx, rows in occupied:
+        for by, cols in occupied:
             norms[bx, by] = spectral_norm(rotated[np.ix_(rows, cols)])
     return BandMatrix(bin_width=bin_width, norms=norms, occupancy=occupancy)
 
@@ -383,7 +405,7 @@ class Concentration:
 
 
 def concentrate(
-    eig: EigenSystem,
+    hamiltonian: KLocalOperator,
     params: BoundParams,
     state: str,
     t: float,
@@ -391,19 +413,20 @@ def concentrate(
     bin_width: float | None = None,
     n_max: int = N_MAX_STATE,
 ) -> Concentration:
-    """Evolve the product state ``state`` for time t under the Hamiltonian
-    of ``eig``, whose bound parameters are ``params``.
+    """Evolve the product state ``state`` for time t under ``hamiltonian``,
+    whose bound parameters are ``params``.
 
     The tail profile of A = sum_i sigma_i^axis is fitted (for t > 0) to
-    c1 * exp(-R / (c2 * r_t * sqrt(t*N))), and the one-local parent of
+    c1 * exp(-R / (c2 * r_t * sqrt(t*N))), and the one-local parent h of
     the state, evolved to t, is cut into bins of A of width ``bin_width``
-    (default r_t).
+    (default r_t); a single bin is ||U h U+|| = ||h|| = N without evolving h.
     """
-    n_sites = eig.n_sites
+    n_sites = hamiltonian.n_sites
     r_t = params.light_cone_radius(t)
+    width = float(r_t) if bin_width is None else bin_width
     observable = ExtensiveObservable.collective(n_sites, axis, n_max=n_max)
     psi_0 = build_product_state(state, n_sites)
-    psi_t = eig.evolve_state(psi_0, t)
+    psi_t = evolve_product_state(hamiltonian, state, t, n_max)
     profile = tail_profile(psi_t, observable)
     try:
         fitted = fit_tail_constants(profile, params, t, n_sites)
@@ -414,8 +437,12 @@ def concentrate(
         (r, tail, c1 * math.exp(-r / (c2 * r_t * math.sqrt(t * n_sites))) if c2 != math.inf else None)
         for r, tail in profile.samples
     )
-    parent_t = eig.evolve_operator(_bloch_parent(state, n_sites), t)
-    band = band_matrix(parent_t, observable, float(r_t) if bin_width is None else bin_width, n_max)
+    if _bin_count(n_sites, width) > 1:
+        parent_t = EigenSystem(hamiltonian, n_max).evolve_operator(_bloch_parent(state, n_sites), t)
+        band = band_matrix(parent_t, observable, width, n_max)
+    else:
+        # h is a sum of N commuting terms -v_i . sigma_i with unit Bloch vectors
+        band = BandMatrix(width, np.array([[float(n_sites)]]), np.array([True]))
     occupied = np.flatnonzero(band.occupancy).tolist()
     bands = tuple(
         (bx, by, band.norms[bx, by], band_rhs(params, t, n_sites, abs(bx - by)))

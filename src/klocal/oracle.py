@@ -16,7 +16,6 @@ Conventions (shared with :mod:`klocal.concentration`):
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
 
 N_MAX_OPERATOR = 8
 N_MAX_STATE = 12
-_POWER_TOL = 1e-10  # relative change of the estimate that ends power iteration
 _HERMITIAN_TOL = 1e-10  # anti-Hermitian part, relative to the largest entry, that eigh accepts
 
 # Rows map a flattened per-site 2x2 block [B00, B01, B10, B11] to the
@@ -145,28 +143,12 @@ def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value; exact decomposition below dimension 256,
-    power iteration (with exact fallback) above."""
+    """Largest singular value, exactly: ``svd`` up to dimension 256, and
+    above it ``eigvalsh`` for exactly Hermitian input, ``svd`` otherwise."""
     if min(mat.shape) == 0:
         return 0.0
-    if max(mat.shape) <= 256:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    rng = np.random.default_rng(17)
-    v = rng.standard_normal(mat.shape[1]) + 1j * rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    herm = mat.conj().T
-    last = 0.0
-    for _ in range(10000):
-        w = herm @ (mat @ v)
-        s2 = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        est = math.sqrt(max(s2, 0.0))
-        if abs(est - last) <= _POWER_TOL * max(est, 1.0):
-            return est
-        last = est
+    if max(mat.shape) > 256 and mat.shape[0] == mat.shape[1] and np.array_equal(mat, mat.conj().T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
@@ -195,20 +177,11 @@ class EigenSystem:
             raise ValidationError(f"operators on {self.n_sites} and {op.n_sites} sites")
         return to_dense(op, n_max=self.n_sites).matrix
 
-    def unitary(self, t: float) -> np.ndarray:
-        """exp(-i H t)."""
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
-
     def evolve_operator(self, gamma: KLocalOperator | DenseOperator, t: float) -> DenseOperator:
         """Heisenberg picture gamma(t) = exp(-iHt) gamma exp(+iHt), exactly."""
-        u = self.unitary(t)
+        u = (self.eigenvectors * np.exp(-1j * self.eigenvalues * t)) @ self.eigenvectors.conj().T
         left = u @ self._matrix(gamma)
         return DenseOperator(self.n_sites, left @ np.conjugate(u, out=u).T)
-
-    def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
-        amps = self.eigenvectors.conj().T @ psi
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * amps)
 
     def block_norm(self, gamma: KLocalOperator | DenseOperator, e_lo: float, e_hi: float) -> float:
         """Norm of the off-diagonal energy block P_{>= e_hi} gamma P_{<= e_lo}.

@@ -53,6 +53,13 @@ GOLDEN_RUNS = {
     "concentrate_tfi4.json": ["concentrate", "--spec", "tfi4.json", "--t", "0.05", "--q", "2"],
 }
 
+# golden commands and variants without a report file of their own
+RUNS = {
+    **GOLDEN_RUNS,
+    # r_t = 32767 > 2N leaves concentrate_tfi4 one bin; width 1 gives N + 1
+    "concentrate_tfi4_bins": [*GOLDEN_RUNS["concentrate_tfi4.json"], "--bin-width", "1"],
+}
+
 GOLDEN_CSV = {
     "concentrate_tfi4.csv": GOLDEN_RUNS["concentrate_tfi4.json"],
     "decompose_tfi4.csv": GOLDEN_RUNS["decompose_tfi4.json"],
@@ -145,7 +152,14 @@ def test_golden_csv_report(capsys, monkeypatch, name):
 @pytest.mark.parametrize(
     "name, expected",
     # the collective observable of concentrate has a closed-form spectrum
-    [("verify_diag5.json", 1), ("truncate_chained.json", 1), ("concentrate_tfi4.json", 1)],
+    # and its state evolves without one; at r_t > 2N one bin holds the whole
+    # spectrum, so only a narrower bin width needs the evolved parent
+    [
+        ("verify_diag5.json", 1),
+        ("truncate_chained.json", 1),
+        ("concentrate_tfi4.json", 0),
+        ("concentrate_tfi4_bins", 1),
+    ],
 )
 def test_one_eigensystem_per_hamiltonian(run, monkeypatch, name, expected):
     built = []
@@ -156,7 +170,7 @@ def test_one_eigensystem_per_hamiltonian(run, monkeypatch, name, expected):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(EigenSystem, "__init__", counted)
-    run(*GOLDEN_RUNS[name])
+    run(*RUNS[name])
     assert len(built) == expected
 
 

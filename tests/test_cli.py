@@ -249,6 +249,14 @@ class TestConcentrate:
         )
         assert json.loads(other)["result"]["probe"] != report["result"]["probe"]
 
+    def test_non_hermitian_spec_exit_code(self, capsys, tmp_path):
+        spec = {"n_sites": 2, "terms": [{"sites": [0, 1], "paulis": "XZ", "coeff": [1.0, 0.5]}]}
+        path = tmp_path / "non_hermitian.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(capsys, "concentrate", "--spec", str(path), "--t", "0.1")
+        assert code == 2
+        assert "Hermitian" in json.loads(out)["error"]["message"]
+
     def test_light_cone_radius_beyond_float_range(self, capsys, tfi_spec):
         # kappa = 288, so n = ceil(288 * 4) = 1152 intervals
         code, out = run(capsys, "concentrate", "--spec", tfi_spec, "--t", "4")

@@ -15,6 +15,7 @@ from klocal.concentration import (
     TailProfile,
     band_matrix,
     build_product_state,
+    concentrate,
     evolve_product_state,
     fit_tail_constants,
     tail_profile,
@@ -22,8 +23,25 @@ from klocal.concentration import (
 )
 from klocal.errors import DomainError, ResourceLimitError, ValidationError
 from klocal.models import build_model
-from klocal.oracle import to_dense
+from klocal.oracle import DenseOperator, EigenSystem, to_dense
 from klocal.pauli import KLocalOperator, PauliString
+
+from conftest import random_pauli_string
+
+
+def _random_hamiltonian(rng: np.random.Generator, n_sites: int, real: bool) -> KLocalOperator:
+    """3 * n_sites random terms of weight <= 3; ``real`` keeps only strings
+    with an even number of Y letters, whose matrices are real."""
+    terms = {}
+    while len(terms) < 3 * n_sites:
+        string = random_pauli_string(rng, n_sites, 3)
+        if not real or (string.x_mask & string.z_mask).bit_count() % 2 == 0:
+            terms[string] = rng.uniform(-1.0, 1.0)
+    return KLocalOperator(n_sites, terms)
+
+
+def _named_states(rng: np.random.Generator, n_sites: int) -> str:
+    return "".join(rng.choice(list("01+-rl"), size=n_sites))
 
 
 class TestProductStates:
@@ -62,6 +80,39 @@ class TestProductStates:
         expected[0] = 1 / math.sqrt(2)
         expected[3] = -1j / math.sqrt(2)
         np.testing.assert_allclose(psi, expected, atol=1e-12)
+
+
+class TestStateEvolution:
+    """The Taylor-series evolver against exp(-iHt) from a dense eigh."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("n_sites", [2, 5, 8])
+    def test_matches_dense_eigh(self, rng, n_sites, real):
+        h = _random_hamiltonian(rng, n_sites, real)
+        matrix = to_dense(h).matrix
+        assert np.any(matrix.imag != 0) != real
+        values, vectors = np.linalg.eigh(matrix)
+        states = _named_states(rng, n_sites)
+        amps = vectors.conj().T @ build_product_state(states, n_sites)
+        # t * norm_upper runs from 0 to a few hundred substeps
+        for t in (0.0, 0.01, -0.4, 3.0, 20.0):
+            expected = vectors @ (np.exp(-1j * values * t) * amps)
+            got = evolve_product_state(h, states, t)
+            assert np.max(np.abs(got - expected)) < 1e-12, t
+
+    def test_zero_time_is_the_product_state(self, rng):
+        h = _random_hamiltonian(rng, 4, real=False)
+        assert np.array_equal(evolve_product_state(h, "0+r1", 0.0), build_product_state("0+r1", 4))
+
+    def test_non_hermitian_rejected(self):
+        h = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 1.0 + 0.5j})
+        with pytest.raises(ValidationError, match="Hermitian"):
+            evolve_product_state(h, "00", 0.1)
+
+    def test_resource_limit(self):
+        h = build_model("product_field", {"n_sites": 13, "axis": "z"})
+        with pytest.raises(ResourceLimitError):
+            evolve_product_state(h, "0" * 13, 0.1)
 
 
 # Columns: the +1 and the -1 eigenvector of each letter, the dense reference
@@ -195,6 +246,18 @@ class TestTailProfile:
         assert c2 == math.inf
         assert c1 == math.exp(math.log(tail))
 
+    @pytest.mark.parametrize("shift", [6e-17, -6e-17])
+    def test_grid_end_ignores_the_sign_of_a_rounding_level_mean(self, shift):
+        # |+>^4 with 6e-17 of weight moved between the all-ones state
+        # (A = -4) and the all-zeros state (A = +4): <A> is +-5e-16, and the
+        # grid still ends at R = 4 as it does for <A> = 0
+        weights = np.full(16, 1 / 16)
+        weights[0] += shift
+        weights[15] -= shift
+        profile = tail_profile(np.sqrt(weights).astype(complex), ExtensiveObservable.collective(4, "z"))
+        assert 0 < profile.mean * np.sign(shift) < 1e-15
+        assert [r for r, _ in profile.samples] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
     def test_monotone_non_increasing(self):
         psi = evolve_product_state(
             build_model("long_range_ising", {"n_sites": 6, "alpha": math.inf, "coupling": 1.0, "field": 1.0}),
@@ -239,6 +302,27 @@ class TestBandMatrix:
         assert band_matrix(op, a, 0.81).n_bins == 5
         with pytest.raises(DomainError, match="bin_width 0.8 "):
             band_matrix(op, a, 0.8)  # floor(4 / 0.8) + 1 = 6 bins
+
+
+class TestConcentrate:
+    @pytest.mark.parametrize("n_sites", [4, 5, 6])
+    def test_single_bin_row_is_the_parent_norm(self, rng, n_sites):
+        h = _random_hamiltonian(rng, n_sites, real=False)
+        params = BoundParams.from_operator(h)
+        t = 4.5 / params.kappa  # 5 intervals: r_t = 31 > 2N, one bin
+        states = _named_states(rng, n_sites)
+        found = concentrate(h, params, states, t)
+        # the parent: 1 - 2|phi_i><phi_i| on each site i (site 0 is the last
+        # Kronecker factor), evolved densely
+        parent = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+        for i, v in enumerate(map(build_product_state, states)):
+            site = np.eye(2) - 2 * np.outer(v, v.conj())
+            parent += np.kron(np.kron(np.eye(2 ** (n_sites - 1 - i)), site), np.eye(2**i))
+        evolved = EigenSystem(h, n_sites).evolve_operator(DenseOperator(n_sites, parent), t)
+        reference = float(np.max(np.abs(np.linalg.eigvalsh(evolved.matrix))))
+        assert found.band.norms.tolist() == [[float(n_sites)]]
+        assert found.band.occupancy.tolist() == [True]
+        assert found.bands[0][2] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestTopoProbes:

@@ -99,13 +99,25 @@ class TestNorms:
             assert operator_norm_exact(op) <= op.norm_upper() + 1e-12
 
     def test_spectral_norm_paths_agree(self, rng):
-        # small matrices use SVD; force the power-iteration path too
+        # small matrices use SVD; force the path above dimension 256 too
         m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         reference = np.linalg.norm(m, ord=2)
         assert spectral_norm(m) == pytest.approx(reference)
         big = np.zeros((300, 300), dtype=complex)
         big[:40, :40] = m
         assert spectral_norm(big) == pytest.approx(reference, rel=1e-8)
+
+    def test_spectral_norm_exact_for_close_top_values(self, rng):
+        # singular values 10 and 9.99: a power iteration that stopped on a
+        # 1e-10 relative change returned 9.99999975 here
+        q, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+        m = (q * np.concatenate([[10.0, 9.99], rng.uniform(0.0, 9.0, 298)])) @ q.T
+        assert spectral_norm(m) == pytest.approx(10.0, rel=1e-12)
+
+    def test_spectral_norm_hermitian_above_256(self, rng):
+        a = rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+        h = (a + a.conj().T) / 2
+        assert spectral_norm(h) == pytest.approx(np.linalg.norm(h, 2), rel=1e-12)
 
 
 class TestEvolution:

@@ -380,7 +380,9 @@ class TestCommutator:
     @given(operators(3), operators(3))
     @settings(max_examples=60)
     def test_antisymmetry(self, a, b):
-        assert commutator(a, b) == -commutator(b, a)
+        # the two sides merge their pair products in different orders, so a
+        # coefficient can differ in its last bit
+        assert (commutator(a, b) + commutator(b, a)).norm_upper() == pytest.approx(0.0, abs=1e-9)
 
     @given(operators(3, max_terms=3), operators(3, max_terms=3), operators(3, max_terms=3))
     @settings(max_examples=40, deadline=None)

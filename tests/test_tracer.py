@@ -17,16 +17,20 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_certify import GOLDEN, GOLDEN_RUNS
+from test_certify import GOLDEN, RUNS
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 SPANS = {
     "concentrate_tfi4.json": {
+        "concentration.evolve_state",
         "concentration.tail_profile",
-        "concentration.band_matrix",
         "concentration.observable",
+    },
+    "concentrate_tfi4_bins": {
+        "concentration.evolve_state",
+        "concentration.band_matrix",
         "oracle.eigh",
     },
     "decompose_tfi4.json": {
@@ -63,9 +67,9 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", sorted(SPANS))
 def test_traced_run_matches_and_counts(tmp_path, name):
-    plain = _python("-m", "klocal.cli", *GOLDEN_RUNS[name])
+    plain = _python("-m", "klocal.cli", *RUNS[name])
     trace = tmp_path / "trace.json"
-    traced = _python(str(TRACER), str(trace), "cli", *GOLDEN_RUNS[name])
+    traced = _python(str(TRACER), str(trace), "cli", *RUNS[name])
     assert traced.returncode == plain.returncode == 0, traced.stderr.decode()
     assert traced.stdout == plain.stdout
     spans = json.loads(trace.read_text())["spans"]
