@@ -56,7 +56,7 @@ GOLDEN_RUNS = {
 # golden commands and variants without a report file of their own
 RUNS = {
     **GOLDEN_RUNS,
-    # r_t = 32767 > 2N leaves concentrate_tfi4 one bin; width 1 gives N + 1
+    # r_t = 32767 > 2N leaves concentrate_tfi4 one bin; width 1 gives 2N + 1
     "concentrate_tfi4_bins": [*GOLDEN_RUNS["concentrate_tfi4.json"], "--bin-width", "1"],
 }
 
