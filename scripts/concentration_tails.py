@@ -20,6 +20,7 @@ import sys
 from klocal.bounds import BoundParams
 from klocal.concentration import concentrate
 from klocal.models import build_model
+from klocal.oracle import EigenSystem
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,6 +37,8 @@ def main(argv: list[str] | None = None) -> int:
         {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.0},
     )
     params = BoundParams.from_operator(h)
+    # r_t = 1 for t <= 1/kappa splits the bins, so every time evolves the parent
+    eig = EigenSystem(h, n_max=n)
     fracs = [float(x) for x in args.t_fracs.split(",")]
 
     tails_path = f"{args.out_prefix}_tails.csv"
@@ -47,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         band_writer.writerow(["t", "x", "x_prime", "norm", "bound"])
         for frac in fracs:
             t = frac / params.kappa
-            found = concentrate(h, params, "+" * n, t, n_max=n)
+            found = concentrate(h, params, "+" * n, t, n_max=n, eigensystem=eig)
             for r, tail, curve in found.tails:
                 tail_writer.writerow([t, r, tail, math.nan if curve is None else curve])
             for entry in found.bands:

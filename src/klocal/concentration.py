@@ -164,9 +164,10 @@ def evolve_product_state(
 ) -> np.ndarray:
     """exp(-iHt) applied to a product state, without a 2**N x 2**N matrix:
     a Taylor series of order 18 in ceil(|t| * norm_upper) substeps tau, so
-    ||H tau|| <= 1 and each substep's remainder is at most e/19! < 2.2e-17.
-    """
+    ||H tau|| <= 1 and each substep's remainder is at most e/19! < 2.2e-17."""
     h = hamiltonian
+    if not isinstance(h, KLocalOperator):
+        raise ValidationError(f"need a KLocalOperator to evolve, got {type(h).__name__}")
     if not h.is_hermitian(tol=_HERMITIAN_TOL * max(1.0, np.max(h.magnitudes, initial=0.0))):
         raise ValidationError("Hamiltonian must be Hermitian for evolution")
     _check_sites(h.n_sites, n_max, "statevector")
@@ -412,6 +413,7 @@ def concentrate(
     axis: str = "z",
     bin_width: float | None = None,
     n_max: int = N_MAX_STATE,
+    eigensystem: EigenSystem | None = None,
 ) -> Concentration:
     """Evolve the product state ``state`` for time t under ``hamiltonian``,
     whose bound parameters are ``params``.
@@ -420,6 +422,7 @@ def concentrate(
     c1 * exp(-R / (c2 * r_t * sqrt(t*N))), and the one-local parent h of
     the state, evolved to t, is cut into bins of A of width ``bin_width``
     (default r_t); a single bin is ||U h U+|| = ||h|| = N without evolving h.
+    More bins evolve h on ``eigensystem``, built from ``hamiltonian`` if None.
     """
     n_sites = hamiltonian.n_sites
     r_t = params.light_cone_radius(t)
@@ -438,7 +441,8 @@ def concentrate(
         for r, tail in profile.samples
     )
     if _bin_count(n_sites, width) > 1:
-        parent_t = EigenSystem(hamiltonian, n_max).evolve_operator(_bloch_parent(state, n_sites), t)
+        eig = eigensystem or EigenSystem(hamiltonian, n_max)
+        parent_t = eig.evolve_operator(_bloch_parent(state, n_sites), t)
         band = band_matrix(parent_t, observable, width, n_max)
     else:
         # h is a sum of N commuting terms -v_i . sigma_i with unit Bloch vectors

@@ -143,12 +143,9 @@ def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value, exactly: ``svd`` up to dimension 256, and
-    above it ``eigvalsh`` for exactly Hermitian input, ``svd`` otherwise."""
+    """Largest singular value, exactly, by ``svd`` at every size."""
     if min(mat.shape) == 0:
         return 0.0
-    if max(mat.shape) > 256 and mat.shape[0] == mat.shape[1] and np.array_equal(mat, mat.conj().T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 

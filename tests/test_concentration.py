@@ -114,6 +114,11 @@ class TestStateEvolution:
         with pytest.raises(ResourceLimitError):
             evolve_product_state(h, "0" * 13, 0.1)
 
+    def test_dense_operator_rejected(self):
+        h = to_dense(build_model("product_field", {"n_sites": 2, "axis": "z"}))
+        with pytest.raises(ValidationError, match="KLocalOperator"):
+            evolve_product_state(h, "00", 0.1)
+
 
 # Columns: the +1 and the -1 eigenvector of each letter, the dense reference
 # for ExtensiveObservable's factored eigenbasis.
@@ -323,6 +328,15 @@ class TestConcentrate:
         assert found.band.norms.tolist() == [[float(n_sites)]]
         assert found.band.occupancy.tolist() == [True]
         assert found.bands[0][2] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_given_eigensystem_gives_the_same_rows(self, rng):
+        h = _random_hamiltonian(rng, 4, real=True)
+        params = BoundParams.from_operator(h)
+        own = concentrate(h, params, "+0r1", 0.3, bin_width=1.0)
+        shared = concentrate(h, params, "+0r1", 0.3, bin_width=1.0, eigensystem=EigenSystem(h))
+        assert own.band.n_bins == 9
+        assert shared.bands == own.bands
+        assert shared.tails == own.tails
 
 
 class TestTopoProbes:

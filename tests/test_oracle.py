@@ -99,7 +99,7 @@ class TestNorms:
             assert operator_norm_exact(op) <= op.norm_upper() + 1e-12
 
     def test_spectral_norm_paths_agree(self, rng):
-        # small matrices use SVD; force the path above dimension 256 too
+        # zero padding past dimension 256 leaves the norm as it was
         m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         reference = np.linalg.norm(m, ord=2)
         assert spectral_norm(m) == pytest.approx(reference)

@@ -18,7 +18,7 @@ import pytest
 
 from klocal.cli import main
 from klocal.models import build_model, spec_from_operator
-from klocal.oracle import DenseOperator
+from klocal.oracle import DenseOperator, EigenSystem
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 N_SITES = 4
@@ -87,6 +87,23 @@ def test_spreading_profile_transforms_each_operator_once(tmp_path, monkeypatch):
     assert len(calls) == 4
     _, rows = _read(tmp_path / "s.csv")
     assert len(rows) == 4 * 8
+
+
+def test_concentration_tails_builds_one_eigensystem(tmp_path, monkeypatch):
+    # every default time splits the bins and evolves the parent, all on
+    # the one eigendecomposition of the chain
+    calls = []
+    original = EigenSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EigenSystem, "__init__", counted)
+    _run("concentration_tails", "--out-prefix", str(tmp_path / "conc"))
+    assert len(calls) == 1
+    _, bands = _read(tmp_path / "conc_bands.csv")
+    assert len({row[0] for row in bands}) == 3
 
 
 @pytest.mark.parametrize("name, argv, outputs", CASES, ids=[case[0] for case in CASES])
