@@ -15,6 +15,7 @@ their envelopes in ``concentration.concentrate``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -86,6 +87,7 @@ def layer_certificate(
     """
     cert = decomp.verify()
     distance = (reconstruct(decomp) - hamiltonian).norm_upper()
+    slack = _reconstruction_slack(hamiltonian, cert["per_site_cap"])
     structure_ok = cert["disjoint_ok"] and cert["multiplicity_ok"]
     report = {
         "layer_count": cert["layer_count"],
@@ -98,10 +100,27 @@ def layer_certificate(
     }
     checks = [
         Check.compare("layer_count", float(cert["layer_count"]), float(cert["layer_bound"])),
-        Check.compare("layer_reconstruction", distance, decomp.reconstruction_gap + 1e-12, note),
+        Check.compare("layer_reconstruction", distance, decomp.reconstruction_gap + slack, note),
         Check.compare("layer_structure", float(not structure_ok), 0.0, "" if structure_ok else str(cert)),
     ]
     return report, checks
+
+
+def _reconstruction_slack(hamiltonian: KLocalOperator, max_copies: int) -> float:
+    """Rounding bound on |distance - gap| in :func:`layer_certificate`.
+
+    Both equal sum_X (|h_X| - N_X eps) over the m terms h_X of H in exact
+    arithmetic, with N_X <= ``max_copies``.  To first order in the unit
+    roundoff u, with S = norm_upper(H): the gap (m addends, each rounded
+    at most 4 times, summed in row order) is off by at most (m + 3) u S,
+    and the distance (N_X units of 3 roundings summed per term, then a
+    difference, a modulus and ``fsum``) by at most (max_copies + 6) u S.
+    The slack gamma_K S, with K = m + max_copies + 10 and
+    gamma_K = K u / (1 - K u), covers both and the higher orders.
+    """
+    k = hamiltonian.n_terms + max_copies + 10
+    u = sys.float_info.epsilon / 2
+    return k * u / (1 - k * u) * hamiltonian.norm_upper()
 
 
 def verify_checks(

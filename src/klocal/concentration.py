@@ -40,7 +40,6 @@ from .oracle import (
     EigenSystem,
     _check_sites,
     _pauli_action,
-    apply_pauli_string,
     spectral_norm,
     to_dense,
 )
@@ -330,8 +329,12 @@ def topo_error_estimate(
         letters = {s: "XYZ"[int(i)] for s, i in zip(sites, rng.integers(0, 3, size=q))}
         string = PauliString.from_letters(n_sites, letters)
         coeff = q * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        probe_psi = coeff * apply_pauli_string(string, psi)
-        probe_phi = coeff * apply_pauli_string(string, phi)
+        # one signed permutation acts on both states
+        flips, values = _pauli_action(n_sites, string.x_mask, string.z_mask)
+        probe_psi, probe_phi = np.empty((2, psi.size), dtype=complex)
+        probe_psi[flips] = values * psi
+        probe_phi[flips] = values * phi
+        probe_psi, probe_phi = coeff * probe_psi, coeff * probe_phi
         diag = abs(np.vdot(psi, probe_psi) - np.vdot(phi, probe_phi))
         cross = abs(np.vdot(psi, probe_phi))
         diag_max = max(diag_max, float(diag))

@@ -67,6 +67,19 @@ _RECOMP = np.array(
 )
 
 
+def _per_site(t: np.ndarray, site_matrix: np.ndarray) -> np.ndarray:
+    """Apply the 4x4 ``site_matrix`` along every axis of the (4,)*n tensor
+    ``t``, two sites per pass.  Each pass applies kron(site_matrix,
+    site_matrix) to the two leading axes (``site_matrix`` alone to the
+    last axis of an odd n) in one matrix product whose result holds them
+    last, so after all passes the axes are back in order."""
+    pair = np.kron(site_matrix, site_matrix)
+    flat = t.reshape(-1)
+    for m in [pair] * (t.ndim // 2) + [site_matrix] * (t.ndim % 2):
+        flat = flat.reshape(len(m), -1).T @ m.T
+    return flat.reshape(t.shape)
+
+
 def _check_sites(n_sites: int, n_max: int, what: str) -> None:
     if n_sites > n_max:
         raise ResourceLimitError(
@@ -99,11 +112,14 @@ class DenseOperator:
         n = self.n_sites
         # pair row bit j with column bit j: axes (0, n, 1, n+1, ...)
         t = self.matrix.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
-        t = t.reshape((4,) * n)
-        for axis in range(n):
-            t = np.moveaxis(np.tensordot(_DECOMP, t, axes=(1, axis)), 0, axis)
+        t = _per_site(t.reshape((4,) * n), _DECOMP)
         t.flags.writeable = False
         return t
+
+    @functools.cached_property
+    def hermitian(self) -> bool:
+        """:meth:`is_hermitian` at its default tolerance, decided once."""
+        return self.is_hermitian()
 
 
 def _pauli_action(n_sites: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,21 +237,21 @@ def coefficients_to_matrix(coeffs: np.ndarray) -> np.ndarray:
     n = coeffs.ndim
     if n == 0:
         return coeffs.reshape((1, 1)).copy()
-    t = coeffs
-    for axis in range(n):
-        t = np.moveaxis(np.tensordot(_RECOMP, t, axes=(1, axis)), 0, axis)
     # undo the row/col interleave used in pauli_coefficients
-    t = t.reshape((2, 2) * n)
+    t = _per_site(coeffs, _RECOMP).reshape((2, 2) * n)
     rows = [2 * j for j in range(n)]
     cols = [2 * j + 1 for j in range(n)]
     return t.transpose(rows + cols).reshape(2**n, 2**n)
 
 
+@functools.cache
 def _weight_tensor(n: int) -> np.ndarray:
+    """Read-only (4,)*n tensor of Pauli weights, built once per n."""
     w = np.zeros((4,) * n, dtype=np.int8)
     nz = (np.arange(4) != 0).astype(np.int8)
     for axis in range(n):
         w += nz.reshape((1,) * axis + (4,) + (1,) * (n - axis - 1))
+    w.flags.writeable = False
     return w
 
 
@@ -273,23 +289,25 @@ def q_local_project(dense: DenseOperator, q: int) -> tuple[DenseOperator, float,
     """Project onto Pauli weights <= q.
 
     Returns ``(projected, residual_fro, residual_opnorm)`` where the
-    residual is the discarded weight > q component.  The projection is
-    the Frobenius-optimal q-local approximation, so
-    ``residual_fro / 2**(n/2) <= inf ||M - W||_op`` over q-local W.
+    residual is the discarded weight > q component, built from the
+    dropped coefficients alone.  The projection is the Frobenius-optimal
+    q-local approximation, so ``residual_fro / 2**(n/2) <= inf ||M - W||_op``
+    over q-local W.  The residual of a Hermitian operator is Hermitian,
+    so its norm is the largest ``|eigvalsh|``; otherwise it is ``svd``.
     """
     if q < 0:
         raise ValidationError(f"q must be nonnegative, got {q}")
     n = dense.n_sites
-    coeffs = pauli_coefficients(dense)
-    if n == 0:
+    if q >= n:
         return dense, 0.0, 0.0
-    w = _weight_tensor(n)
-    kept = np.where(w <= q, coeffs, 0j)
-    dropped = coeffs - kept
+    dropped = np.where(_weight_tensor(n) > q, pauli_coefficients(dense), 0j)
     residual_fro = float(np.sqrt(np.sum(np.abs(dropped) ** 2) * 2**n))
-    projected = coefficients_to_matrix(kept)
-    residual_opnorm = spectral_norm(dense.matrix - projected)
-    return DenseOperator(n, projected), residual_fro, residual_opnorm
+    residual = coefficients_to_matrix(dropped)
+    if dense.hermitian:
+        residual_opnorm = float(np.max(np.abs(np.linalg.eigvalsh(residual))))
+    else:
+        residual_opnorm = spectral_norm(residual)
+    return DenseOperator(n, dense.matrix - residual), residual_fro, residual_opnorm
 
 
 def energy_block_norm(

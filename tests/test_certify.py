@@ -32,8 +32,9 @@ from pathlib import Path
 import pytest
 
 from klocal import models
+from klocal.certify import layer_certificate
 from klocal.cli import main
-from klocal.layers import LayerDecomposition
+from klocal.layers import LayerDecomposition, discretize, pack_layers
 from klocal.oracle import EigenSystem
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,3 +218,17 @@ def test_structural_constants_once_per_use(run, monkeypatch, name, expected):
             monkeypatch.setattr(module, "structural_constants", counted)
     run(*GOLDEN_RUNS[name])
     assert len(calls) == expected
+
+
+def test_layer_reconstruction_slack_covers_rounding():
+    # the decompose benchmark chain: 32,896 terms, whose two norm_upper
+    # sums differ by more than 1e-12 in rounding alone
+    op = models.build_model("long_range_ising", {"n_sites": 256, "alpha": 2, "field": 1})
+    const = models.structural_constants(op)
+    decomp = pack_layers(discretize(op, const.g / 10, const))
+    cert, checks = layer_certificate(op, decomp)
+    (recon,) = [c for c in checks if c.check == "layer_reconstruction"]
+    gap = cert["reconstruction_gap_upper"]
+    assert recon.lhs - gap > 1e-12
+    assert recon.status == "pass"
+    assert recon.rhs - gap < 1e-8

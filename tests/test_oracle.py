@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +11,10 @@ import pytest
 
 from klocal.errors import ResourceLimitError, ValidationError
 from klocal.oracle import (
+    _DECOMP,
     DenseOperator,
     EigenSystem,
+    _weight_tensor,
     apply_pauli_string,
     coefficients_to_matrix,
     energy_block_norm,
@@ -156,10 +160,38 @@ class TestEvolution:
         assert np.array_equal(eig.eigenvectors, eigenvectors)
 
 
+def tensordot_coefficients(m: np.ndarray) -> np.ndarray:
+    """Forward Pauli transform one site axis at a time, by tensordot."""
+    n = int(np.log2(m.shape[0]))
+    t = m.reshape((2,) * (2 * n)).transpose(np.arange(2 * n).reshape(2, n).T.ravel())
+    t = t.reshape((4,) * n)
+    for axis in range(n):
+        t = np.moveaxis(np.tensordot(_DECOMP, t, axes=(1, axis)), 0, axis)
+    return t
+
+
+def kron_projection(m: np.ndarray, q: int) -> np.ndarray:
+    """Sum of c_P P over the strings P of weight <= q, each as a direct
+    Kronecker product with c_P = Tr(P M) / 2**n."""
+    n = int(np.log2(m.shape[0]))
+    out = np.zeros_like(m, dtype=complex)
+    for letters in itertools.product(range(4), repeat=n):
+        if sum(a != 0 for a in letters) <= q:
+            p = functools.reduce(np.kron, [(np.eye(2), X, Y, Z)[a] for a in letters], np.ones((1, 1)))
+            out += np.trace(p @ m) / 2**n * p
+    return out
+
+
+def random_matrix(rng: np.random.Generator, n: int, hermitian: bool) -> np.ndarray:
+    m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    return m + m.conj().T if hermitian else m
+
+
 class TestPauliBasis:
     def test_roundtrip(self, rng):
-        for n in (1, 2, 3):
-            m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        # odd n runs the single-site pass after the two-site ones
+        for n in range(9):
+            m = random_matrix(rng, n, hermitian=False)
             dense = DenseOperator(n, m)
             coeffs = pauli_coefficients(dense)
             assert coeffs.shape == (4,) * n
@@ -168,6 +200,13 @@ class TestPauliBasis:
                 np.linalg.norm(m, "fro") ** 2
             )
             np.testing.assert_allclose(coefficients_to_matrix(coeffs), m, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_axis_tensordot(self, rng, n):
+        m = random_matrix(rng, n, hermitian=False)
+        np.testing.assert_allclose(
+            pauli_coefficients(DenseOperator(n, m)), tensordot_coefficients(m), rtol=0, atol=1e-14
+        )
 
     def test_coefficients_computed_once_and_read_only(self, rng):
         dense = to_dense(random_operator(rng, 3, 4))
@@ -224,6 +263,48 @@ class TestPauliBasis:
         evolved = heisenberg_evolve(h, gamma, 0.8)
         _, res_fro, res_op = q_local_project(evolved, 1)
         assert res_fro / 2 ** (3 / 2) <= res_op + 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_projection_norm_matches_direct_residual(self, rng, n, hermitian):
+        m = random_matrix(rng, n, hermitian)
+        dense = DenseOperator(n, m)
+        for q in range(n):
+            projected, res_fro, res_op = q_local_project(dense, q)
+            direct = kron_projection(m, q)
+            np.testing.assert_allclose(projected.matrix, direct, rtol=0, atol=1e-12)
+            assert res_op == pytest.approx(np.linalg.norm(m - direct, 2), rel=1e-12, abs=1e-12)
+            assert res_fro == pytest.approx(np.linalg.norm(m - direct, "fro"), rel=1e-12, abs=1e-12)
+
+    def test_projection_drops_nothing_at_q_n(self, rng):
+        dense = DenseOperator(3, random_matrix(rng, 3, hermitian=False))
+        for q in (3, 4):
+            projected, res_fro, res_op = q_local_project(dense, q)
+            assert projected is dense
+            assert res_fro == 0.0 and res_op == 0.0
+
+    @pytest.mark.parametrize("hermitian, svd_calls", [(True, 0), (False, 4)])
+    def test_hermitian_residuals_skip_svd(self, rng, monkeypatch, hermitian, svd_calls):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        dense = DenseOperator(4, random_matrix(rng, 4, hermitian))
+        for q in range(6):
+            q_local_project(dense, q)
+        # q = 4 and 5 drop nothing and run no eigensolver
+        assert len(calls) == svd_calls
+
+    def test_weight_tensor_cached_and_read_only(self):
+        w = _weight_tensor(4)
+        assert _weight_tensor(4) is w
+        assert w[0, 1, 2, 3] == 3
+        with pytest.raises(ValueError):
+            w[(0,) * 4] = 1
 
 
 class TestEnergyBlocks:

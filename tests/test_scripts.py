@@ -20,7 +20,8 @@ from klocal.cli import main
 from klocal.models import build_model, spec_from_operator
 from klocal.oracle import DenseOperator, EigenSystem
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
 N_SITES = 4
 
 
@@ -87,6 +88,22 @@ def test_spreading_profile_transforms_each_operator_once(tmp_path, monkeypatch):
     assert len(calls) == 4
     _, rows = _read(tmp_path / "s.csv")
     assert len(rows) == 4 * 8
+
+
+def test_spreading_profile_matches_benchmark_reference(tmp_path):
+    # every cell of the benchmark's pinned profile, at the benchmark's
+    # tolerance: 1e-9 relative, 1e-12 absolute
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())["spreading_profile"]
+    _run("spreading_profile", "--n-sites", "8", "--t-points", "4", "--out", str(tmp_path / "s.csv"))
+    header, rows = _read(tmp_path / "s.csv")
+    assert header == reference[0]
+    assert len(rows) == len(reference) - 1
+    for got, want in zip(rows, reference[1:]):
+        for a, e in zip(got, want, strict=True):
+            fa, fe = float(a), float(e)
+            assert (math.isnan(fa) and math.isnan(fe)) or math.isclose(
+                fa, fe, rel_tol=1e-9, abs_tol=1e-12
+            ), (got, want)
 
 
 def test_concentration_tails_builds_one_eigensystem(tmp_path, monkeypatch):
