@@ -51,7 +51,6 @@ from .oracle import (
     DenseOperator,
     EigenSystem,
     WeightSpectrum,
-    apply_pauli_string,
     energy_block_norm,
     heisenberg_evolve,
     operator_norm_exact,

@@ -46,7 +46,7 @@ from .concentration import concentrate, topo_error_estimate
 from .errors import KLocalError, ResourceLimitError, ValidationError
 from .layers import discretize, pack_layers
 from .models import load_spec, structural_constants
-from .oracle import N_MAX_OPERATOR, N_MAX_STATE, EigenSystem
+from .oracle import N_MAX_OPERATOR, EigenSystem
 from .pauli import KLocalOperator, PauliString
 from .truncation import DEFAULT_PRUNE_TOL, chained_truncate, hadamard_truncate
 
@@ -285,9 +285,8 @@ def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[lis
     op, digest = _read_spec(args.spec)
     params = BoundParams.from_operator(op)
     t = args.t if args.t is not None else 0.0
-    nmax = args.nmax if args.nmax is not None else N_MAX_STATE
     state = args.state or "+" * op.n_sites
-    found = concentrate(op, params, state, t, args.axis, args.bin_width, nmax)
+    found = concentrate(op, params, state, t, args.axis, args.bin_width, args.nmax)
     result = {
         "t": t,
         "state": state,

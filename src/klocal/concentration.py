@@ -35,6 +35,7 @@ from .bounds import BoundParams, band_rhs
 from .errors import DomainError, ValidationError
 from .oracle import (
     _HERMITIAN_TOL,
+    N_MAX_OPERATOR,
     N_MAX_STATE,
     DenseOperator,
     EigenSystem,
@@ -415,7 +416,7 @@ def concentrate(
     t: float,
     axis: str = "z",
     bin_width: float | None = None,
-    n_max: int = N_MAX_STATE,
+    n_max: int | None = None,
     eigensystem: EigenSystem | None = None,
 ) -> Concentration:
     """Evolve the product state ``state`` for time t under ``hamiltonian``,
@@ -426,13 +427,16 @@ def concentrate(
     the state, evolved to t, is cut into bins of A of width ``bin_width``
     (default r_t); a single bin is ||U h U+|| = ||h|| = N without evolving h.
     More bins evolve h on ``eigensystem``, built from ``hamiltonian`` if None.
+    ``n_max`` caps the sites of the state work and of the dense operator;
+    None caps each at its own limit, ``N_MAX_STATE`` and ``N_MAX_OPERATOR``.
     """
     n_sites = hamiltonian.n_sites
     r_t = params.light_cone_radius(t)
     width = float(r_t) if bin_width is None else bin_width
-    observable = ExtensiveObservable.collective(n_sites, axis, n_max=n_max)
+    state_max = N_MAX_STATE if n_max is None else n_max
+    observable = ExtensiveObservable.collective(n_sites, axis, n_max=state_max)
     psi_0 = build_product_state(state, n_sites)
-    psi_t = evolve_product_state(hamiltonian, state, t, n_max)
+    psi_t = evolve_product_state(hamiltonian, state, t, state_max)
     profile = tail_profile(psi_t, observable)
     try:
         fitted = fit_tail_constants(profile, params, t, n_sites)
@@ -444,9 +448,9 @@ def concentrate(
         for r, tail in profile.samples
     )
     if _bin_count(n_sites, width) > 1:
-        eig = eigensystem or EigenSystem(hamiltonian, n_max)
+        eig = eigensystem or EigenSystem(hamiltonian, N_MAX_OPERATOR if n_max is None else n_max)
         parent_t = eig.evolve_operator(_bloch_parent(state, n_sites), t)
-        band = band_matrix(parent_t, observable, width, n_max)
+        band = band_matrix(parent_t, observable, width)
     else:
         # h is a sum of N commuting terms -v_i . sigma_i with unit Bloch vectors
         band = BandMatrix(width, np.array([[float(n_sites)]]), np.array([True]))

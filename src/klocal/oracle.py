@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .pauli import KLocalOperator, PauliString
+from .pauli import KLocalOperator
 
 __all__ = [
     "N_MAX_OPERATOR",
@@ -30,7 +30,6 @@ __all__ = [
     "EigenSystem",
     "WeightSpectrum",
     "to_dense",
-    "apply_pauli_string",
     "spectral_norm",
     "operator_norm_exact",
     "heisenberg_evolve",
@@ -145,17 +144,6 @@ def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) ->
         rows, values = _pauli_action(op.n_sites, x, z)
         mat[rows, cols] += c * values
     return DenseOperator(n_sites=op.n_sites, matrix=mat)
-
-
-def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
-    """Apply one Pauli string to a statevector without building its matrix."""
-    dim = 1 << string.n_sites
-    if psi.shape != (dim,):
-        raise ValidationError(f"state shape {psi.shape} does not match {string.n_sites} sites")
-    flips, values = _pauli_action(string.n_sites, string.x_mask, string.z_mask)
-    out = np.empty(dim, dtype=complex)
-    out[flips] = values * psi
-    return out
 
 
 def spectral_norm(mat: np.ndarray) -> float:

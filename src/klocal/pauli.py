@@ -7,15 +7,16 @@ site with both bits set carries Y.  With the convention
     P(x, z) = i^{x & z} X^x Z^z   (per site)
 
 products and commutators reduce to XORs, ANDs and popcounts, so the
-algebra never touches a matrix.
+algebra never touches a matrix.  A product differs from its right factor
+only on the words where the left factor acts, so :func:`commutator`
+forms strings and phases on those words alone.
 
 Storage.  ``KLocalOperator`` keeps its terms as word-packed arrays: ``x``
 and ``z`` of shape (terms, W) and dtype uint64, W = ceil(n_sites/64),
 with site ``i`` at bit ``i % 64`` of word ``i // 64``, and ``coeff`` of
 dtype complex128.  ``PauliString``, a value type with Python-int masks,
 only names a single string: as a key of the constructor's mapping and
-as the argument of ``coefficient`` and of
-:func:`klocal.oracle.apply_pauli_string`.  Outside this module only
+as the argument of ``coefficient``.  Outside this module only
 :func:`klocal.oracle.to_dense` reads the words (word 0 of each row: a
 dense operator has at most 64 sites).  Other modules get the (row, site)
 pairs of the letters from ``letter_sites()`` and the letters themselves
@@ -69,10 +70,6 @@ __all__ = [
 # Coefficients at or below this magnitude are treated as exact zeros when
 # operators are put in canonical form.
 ZERO_TOL = 1e-14
-
-# real and imaginary parts of the phases 1, i, -1, -i
-_PHASE_RE = np.array([1.0, 0.0, -1.0, 0.0])
-_PHASE_IM = np.array([0.0, 1.0, 0.0, -1.0])
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # the letter with bits (x, z) is _LETTERS[x + 2z]
@@ -499,7 +496,11 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     once; commuting pairs (among them all pairs with disjoint supports)
     contribute nothing, and an anticommuting pair contributes
     ``2 * c_P * c_Q * phase(PQ)`` on the product string, so every
-    surviving string straddles supports from both operands.  Products
+    surviving string straddles supports from both operands.  PQ and
+    its phase i^phi are formed on the words where P acts, the rest being
+    Q's, and the coefficient is ``(i^phi * 2 c_P) * c_Q``: the rotation is
+    exact, so it is ``i^phi * (2 c_P * c_Q)`` up to the sign of zero
+    parts, which summing from zero removes.  Products
     join one running sum (see the merge rule) in chunks of about
     ``b.n_terms`` rows, in (P, Q) order, so the strings seen so far are
     never sorted again and the pending chunk bounds peak memory.
@@ -509,29 +510,36 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     bx, bz = b.x, b.z
     x_words, z_words = bx.T.copy(), bz.T.copy()
     b_re, b_im = b.coeff.real.copy(), b.coeff.imag.copy()
-    b_y = _popcount(bx & bz)
-    a_y = _popcount(a.x & a.z)
     # terms of a that share no site with b commute with all of it
     b_support = np.bitwise_or.reduce(bx | bz, axis=0)
     overlapping = np.flatnonzero(((a.x | a.z) & b_support).any(axis=1))
+    ax, az = a.x[overlapping], a.z[overlapping]
+    a_y = np.bitwise_count(ax & az).sum(axis=1, dtype=np.uint8)
+    # 2 c_P times i^0..i^3, exact: the parts of each factor are 0 and +-1
+    turn = (2.0 * a.coeff[overlapping])[:, None] * np.array([1, 1j, -1, -1j])
     width = bx.shape[1]
-    a_words, b_words = np.hstack([a.x, a.z]), np.hstack([bx, bz])
+    b_words = np.hstack([bx, bz])
     chunk = max(b.n_terms, 1024)
     total = _RunningSum(2 * width)
     parts: list[tuple[np.ndarray, ...]] = []
     n_pending = 0
-    for row, ca in zip(overlapping.tolist(), a.coeff[overlapping].tolist()):
-        xa, za = a.x[row], a.z[row]
+    for k, (xa, za) in enumerate(zip(ax, az)):
         hit = _anticommuting(x_words, z_words, xa, za)
         if not hit.size:
             continue
         words = b_words.take(hit, axis=0)
-        phi = a_y[row] + b_y[hit] + 2 * _popcount(za & words[:, :width])
-        words ^= a_words[row]
-        phi = (phi - _popcount(words[:, :width] & words[:, width:])) & 3
-        scaled = 2.0 * ca
-        re, im = _cmul(scaled.real, scaled.imag, b_re[hit], b_im[hit])
-        parts.append((words, *_cmul(re, im, _PHASE_RE[phi], _PHASE_IM[phi])))
+        # the product and its phase change only on the words where P acts;
+        # uint8 sums may wrap, since only phi mod 4 matters and 4 divides 256
+        phi = a_y[k]
+        for w in np.flatnonzero(xa | za):
+            x_b, z_b = x_words[w].take(hit), z_words[w].take(hit)
+            x_o, z_o = x_b ^ xa[w], z_b ^ za[w]
+            words[:, w], words[:, width + w] = x_o, z_o
+            phi += 2 * np.bitwise_count(za[w] & x_b) + np.bitwise_count(x_b & z_b)
+            phi -= np.bitwise_count(x_o & z_o)
+        phi &= 3
+        re, im = _cmul(turn.real[k, phi], turn.imag[k, phi], b_re[hit], b_im[hit])
+        parts.append((words, re, im))
         n_pending += hit.size
         if n_pending >= chunk:
             pending, parts, n_pending = [np.concatenate(column) for column in zip(*parts)], [], 0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from klocal.errors import ValidationError
+from klocal.oracle import _pauli_action
 from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString
 
 _LETTERS = "XYZ"
@@ -93,6 +94,15 @@ def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[tuple[Pau
         if not abs(c) <= ZERO_TOL:
             terms.append((PauliString(n, x, z), c))
     return terms
+
+
+def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
+    """One Pauli string applied to a statevector as the signed permutation
+    that ``klocal.oracle.to_dense`` scatters, without building its matrix."""
+    flips, values = _pauli_action(string.n_sites, string.x_mask, string.z_mask)
+    out = np.empty(len(psi), dtype=complex)
+    out[flips] = values * psi
+    return out
 
 
 def _require_fields(obj, fields: set[str], where: str) -> None:

@@ -275,6 +275,32 @@ class TestConcentrate:
         assert "bin_width 1e-09" in message and "2**N + 1 = 17 bins" in message
         assert peak < 2**20
 
+    @pytest.fixture
+    def nine_site_spec(self, tmp_path):
+        op = build_model("random_klocal", {"n_sites": 9, "k": 2, "n_terms": 20, "seed": 4})
+        path = tmp_path / "nine.json"
+        path.write_text(json.dumps(spec_from_operator(op)))
+        return str(path)
+
+    def test_split_bins_keep_the_operator_limit(self, capsys, nine_site_spec):
+        # more than one bin evolves a dense 2**9 x 2**9 operator, like verify
+        code, out = run(capsys, "concentrate", "--spec", nine_site_spec, "--t", "0.05", "--bin-width", "1")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource"
+        assert "limit of 8" in error["message"]
+        code, out = run(
+            capsys, "concentrate", "--spec", nine_site_spec, "--t", "0.05", "--bin-width", "1", "--nmax", "9"
+        )
+        assert code == 0
+        assert len(json.loads(out)["result"]["band_occupancy"]) == 19
+
+    def test_one_bin_keeps_the_state_limit(self, capsys, nine_site_spec):
+        # floor(2 * 9 / 20) + 1 = 1 bin: the band is ||h|| = 9 and no operator is built
+        code, out = run(capsys, "concentrate", "--spec", nine_site_spec, "--t", "0.05", "--bin-width", "20")
+        assert code == 0
+        assert json.loads(out)["result"]["band_norms"] == [[9.0]]
+
     def test_fit_skipped_when_its_scale_overflows(self, capsys, tfi_spec):
         # n = 1023 gives a finite r_t, but r_t * sqrt(t*N) overflows
         code, out = run(capsys, "concentrate", "--spec", tfi_spec, "--t", "3.55", "--format", "csv")

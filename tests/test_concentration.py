@@ -23,10 +23,10 @@ from klocal.concentration import (
 )
 from klocal.errors import DomainError, ResourceLimitError, ValidationError
 from klocal.models import build_model
-from klocal.oracle import DenseOperator, EigenSystem, apply_pauli_string, to_dense
+from klocal.oracle import DenseOperator, EigenSystem, to_dense
 from klocal.pauli import KLocalOperator, PauliString
 
-from conftest import random_pauli_string
+from conftest import apply_pauli_string, random_pauli_string
 
 
 def _random_hamiltonian(rng: np.random.Generator, n_sites: int, real: bool) -> KLocalOperator:

@@ -15,7 +15,6 @@ from klocal.oracle import (
     DenseOperator,
     EigenSystem,
     _weight_tensor,
-    apply_pauli_string,
     coefficients_to_matrix,
     energy_block_norm,
     heisenberg_evolve,
@@ -28,7 +27,7 @@ from klocal.oracle import (
 )
 from klocal.pauli import KLocalOperator, PauliString, commutator
 
-from conftest import letters_of, random_operator, random_pauli_string
+from conftest import apply_pauli_string, letters_of, random_operator, random_pauli_string
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

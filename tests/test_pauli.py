@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +62,12 @@ def _clustered_operator(rng: np.random.Generator, n_sites: int, n_terms: int) ->
         string = PauliString.from_letters(n_sites, {s: "XYZ"[int(rng.integers(3))] for s in sites})
         acc[string] = acc.get(string, 0j) + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return KLocalOperator(n_sites, acc)
+
+
+def _with_parts(op: KLocalOperator, re, im) -> KLocalOperator:
+    """``op``'s strings with the coefficient parts ``re`` and ``im`` taken as
+    they are: the constructor would turn -0.0 parts into 0.0."""
+    return KLocalOperator._from_rows(op.n_sites, op.x, op.z, np.asarray(re, float), np.asarray(im, float))
 
 
 # ----------------------------------------------------------------- strings
@@ -422,6 +429,54 @@ class TestCommutator:
             b = _clustered_operator(rng, n, n_right)
             got = commutator(a, b)
             assert exact_terms(got) == exact_terms(reference_commutator(a, b))
+
+    @pytest.mark.parametrize("right", ["real", "imaginary"])
+    @pytest.mark.parametrize("n", [5, 64, 128])
+    def test_real_and_imaginary_operands_match_reference(self, n, right):
+        # the form of every nested level: a real H and L_m = i^m times a real
+        # operator, so one part of every product is a zero
+        rng = np.random.default_rng(n)
+        for n_left, n_right in [(3, 4), (40, 60), (120, 400)]:
+            a = _clustered_operator(rng, n, n_left)
+            a = _with_parts(a, a.coeff.real, np.zeros(a.n_terms))
+            b = _clustered_operator(rng, n, n_right)
+            zeros = np.zeros(b.n_terms)
+            b = _with_parts(b, b.coeff.real, zeros) if right == "real" else _with_parts(b, zeros, b.coeff.imag)
+            assert exact_terms(commutator(a, b)) == exact_terms(reference_commutator(a, b))
+
+    def test_negative_zero_parts_match_reference(self):
+        rng = np.random.default_rng(11)
+        operands = []
+        for n_terms in (40, 120):
+            op = _clustered_operator(rng, 70, n_terms)
+            # per row: both parts kept, the real part -0.0 or the imaginary part -0.0
+            kind = rng.integers(3, size=op.n_terms)
+            re = np.where(kind == 1, -0.0, op.coeff.real)
+            im = np.where(kind == 2, -0.0, op.coeff.imag)
+            operands.append(_with_parts(op, re, im))
+        a, b = operands
+        assert np.signbit(a.coeff.real[a.coeff.real == 0]).all()
+        assert np.signbit(b.coeff.imag[b.coeff.imag == 0]).all()
+        for left, right in [(a, b), (b, a), (a, a)]:
+            assert exact_terms(commutator(left, right)) == exact_terms(reference_commutator(left, right))
+
+    @pytest.mark.parametrize("n", [130, 256])
+    def test_left_terms_on_two_words_match_reference(self, n):
+        # every letter pair on the word boundaries 63/64 and 127/128, and
+        # Y strings across them, against right terms clustered on the same
+        rng = np.random.default_rng(n)
+        acc = {}
+        for edge in (64, 128):
+            for letters in itertools.product("XYZ", repeat=2):
+                string = PauliString.from_letters(n, dict(zip((edge - 1, edge), letters)))
+                acc[string] = rng.uniform(-1, 1)
+            acc[PauliString.from_letters(n, dict.fromkeys(range(edge - 2, edge + 2), "Y"))] = 0.5
+        a = KLocalOperator(n, acc)
+        b = _clustered_operator(rng, n, 300)
+        for right in (b, _with_parts(b, np.zeros(b.n_terms), b.coeff.imag)):
+            got = commutator(a, right)
+            assert not got.is_zero
+            assert exact_terms(got) == exact_terms(reference_commutator(a, right))
 
     def test_mixed_field_ising_levels_match_reference(self):
         n = 128
