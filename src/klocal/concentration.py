@@ -255,7 +255,7 @@ def band_matrix(
     op: KLocalOperator | DenseOperator,
     observable: ExtensiveObservable,
     bin_width: float,
-    n_max: int = N_MAX_STATE,
+    n_max: int = N_MAX_OPERATOR,
 ) -> BandMatrix:
     """Block norms ||P_x op P_x'|| between eigenvalue bins of ``observable``.
 

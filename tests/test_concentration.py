@@ -308,6 +308,13 @@ class TestBandMatrix:
         with pytest.raises(DomainError, match="bin_width 0.8 "):
             band_matrix(op, a, 0.8)  # floor(4 / 0.8) + 1 = 6 bins
 
+    def test_symbolic_operator_keeps_the_operator_limit(self):
+        a = ExtensiveObservable.collective(9, "z")
+        op = KLocalOperator(9, {PauliString.from_letters(9, {0: "X"}): 1.0})
+        with pytest.raises(ResourceLimitError, match="limit of 8"):
+            band_matrix(op, a, 1.0)
+        assert band_matrix(op, a, 1.0, n_max=9).n_bins == 19
+
 
 class TestConcentrate:
     @pytest.mark.parametrize("n_sites", [4, 5, 6])
