@@ -40,7 +40,7 @@ from .oracle import (
     DenseOperator,
     EigenSystem,
     _check_sites,
-    _pauli_action,
+    _x_mask_action,
     spectral_norm,
     to_dense,
 )
@@ -100,7 +100,7 @@ class ExtensiveObservable:
         signs = np.ones(n_sites) if signs is None else np.asarray(signs)
         if signs.shape != (n_sites,) or not np.all((signs == 1) | (signs == -1)):
             raise ValidationError(f"need a sign of +1 or -1 for each of {n_sites} sites, got {signs}")
-        _check_sites(n_sites, n_max, "dense operator")
+        _check_sites(n_sites, n_max, "statevector")
         self.n_sites = n_sites
         self.letters = letters
         bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1
@@ -172,13 +172,7 @@ def evolve_product_state(
         raise ValidationError("Hamiltonian must be Hermitian for evolution")
     _check_sites(h.n_sites, n_max, "statevector")
     psi = build_product_state(site_states, n_sites=h.n_sites)
-    # (H psi)[j] = sum over X masks x of d_x[j ^ x] psi[j ^ x], where d_x sums
-    # the signed diagonals of the strings with X mask x (all in word 0)
-    masks, group = np.unique(h.x[:, 0], return_inverse=True)
-    sources = np.arange(psi.size, dtype=np.uint64) ^ masks[:, None]
-    diagonals = np.zeros(sources.shape, dtype=complex)
-    for g, x, z, c in zip(group.tolist(), h.x[:, 0].tolist(), h.z[:, 0].tolist(), h.coeff.real.tolist()):
-        diagonals[g] += c * _pauli_action(h.n_sites, x, z)[1][sources[g]]
+    sources, diagonals = _x_mask_action(h.n_sites, h.x[:, 0], h.z[:, 0], h.coeff.real)
     steps = math.ceil(abs(t) * h.norm_upper())
     for _ in range(steps):
         term = psi
@@ -330,12 +324,9 @@ def topo_error_estimate(
         letters = {s: "XYZ"[int(i)] for s, i in zip(sites, rng.integers(0, 3, size=q))}
         string = PauliString.from_letters(n_sites, letters)
         coeff = q * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        # one signed permutation acts on both states
-        flips, values = _pauli_action(n_sites, string.x_mask, string.z_mask)
-        probe_psi, probe_phi = np.empty((2, psi.size), dtype=complex)
-        probe_psi[flips] = values * psi
-        probe_phi[flips] = values * phi
-        probe_psi, probe_phi = coeff * probe_psi, coeff * probe_phi
+        x, z = np.array([[string.x_mask], [string.z_mask]], dtype=np.uint64)
+        (sources,), (diagonal,) = _x_mask_action(n_sites, x, z, np.ones(1))
+        probe_psi, probe_phi = coeff * (diagonal * psi[sources]), coeff * (diagonal * phi[sources])
         diag = abs(np.vdot(psi, probe_psi) - np.vdot(phi, probe_phi))
         cross = abs(np.vdot(psi, probe_phi))
         diag_max = max(diag_max, float(diag))
@@ -427,13 +418,12 @@ def concentrate(
     the state, evolved to t, is cut into bins of A of width ``bin_width``
     (default r_t); a single bin is ||U h U+|| = ||h|| = N without evolving h.
     More bins evolve h on ``eigensystem``, built from ``hamiltonian`` if None.
-    ``n_max`` caps the sites of the state work and of the dense operator;
-    None caps each at its own limit, ``N_MAX_STATE`` and ``N_MAX_OPERATOR``.
+    ``n_max`` (None: ``N_MAX_OPERATOR``) caps the dense operator and only raises ``N_MAX_STATE``.
     """
     n_sites = hamiltonian.n_sites
     r_t = params.light_cone_radius(t)
     width = float(r_t) if bin_width is None else bin_width
-    state_max = N_MAX_STATE if n_max is None else n_max
+    state_max = N_MAX_STATE if n_max is None else max(n_max, N_MAX_STATE)
     observable = ExtensiveObservable.collective(n_sites, axis, n_max=state_max)
     psi_0 = build_product_state(state, n_sites)
     psi_t = evolve_product_state(hamiltonian, state, t, state_max)

@@ -83,7 +83,7 @@ def _check_sites(n_sites: int, n_max: int, what: str) -> None:
     if n_sites > n_max:
         raise ResourceLimitError(
             f"{what} on {n_sites} sites exceeds the limit of {n_max}; "
-            f"pass n_max={n_sites} to override"
+            f"pass n_max={n_sites} (--nmax {n_sites}) to override"
         )
 
 
@@ -131,6 +131,18 @@ def _pauli_action(n_sites: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray]
     return idx ^ np.uint64(x), phase * signs
 
 
+def _x_mask_action(n: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Strings (x, z) times ``coeff``, summed, as one signed permutation per X mask g: (H psi)[j] =
+    sum_g diagonals[g, j] psi[sources[g, j]], each diagonal added from zero in row order.  The
+    masks are word 0, which holds every site of a dense operator or state (at most 64)."""
+    masks, group = np.unique(x, return_inverse=True)
+    sources = np.arange(1 << n, dtype=np.uint64) ^ masks[:, None]
+    diagonals = np.zeros(sources.shape, dtype=complex)
+    for g, xs, zs, c in zip(group.tolist(), x.tolist(), z.tolist(), coeff.tolist()):
+        diagonals[g] += c * _pauli_action(n, xs, zs)[1][sources[g]]
+    return sources, diagonals
+
+
 def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) -> DenseOperator:
     """Assemble the full matrix of a symbolic operator."""
     if isinstance(op, DenseOperator):
@@ -138,11 +150,8 @@ def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) ->
     _check_sites(op.n_sites, n_max, "dense operator")
     dim = 2**op.n_sites
     mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    # a dense operator has at most 64 sites, so its strings fit in word 0
-    for x, z, c in zip(op.x[:, 0].tolist(), op.z[:, 0].tolist(), op.coeff.tolist()):
-        rows, values = _pauli_action(op.n_sites, x, z)
-        mat[rows, cols] += c * values
+    sources, diagonals = _x_mask_action(op.n_sites, op.x[:, 0], op.z[:, 0], op.coeff)
+    mat[np.arange(dim), sources] = diagonals
     return DenseOperator(n_sites=op.n_sites, matrix=mat)
 
 
@@ -153,12 +162,17 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
+def _exact_norm(mat: np.ndarray, hermitian: bool) -> float:
+    """Exact norm: the largest ``|eigvalsh|`` if ``hermitian``, else ``spectral_norm``."""
+    if hermitian:
+        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    return spectral_norm(mat)
+
+
 def operator_norm_exact(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) -> float:
     """Exact operator (spectral) norm via the dense oracle."""
     dense = to_dense(op, n_max=n_max)
-    if dense.is_hermitian():
-        return float(np.max(np.abs(np.linalg.eigvalsh(dense.matrix))))
-    return spectral_norm(dense.matrix)
+    return _exact_norm(dense.matrix, dense.hermitian)
 
 
 class EigenSystem:
@@ -280,8 +294,7 @@ def q_local_project(dense: DenseOperator, q: int) -> tuple[DenseOperator, float,
     residual is the discarded weight > q component, built from the
     dropped coefficients alone.  The projection is the Frobenius-optimal
     q-local approximation, so ``residual_fro / 2**(n/2) <= inf ||M - W||_op``
-    over q-local W.  The residual of a Hermitian operator is Hermitian,
-    so its norm is the largest ``|eigvalsh|``; otherwise it is ``svd``.
+    over q-local W; the residual of a Hermitian operator is Hermitian.
     """
     if q < 0:
         raise ValidationError(f"q must be nonnegative, got {q}")
@@ -291,11 +304,7 @@ def q_local_project(dense: DenseOperator, q: int) -> tuple[DenseOperator, float,
     dropped = np.where(_weight_tensor(n) > q, pauli_coefficients(dense), 0j)
     residual_fro = float(np.sqrt(np.sum(np.abs(dropped) ** 2) * 2**n))
     residual = coefficients_to_matrix(dropped)
-    if dense.hermitian:
-        residual_opnorm = float(np.max(np.abs(np.linalg.eigvalsh(residual))))
-    else:
-        residual_opnorm = spectral_norm(residual)
-    return DenseOperator(n, dense.matrix - residual), residual_fro, residual_opnorm
+    return DenseOperator(n, dense.matrix - residual), residual_fro, _exact_norm(residual, dense.hermitian)
 
 
 def energy_block_norm(

@@ -97,12 +97,27 @@ def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[tuple[Pau
 
 
 def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
-    """One Pauli string applied to a statevector as the signed permutation
-    that ``klocal.oracle.to_dense`` scatters, without building its matrix."""
+    """One Pauli string applied to a statevector as its signed permutation,
+    without building its matrix: the one-string reference for the grouped
+    X-mask action with which ``klocal.oracle`` builds dense matrices,
+    evolves states and applies probes."""
     flips, values = _pauli_action(string.n_sites, string.x_mask, string.z_mask)
     out = np.empty(len(psi), dtype=complex)
     out[flips] = values * psi
     return out
+
+
+def reference_to_dense(op: KLocalOperator) -> np.ndarray:
+    """The matrix of ``op`` scattered one string at a time, each entry
+    summed from zero in row order: the reference that the grouped X-mask
+    action of ``klocal.oracle.to_dense`` must match bit for bit."""
+    dim = 2**op.n_sites
+    mat = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for x, z, c in zip(op.x[:, 0].tolist(), op.z[:, 0].tolist(), op.coeff.tolist()):
+        rows, values = _pauli_action(op.n_sites, x, z)
+        mat[rows, cols] += c * values
+    return mat
 
 
 def _require_fields(obj, fields: set[str], where: str) -> None:

@@ -276,14 +276,18 @@ class TestConcentrate:
         assert peak < 2**20
 
     @pytest.fixture
-    def nine_site_spec(self, tmp_path):
-        op = build_model("random_klocal", {"n_sites": 9, "k": 2, "n_terms": 20, "seed": 4})
-        path = tmp_path / "nine.json"
-        path.write_text(json.dumps(spec_from_operator(op)))
-        return str(path)
+    def random_spec(self, tmp_path):
+        def write(n_sites: int) -> str:
+            op = build_model("random_klocal", {"n_sites": n_sites, "k": 2, "n_terms": 20, "seed": 4})
+            path = tmp_path / f"random{n_sites}.json"
+            path.write_text(json.dumps(spec_from_operator(op)))
+            return str(path)
 
-    def test_split_bins_keep_the_operator_limit(self, capsys, nine_site_spec):
+        return write
+
+    def test_split_bins_keep_the_operator_limit(self, capsys, random_spec):
         # more than one bin evolves a dense 2**9 x 2**9 operator, like verify
+        nine_site_spec = random_spec(9)
         code, out = run(capsys, "concentrate", "--spec", nine_site_spec, "--t", "0.05", "--bin-width", "1")
         assert code == 3
         error = json.loads(out)["error"]
@@ -295,11 +299,28 @@ class TestConcentrate:
         assert code == 0
         assert len(json.loads(out)["result"]["band_occupancy"]) == 19
 
-    def test_one_bin_keeps_the_state_limit(self, capsys, nine_site_spec):
+    def test_one_bin_keeps_the_state_limit(self, capsys, random_spec):
         # floor(2 * 9 / 20) + 1 = 1 bin: the band is ||h|| = 9 and no operator is built
-        code, out = run(capsys, "concentrate", "--spec", nine_site_spec, "--t", "0.05", "--bin-width", "20")
+        code, out = run(capsys, "concentrate", "--spec", random_spec(9), "--t", "0.05", "--bin-width", "20")
         assert code == 0
         assert json.loads(out)["result"]["band_norms"] == [[9.0]]
+
+    def test_nmax_only_raises_the_state_limit(self, capsys, random_spec):
+        # --nmax 9 lifts the operator limit; one bin needs only the state limit of 12
+        argv = ["concentrate", "--spec", random_spec(10), "--t", "0.05", "--bin-width", "100"]
+        code, plain = run(capsys, *argv)
+        assert code == 0
+        code, lifted = run(capsys, *argv, "--nmax", "9")
+        assert code == 0
+        assert json.loads(lifted)["result"] == json.loads(plain)["result"]
+
+    def test_state_limit_names_the_statevector_and_the_flag(self, capsys, random_spec):
+        code, out = run(capsys, "concentrate", "--spec", random_spec(13), "--t", "0.05", "--bin-width", "100")
+        assert code == 3
+        message = json.loads(out)["error"]["message"]
+        assert message == (
+            "statevector on 13 sites exceeds the limit of 12; pass n_max=13 (--nmax 13) to override"
+        )
 
     def test_fit_skipped_when_its_scale_overflows(self, capsys, tfi_spec):
         # n = 1023 gives a finite r_t, but r_t * sqrt(t*N) overflows

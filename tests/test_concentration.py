@@ -378,21 +378,22 @@ class TestTopoProbes:
 
     def test_matches_one_string_application_per_state(self, rng):
         # the probes applied to each state by apply_pauli_string, bit for bit
-        n, q, n_samples, seed = 6, 3, 40, 5
-        psi, phi = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n) for _ in range(2))
-        probes = np.random.default_rng(seed)
-        diag_max = cross_max = 0.0
-        for _ in range(n_samples):
-            sites = probes.choice(n, size=q, replace=False)
-            letters = {s: "XYZ"[int(i)] for s, i in zip(sites, probes.integers(0, 3, size=q))}
-            string = PauliString.from_letters(n, letters)
-            coeff = q * np.exp(1j * probes.uniform(0.0, 2.0 * math.pi))
-            probe_psi = coeff * apply_pauli_string(string, psi)
-            probe_phi = coeff * apply_pauli_string(string, phi)
-            diag_max = max(diag_max, float(abs(np.vdot(psi, probe_psi) - np.vdot(phi, probe_phi))))
-            cross_max = max(cross_max, float(abs(np.vdot(psi, probe_phi))))
-        est = topo_error_estimate(psi, phi, q, n_samples=n_samples, seed=seed)
-        assert (est.diag_max, est.cross_max) == (diag_max, cross_max)
+        n_samples, seed = 40, 5
+        for n, q in [(1, 1), (6, 3), (9, 9)]:
+            psi, phi = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n) for _ in range(2))
+            probes = np.random.default_rng(seed)
+            diag_max = cross_max = 0.0
+            for _ in range(n_samples):
+                sites = probes.choice(n, size=q, replace=False)
+                letters = {s: "XYZ"[int(i)] for s, i in zip(sites, probes.integers(0, 3, size=q))}
+                string = PauliString.from_letters(n, letters)
+                coeff = q * np.exp(1j * probes.uniform(0.0, 2.0 * math.pi))
+                probe_psi = coeff * apply_pauli_string(string, psi)
+                probe_phi = coeff * apply_pauli_string(string, phi)
+                diag_max = max(diag_max, float(abs(np.vdot(psi, probe_psi) - np.vdot(phi, probe_phi))))
+                cross_max = max(cross_max, float(abs(np.vdot(psi, probe_phi))))
+            est = topo_error_estimate(psi, phi, q, n_samples=n_samples, seed=seed)
+            assert (est.diag_max, est.cross_max) == (diag_max, cross_max)
 
     def test_q_validation(self):
         psi = build_product_state("00")

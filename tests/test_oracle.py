@@ -27,7 +27,7 @@ from klocal.oracle import (
 )
 from klocal.pauli import KLocalOperator, PauliString, commutator
 
-from conftest import apply_pauli_string, letters_of, random_operator, random_pauli_string
+from conftest import apply_pauli_string, letters_of, random_operator, random_pauli_string, reference_to_dense
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,6 +75,21 @@ class TestDenseConversion:
             to_dense(big)
         dense = to_dense(big, n_max=9)
         assert dense.matrix.shape == (512, 512)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_grouped_action_matches_per_string_scatter(self, rng, n):
+        # three X masks with up to four complex-coefficient strings each,
+        # then a diagonal-only operator (X mask 0 alone), bit for bit
+        for x_masks in (rng.integers(0, 2**n, size=3).tolist(), [0]):
+            terms = {
+                PauliString(n, x, z): complex(*rng.uniform(-1.0, 1.0, size=2))
+                for x in x_masks
+                for z in rng.integers(0, 2**n, size=4).tolist()
+                if x or z
+            }
+            op = KLocalOperator(n, terms)
+            got = to_dense(op).matrix
+            assert np.array_equal(got.view(np.uint64), reference_to_dense(op).view(np.uint64))
 
     def test_apply_pauli_string_matches_dense(self, rng):
         for _ in range(40):
@@ -286,17 +301,29 @@ class TestPauliBasis:
     def test_hermitian_residuals_skip_svd(self, rng, monkeypatch, hermitian, svd_calls):
         calls = []
         svd = np.linalg.svd
+        checks = []
+        is_hermitian = DenseOperator.is_hermitian
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
+        def counted_check(self, *args, **kwargs):
+            checks.append(args)
+            return is_hermitian(self, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(DenseOperator, "is_hermitian", counted_check)
         dense = DenseOperator(4, random_matrix(rng, 4, hermitian))
         for q in range(6):
             q_local_project(dense, q)
         # q = 4 and 5 drop nothing and run no eigensolver
         assert len(calls) == svd_calls
+        # the norm takes the residuals' rule: 0 and 5 svd calls in all
+        operator_norm_exact(dense)
+        assert len(calls) == svd_calls + (not hermitian)
+        # and shares their one cached Hermitian test
+        assert len(checks) == 1
 
     def test_weight_tensor_cached_and_read_only(self):
         w = _weight_tensor(4)

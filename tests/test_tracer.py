@@ -27,6 +27,7 @@ SPANS = {
         "concentration.evolve_state",
         "concentration.tail_profile",
         "concentration.observable",
+        "concentration.topo_error",
     },
     "concentrate_tfi4_bins": {
         "concentration.evolve_state",
@@ -48,6 +49,9 @@ SPANS = {
     "verify_diag5.json": {
         "truncation.hadamard",
         "oracle.eigh",
+        "oracle.to_dense",
+        "oracle.operator_norm_exact",
+        "oracle.spectral_norm",
         "layers.pack_layers",
         "models.structural_constants",
     },
