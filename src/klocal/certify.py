@@ -22,7 +22,7 @@ from typing import Any
 from .bounds import BoundParams, theorem1_rhs
 from .layers import LayerDecomposition, discretize, pack_layers, reconstruct
 from .models import structural_constants
-from .oracle import N_MAX_OPERATOR, EigenSystem, operator_norm_exact, spectral_norm, to_dense
+from .oracle import EigenSystem, operator_norm_exact, spectral_norm, to_dense
 from .pauli import KLocalOperator, commutator
 from .truncation import DEFAULT_PRUNE_TOL, TruncationReport, chained_truncate
 
@@ -131,7 +131,7 @@ def verify_checks(
     q: int | None = None,
     epsilon: float | None = None,
     threshold: float = DEFAULT_PRUNE_TOL,
-    n_max: int = N_MAX_OPERATOR,
+    n_max: int | None = None,
 ) -> list[Check]:
     """Run the certification suite on one instance.
 

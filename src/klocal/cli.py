@@ -46,7 +46,7 @@ from .concentration import concentrate, topo_error_estimate
 from .errors import KLocalError, ResourceLimitError, ValidationError
 from .layers import discretize, pack_layers
 from .models import load_spec, structural_constants
-from .oracle import N_MAX_OPERATOR, EigenSystem
+from .oracle import EigenSystem, site_limit
 from .pauli import KLocalOperator, PauliString
 from .truncation import DEFAULT_PRUNE_TOL, chained_truncate, hadamard_truncate
 
@@ -85,10 +85,6 @@ def _load_gamma(args: argparse.Namespace, n_sites: int) -> tuple[KLocalOperator,
             )
         return gamma, digest
     return KLocalOperator(n_sites, {PauliString.from_letters(n_sites, {0: "Z"}): 1.0 + 0j}), None
-
-
-def _operator_nmax(args: argparse.Namespace) -> int:
-    return args.nmax if args.nmax is not None else N_MAX_OPERATOR
 
 
 def _finite_float(text: str) -> float:
@@ -156,6 +152,9 @@ _EVALUATORS = {
 def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
     digest = None
     if args.spec:
+        for flag, value in (("--g", args.g), ("--k", args.k), ("--n-sites", args.n_sites)):
+            if value is not None:
+                raise ValidationError(f"{flag} conflicts with --spec, which sets it")
         op, digest = _read_spec(args.spec)
         params = BoundParams.from_operator(op)
         n_sites = op.n_sites
@@ -218,9 +217,8 @@ def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list],
         result["schedule"] = list(report_t.schedule.levels)
         result["delta_q"] = report_t.schedule.delta_q
         result["intervals"] = report_t.schedule.n
-    nmax = _operator_nmax(args)
-    if op.n_sites <= nmax:
-        check, rhs = witness_check(gamma, report_t, t, EigenSystem(op, nmax))
+    if op.n_sites <= site_limit("dense operator", args.nmax):
+        check, rhs = witness_check(gamma, report_t, t, EigenSystem(op, args.nmax))
         result["oracle_error"] = check.lhs
         result["bound_rhs_exact_norm"] = rhs
         result["certified"] = check.status == "pass"
@@ -264,7 +262,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], i
         q=args.q,
         epsilon=args.epsilon,
         threshold=args.threshold,
-        n_max=_operator_nmax(args),
+        n_max=args.nmax,
     )
     checks = [asdict(check) for check in found]
     failed = [c for c in checks if c["status"] == "fail"]

@@ -34,13 +34,10 @@ import numpy as np
 from .bounds import BoundParams, band_rhs
 from .errors import DomainError, ValidationError
 from .oracle import (
-    _HERMITIAN_TOL,
-    N_MAX_OPERATOR,
-    N_MAX_STATE,
     DenseOperator,
     EigenSystem,
-    _check_sites,
     _x_mask_action,
+    check_sites,
     spectral_norm,
     to_dense,
 )
@@ -92,7 +89,7 @@ class ExtensiveObservable:
     eigenbasis V one 2x2 factor at a time.
     """
 
-    def __init__(self, letters: str, signs: Sequence[float] | None = None, n_max: int = N_MAX_STATE):
+    def __init__(self, letters: str, signs: Sequence[float] | None = None, n_max: int | None = None):
         """``letters[i]`` and ``signs[i]`` (default all +1) belong to site i."""
         n_sites = len(letters)
         if not set(letters) <= set("XYZ"):
@@ -100,14 +97,14 @@ class ExtensiveObservable:
         signs = np.ones(n_sites) if signs is None else np.asarray(signs)
         if signs.shape != (n_sites,) or not np.all((signs == 1) | (signs == -1)):
             raise ValidationError(f"need a sign of +1 or -1 for each of {n_sites} sites, got {signs}")
-        _check_sites(n_sites, n_max, "statevector")
+        check_sites(n_sites, n_max, "statevector")
         self.n_sites = n_sites
         self.letters = letters
         bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1
         self.eigenvalues = (1 - 2 * bits) @ np.where(signs == 1, 1.0, -1.0)
 
     @classmethod
-    def collective(cls, n_sites: int, axis: str = "z", n_max: int = N_MAX_STATE) -> "ExtensiveObservable":
+    def collective(cls, n_sites: int, axis: str = "z", n_max: int | None = None) -> "ExtensiveObservable":
         """A = sum_i sigma_i^axis."""
         if axis.lower() not in ("x", "y", "z"):
             raise ValidationError(f"axis must be x, y or z, got {axis!r}")
@@ -160,7 +157,7 @@ def evolve_product_state(
     hamiltonian: KLocalOperator,
     site_states: str | Sequence,
     t: float,
-    n_max: int = N_MAX_STATE,
+    n_max: int | None = None,
 ) -> np.ndarray:
     """exp(-iHt) applied to a product state, without a 2**N x 2**N matrix:
     a Taylor series of order 18 in ceil(|t| * norm_upper) substeps tau, so
@@ -168,9 +165,9 @@ def evolve_product_state(
     h = hamiltonian
     if not isinstance(h, KLocalOperator):
         raise ValidationError(f"need a KLocalOperator to evolve, got {type(h).__name__}")
-    if not h.is_hermitian(tol=_HERMITIAN_TOL * max(1.0, np.max(h.magnitudes, initial=0.0))):
+    if not h.is_hermitian():
         raise ValidationError("Hamiltonian must be Hermitian for evolution")
-    _check_sites(h.n_sites, n_max, "statevector")
+    check_sites(h.n_sites, n_max, "statevector")
     psi = build_product_state(site_states, n_sites=h.n_sites)
     sources, diagonals = _x_mask_action(h.n_sites, h.x[:, 0], h.z[:, 0], h.coeff.real)
     steps = math.ceil(abs(t) * h.norm_upper())
@@ -249,7 +246,7 @@ def band_matrix(
     op: KLocalOperator | DenseOperator,
     observable: ExtensiveObservable,
     bin_width: float,
-    n_max: int = N_MAX_OPERATOR,
+    n_max: int | None = None,
 ) -> BandMatrix:
     """Block norms ||P_x op P_x'|| between eigenvalue bins of ``observable``.
 
@@ -418,15 +415,14 @@ def concentrate(
     the state, evolved to t, is cut into bins of A of width ``bin_width``
     (default r_t); a single bin is ||U h U+|| = ||h|| = N without evolving h.
     More bins evolve h on ``eigensystem``, built from ``hamiltonian`` if None.
-    ``n_max`` (None: ``N_MAX_OPERATOR``) caps the dense operator and only raises ``N_MAX_STATE``.
+    ``n_max`` raises the site limits as in :func:`klocal.oracle.site_limit`.
     """
     n_sites = hamiltonian.n_sites
     r_t = params.light_cone_radius(t)
     width = float(r_t) if bin_width is None else bin_width
-    state_max = N_MAX_STATE if n_max is None else max(n_max, N_MAX_STATE)
-    observable = ExtensiveObservable.collective(n_sites, axis, n_max=state_max)
+    observable = ExtensiveObservable.collective(n_sites, axis, n_max=n_max)
     psi_0 = build_product_state(state, n_sites)
-    psi_t = evolve_product_state(hamiltonian, state, t, state_max)
+    psi_t = evolve_product_state(hamiltonian, state, t, n_max)
     profile = tail_profile(psi_t, observable)
     try:
         fitted = fit_tail_constants(profile, params, t, n_sites)
@@ -438,7 +434,7 @@ def concentrate(
         for r, tail in profile.samples
     )
     if _bin_count(n_sites, width) > 1:
-        eig = eigensystem or EigenSystem(hamiltonian, N_MAX_OPERATOR if n_max is None else n_max)
+        eig = eigensystem or EigenSystem(hamiltonian, n_max)
         parent_t = eig.evolve_operator(_bloch_parent(state, n_sites), t)
         band = band_matrix(parent_t, observable, width)
     else:

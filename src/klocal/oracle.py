@@ -2,9 +2,10 @@
 
 Everything in this module is brute force on 2**n dimensional matrices
 and exists to certify the symbolic algebra and the analytic bounds on
-small instances.  Sizes are guarded: dense-operator work is allowed up
-to ``N_MAX_OPERATOR`` sites and statevector work up to ``N_MAX_STATE``,
-both overridable per call via ``n_max``.
+small instances.  :func:`site_limit` caps dense-operator work at
+``N_MAX_OPERATOR`` sites and statevector work at ``N_MAX_STATE``; an
+``n_max`` argument only ever raises a limit.  Hermiticity follows the
+``HERMITIAN_TOL`` rule of :mod:`klocal.pauli`.
 
 Conventions (shared with :mod:`klocal.concentration`):
 
@@ -21,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .pauli import KLocalOperator
+from .pauli import HERMITIAN_TOL, KLocalOperator
 
 __all__ = [
     "N_MAX_OPERATOR",
     "N_MAX_STATE",
+    "site_limit",
+    "check_sites",
     "DenseOperator",
     "EigenSystem",
     "WeightSpectrum",
@@ -42,7 +45,6 @@ __all__ = [
 
 N_MAX_OPERATOR = 8
 N_MAX_STATE = 12
-_HERMITIAN_TOL = 1e-10  # anti-Hermitian part, relative to the largest entry, that eigh accepts
 
 # Rows map a flattened per-site 2x2 block [B00, B01, B10, B11] to the
 # coefficients (c_I, c_X, c_Y, c_Z); _RECOMP is the exact inverse.
@@ -79,10 +81,16 @@ def _per_site(t: np.ndarray, site_matrix: np.ndarray) -> np.ndarray:
     return flat.reshape(t.shape)
 
 
-def _check_sites(n_sites: int, n_max: int, what: str) -> None:
-    if n_sites > n_max:
+def site_limit(what: str, n_max: int | None = None) -> int:
+    """Sites that "dense operator" or "statevector" work may take: its default, or n_max if larger."""
+    return max(N_MAX_OPERATOR if what == "dense operator" else N_MAX_STATE, n_max or 0)
+
+
+def check_sites(n_sites: int, n_max: int | None, what: str) -> None:
+    """Raise ``ResourceLimitError`` if ``n_sites`` exceeds :func:`site_limit`."""
+    if n_sites > (limit := site_limit(what, n_max)):
         raise ResourceLimitError(
-            f"{what} on {n_sites} sites exceeds the limit of {n_max}; "
+            f"{what} on {n_sites} sites exceeds the limit of {limit}; "
             f"pass n_max={n_sites} (--nmax {n_sites}) to override"
         )
 
@@ -102,9 +110,6 @@ class DenseOperator:
                 f"matrix shape {self.matrix.shape} does not match n_sites={self.n_sites}"
             )
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
     @functools.cached_property
     def pauli_coefficients(self) -> np.ndarray:
         """Read-only Pauli-basis coefficient tensor; see :func:`pauli_coefficients`."""
@@ -117,8 +122,9 @@ class DenseOperator:
 
     @functools.cached_property
     def hermitian(self) -> bool:
-        """:meth:`is_hermitian` at its default tolerance, decided once."""
-        return self.is_hermitian()
+        """The ``HERMITIAN_TOL`` rule on ``M - M+``, decided once."""
+        m = self.matrix
+        return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(m), initial=1.0))
 
 
 def _pauli_action(n_sites: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,11 +149,11 @@ def _x_mask_action(n: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> t
     return sources, diagonals
 
 
-def to_dense(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) -> DenseOperator:
+def to_dense(op: KLocalOperator | DenseOperator, n_max: int | None = None) -> DenseOperator:
     """Assemble the full matrix of a symbolic operator."""
     if isinstance(op, DenseOperator):
         return op
-    _check_sites(op.n_sites, n_max, "dense operator")
+    check_sites(op.n_sites, n_max, "dense operator")
     dim = 2**op.n_sites
     mat = np.zeros((dim, dim), dtype=complex)
     sources, diagonals = _x_mask_action(op.n_sites, op.x[:, 0], op.z[:, 0], op.coeff)
@@ -169,7 +175,7 @@ def _exact_norm(mat: np.ndarray, hermitian: bool) -> float:
     return spectral_norm(mat)
 
 
-def operator_norm_exact(op: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR) -> float:
+def operator_norm_exact(op: KLocalOperator | DenseOperator, n_max: int | None = None) -> float:
     """Exact operator (spectral) norm via the dense oracle."""
     dense = to_dense(op, n_max=n_max)
     return _exact_norm(dense.matrix, dense.hermitian)
@@ -179,10 +185,9 @@ class EigenSystem:
     """Eigendecomposition of one Hamiltonian, reused for every time,
     operator, state and energy window asked of it."""
 
-    def __init__(self, hamiltonian: KLocalOperator | DenseOperator, n_max: int = N_MAX_OPERATOR):
+    def __init__(self, hamiltonian: KLocalOperator | DenseOperator, n_max: int | None = None):
         dense = to_dense(hamiltonian, n_max=n_max)
-        scale = max(1.0, float(np.max(np.abs(dense.matrix))))
-        if not dense.is_hermitian(tol=_HERMITIAN_TOL * scale):
+        if not dense.hermitian:
             raise ValidationError("Hamiltonian must be Hermitian for evolution")
         self.n_sites = dense.n_sites
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense.matrix)
@@ -217,7 +222,7 @@ def heisenberg_evolve(
     hamiltonian: KLocalOperator | DenseOperator,
     gamma: KLocalOperator | DenseOperator,
     t: float,
-    n_max: int = N_MAX_OPERATOR,
+    n_max: int | None = None,
 ) -> DenseOperator:
     """Heisenberg picture gamma(t) = exp(-iHt) gamma exp(+iHt), exactly."""
     return EigenSystem(hamiltonian, n_max).evolve_operator(gamma, t)
@@ -312,7 +317,7 @@ def energy_block_norm(
     gamma: KLocalOperator | DenseOperator,
     e_lo: float,
     e_hi: float,
-    n_max: int = N_MAX_OPERATOR,
+    n_max: int | None = None,
 ) -> float:
     """Norm of the off-diagonal energy block P_{>= e_hi} gamma P_{<= e_lo};
     see :meth:`EigenSystem.block_norm`."""

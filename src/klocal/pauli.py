@@ -62,6 +62,7 @@ from .errors import DimensionMismatchError, ValidationError
 
 __all__ = [
     "ZERO_TOL",
+    "HERMITIAN_TOL",
     "PauliString",
     "KLocalOperator",
     "commutator",
@@ -70,6 +71,9 @@ __all__ = [
 # Coefficients at or below this magnitude are treated as exact zeros when
 # operators are put in canonical form.
 ZERO_TOL = 1e-14
+# An operator is Hermitian when max |Im c| (max |M - M+| for a dense matrix)
+# is at most this times max(1, largest |c| or |entry|).
+HERMITIAN_TOL = 1e-10
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # the letter with bits (x, z) is _LETTERS[x + 2z]
@@ -349,7 +353,7 @@ class KLocalOperator:
 
     def coefficient(self, string: PauliString) -> complex:
         if string.n_sites != self.n_sites:
-            return 0j
+            raise DimensionMismatchError(f"string on {string.n_sites} sites, operator on {self.n_sites}")
         width = _n_words(self.n_sites)
         xs, zs = _pack([string.x_mask], width), _pack([string.z_mask], width)
         hit = np.flatnonzero(((self.x == xs) & (self.z == zs)).all(axis=1))
@@ -430,8 +434,9 @@ class KLocalOperator:
         dropped = float(np.cumsum(mags[drop])[-1]) if drop.any() else 0.0
         return self.select(~drop), dropped
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.coeff.imag) <= tol))
+    def is_hermitian(self) -> bool:
+        """The ``HERMITIAN_TOL`` rule on the imaginary parts of the coefficients."""
+        return bool(np.all(np.abs(self.coeff.imag) <= HERMITIAN_TOL * np.max(self.magnitudes, initial=1.0)))
 
     def __add__(self, other: "KLocalOperator") -> "KLocalOperator":
         if not isinstance(other, KLocalOperator):

@@ -175,11 +175,6 @@ def chained_truncate(
     params = _resolve_params(hamiltonian, params)
     q0 = gamma.locality
     n = params.intervals(t)
-    if q < 2**n * q0:
-        raise InfeasibleScheduleError(
-            f"target locality q={q} infeasible: need q >= 2**n * q0 = {2**n * q0} "
-            f"(q0={q0}, n={n})"
-        )
     schedule = q_schedule(q0, q, n)
     dt = t / n
     witness = gamma

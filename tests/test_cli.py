@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from klocal import __version__
 from klocal.cli import main
 from klocal.models import build_model, spec_from_operator
 
+GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.fixture
 def tfi_spec(tmp_path):
@@ -135,6 +137,22 @@ class TestBound:
         assert code == 2
         assert "n_sites" in json.loads(out)["error"]["message"]
 
+    def test_spec_sets_g_and_k(self, capsys, tfi_spec):
+        code, out = run(capsys, "bound", "--evaluator", "theorem1", "--spec", tfi_spec)
+        assert code == 0
+        report = json.loads(out)
+        assert report["input_hash"] == hashlib.sha256(Path(tfi_spec).read_bytes()).hexdigest()
+        assert report["result"]["g"] == pytest.approx(3.0)
+        assert report["result"]["k"] == 2
+
+    @pytest.mark.parametrize("flag, value", [("--g", "5"), ("--k", "3"), ("--n-sites", "9")])
+    def test_spec_conflicts_with_its_own_constants(self, capsys, tfi_spec, flag, value):
+        code, out = run(capsys, "bound", "--evaluator", "theorem1", "--spec", tfi_spec, flag, value)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid"
+        assert error["message"].startswith(f"{flag} conflicts with --spec")
+
 
 class TestTruncate:
     def test_certified_report(self, capsys, single_qubit_specs):
@@ -154,6 +172,16 @@ class TestTruncate:
         code, out = run(capsys, "truncate", "--spec", h, "--gamma", g, "--t", "0.2", "--q", "2")
         assert code == 2
 
+    def test_nmax_below_the_limit_keeps_the_oracle(self, capsys):
+        argv = ["truncate", "--spec", str(GOLDEN / "rk6.json"), "--t", "0.008", "--q", "6", "--mode", "small-time"]
+        code, out = run(capsys, *argv, "--nmax", "5")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["certified"] is True
+        assert "oracle_error" in result
+        code, plain = run(capsys, *argv)
+        assert json.loads(plain)["result"] == result
+
 
 class TestDecompose:
     def test_certificates_embedded(self, capsys, tfi_spec):
@@ -172,6 +200,16 @@ class TestDecompose:
         code, out = run(capsys, "decompose", "--spec", str(path), "--epsilon", "0.5")
         assert code == 0
         assert json.loads(out)["result"]["certificates"]["layer_count"] == 0
+
+    def test_empty_hamiltonian_needs_epsilon(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n_sites": 3, "terms": []}))
+        code, out = run(capsys, "decompose", "--spec", str(path))
+        assert code == 2
+        assert "--epsilon" in json.loads(out)["error"]["message"]
+        code, out = run(capsys, "decompose", "--spec", str(path), "--epsilon", "0.1")
+        assert code == 0
+        assert json.loads(out)["result"]["layers"] == []
 
 
 class TestVerify:
@@ -201,6 +239,14 @@ class TestVerify:
         checks = {c["check"]: c for c in json.loads(out)["result"]["checks"]}
         assert checks["energy_block"]["status"] == "skipped"
         assert "commute" in checks["energy_block"]["note"]
+
+    def test_nmax_below_the_limit_changes_nothing(self, capsys):
+        spec = str(GOLDEN / "rk6.json")
+        code, plain = run(capsys, "verify", "--spec", spec)
+        assert code == 0
+        code, lowered = run(capsys, "verify", "--spec", spec, "--nmax", "5")
+        assert code == 0
+        assert json.loads(lowered)["result"] == json.loads(plain)["result"]
 
 
 class TestConcentrate:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from klocal.concentration import evolve_product_state
 from klocal.errors import ResourceLimitError, ValidationError
 from klocal.oracle import (
     _DECOMP,
@@ -25,7 +26,7 @@ from klocal.oracle import (
     to_dense,
     weight_spectrum,
 )
-from klocal.pauli import KLocalOperator, PauliString, commutator
+from klocal.pauli import HERMITIAN_TOL, KLocalOperator, PauliString, commutator
 
 from conftest import apply_pauli_string, letters_of, random_operator, random_pauli_string, reference_to_dense
 
@@ -75,6 +76,10 @@ class TestDenseConversion:
             to_dense(big)
         dense = to_dense(big, n_max=9)
         assert dense.matrix.shape == (512, 512)
+
+    def test_n_max_below_the_limit_does_not_lower_it(self):
+        six = KLocalOperator(6, {PauliString.from_letters(6, {5: "X"}): 1.0})
+        assert to_dense(six, n_max=5).matrix.shape == (64, 64)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_grouped_action_matches_per_string_scatter(self, rng, n):
@@ -302,18 +307,20 @@ class TestPauliBasis:
         calls = []
         svd = np.linalg.svd
         checks = []
-        is_hermitian = DenseOperator.is_hermitian
+        decide = DenseOperator.hermitian.func
 
         def counted(*args, **kwargs):
             calls.append(args[0].shape)
             return svd(*args, **kwargs)
 
-        def counted_check(self, *args, **kwargs):
-            checks.append(args)
-            return is_hermitian(self, *args, **kwargs)
+        def counted_check(self):
+            checks.append(self)
+            return decide(self)
 
+        counted_hermitian = functools.cached_property(counted_check)
+        counted_hermitian.__set_name__(DenseOperator, "hermitian")
         monkeypatch.setattr(np.linalg, "svd", counted)
-        monkeypatch.setattr(DenseOperator, "is_hermitian", counted_check)
+        monkeypatch.setattr(DenseOperator, "hermitian", counted_hermitian)
         dense = DenseOperator(4, random_matrix(rng, 4, hermitian))
         for q in range(6):
             q_local_project(dense, q)
@@ -331,6 +338,30 @@ class TestPauliBasis:
         assert w[0, 1, 2, 3] == 3
         with pytest.raises(ValueError):
             w[(0,) * 4] = 1
+
+
+@pytest.mark.parametrize("scale", [1.0, 1000.0])
+@pytest.mark.parametrize("fraction, hermitian", [(0.49, True), (1.01, False)])
+def test_one_hermiticity_rule(scale, fraction, hermitian):
+    # Im c sits at fraction * HERMITIAN_TOL * max|c|; M - M+ holds 2 Im c, so
+    # 0.49 is below the rule in both forms and 1.01 above it in both
+    op = KLocalOperator(
+        2,
+        {
+            PauliString.from_letters(2, {0: "Z"}): scale,
+            PauliString.from_letters(2, {1: "X"}): 1j * fraction * HERMITIAN_TOL * scale,
+        },
+    )
+    assert op.is_hermitian() is hermitian
+    assert to_dense(op).hermitian is hermitian
+    if hermitian:
+        EigenSystem(op)
+        evolve_product_state(op, "00", 1e-3)
+    else:
+        with pytest.raises(ValidationError, match="Hermitian"):
+            EigenSystem(op)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            evolve_product_state(op, "00", 1e-3)
 
 
 class TestEnergyBlocks:

@@ -221,6 +221,11 @@ class TestKLocalOperator:
         with pytest.raises(DimensionMismatchError):
             _ = a + b
 
+    def test_coefficient_of_a_string_on_another_site_count(self):
+        op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 1.0})
+        with pytest.raises(DimensionMismatchError):
+            op.coefficient(PauliString.from_letters(3, {0: "X"}))
+
     @given(operators(3), operators(3))
     @settings(max_examples=50)
     def test_addition_commutes(self, a, b):
