@@ -36,6 +36,7 @@ from .errors import DomainError, ValidationError
 from .oracle import (
     DenseOperator,
     EigenSystem,
+    _pauli_action,
     _x_mask_action,
     check_sites,
     spectral_norm,
@@ -321,9 +322,10 @@ def topo_error_estimate(
         letters = {s: "XYZ"[int(i)] for s, i in zip(sites, rng.integers(0, 3, size=q))}
         string = PauliString.from_letters(n_sites, letters)
         coeff = q * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        x, z = np.array([[string.x_mask], [string.z_mask]], dtype=np.uint64)
-        (sources,), (diagonal,) = _x_mask_action(n_sites, x, z, np.ones(1))
-        probe_psi, probe_phi = coeff * (diagonal * psi[sources]), coeff * (diagonal * phi[sources])
+        # P|i> = values[i] |flips[i]> with flips an involution: (P psi)[j] = values[flips[j]] psi[flips[j]]
+        flips, values = _pauli_action(n_sites, string.x_mask, string.z_mask)
+        diagonal = values[flips]
+        probe_psi, probe_phi = coeff * (diagonal * psi[flips]), coeff * (diagonal * phi[flips])
         diag = abs(np.vdot(psi, probe_psi) - np.vdot(phi, probe_phi))
         cross = abs(np.vdot(psi, probe_phi))
         diag_max = max(diag_max, float(diag))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one site-count check.
 
 Every error raised by the library derives from :class:`KLocalError`, so
 callers can catch one base class.  The CLI maps these onto exit codes:
@@ -15,6 +15,7 @@ __all__ = [
     "DomainError",
     "InfeasibleScheduleError",
     "ResourceLimitError",
+    "check_same_sites",
 ]
 
 
@@ -40,3 +41,9 @@ class InfeasibleScheduleError(KLocalError, ValueError):
 
 class ResourceLimitError(KLocalError, RuntimeError):
     """Dense computation would exceed the configured size limit."""
+
+
+def check_same_sites(n_a: int, n_b: int) -> None:
+    """Raise ``DimensionMismatchError`` unless two operands share a site count."""
+    if n_a != n_b:
+        raise DimensionMismatchError(f"operators on {n_a} and {n_b} sites")

@@ -183,10 +183,6 @@ def pack_layers(pool: UnitPool) -> LayerDecomposition:
             occupied |= support[i]
             remaining[i] -= 1
             total_left -= 1
-        # maximality: whatever is left collides with this layer
-        for i in order:
-            if remaining[i] and not (support[i] & occupied):
-                raise AssertionError("packing pass left a compatible unit unassigned")
         layers.append(pool.units.select(layer))
     return LayerDecomposition(
         n_sites=pool.n_sites,
@@ -204,4 +200,4 @@ def reconstruct(decomp: LayerDecomposition) -> KLocalOperator:
     The result equals the discretized Hamiltonian, i.e. it differs from
     the source by at most ``reconstruction_gap`` in norm_upper.
     """
-    return sum(decomp.layers, KLocalOperator.zero(decomp.n_sites))
+    return sum(decomp.layers, KLocalOperator(decomp.n_sites))

@@ -206,16 +206,9 @@ def structural_constants(op: KLocalOperator) -> StructuralConstants:
     # (term, site) pairs in term order, so each site sums like a loop over terms
     rows, sites = op.letter_sites()
     weights = np.bincount(rows, minlength=op.n_terms)
-    k = int(weights.max(initial=0))
-    has_identity = bool((weights == 0).any())
     per_site = np.bincount(sites, weights=op.magnitudes[rows], minlength=op.n_sites)
-    g = float(per_site.max(initial=0.0))
-    total = op.norm_upper()
-    if not has_identity and total > g * op.n_sites * (1.0 + 1e-12) + 1e-12:
-        raise ValidationError(
-            f"internal inconsistency: norm_upper {total} exceeds g*N {g * op.n_sites}"
-        )
-    return StructuralConstants(k=k, g=g, n_terms=op.n_terms, norm_upper=total)
+    k, g = int(weights.max(initial=0)), float(per_site.max(initial=0.0))
+    return StructuralConstants(k=k, g=g, n_terms=op.n_terms, norm_upper=op.norm_upper())
 
 
 def _build_long_range_ising(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
@@ -240,13 +233,15 @@ def _build_long_range_ising(n_sites: int, params: Mapping[str, Any]) -> KLocalOp
     )
 
 
-def _random_strings(
-    rng: np.random.Generator,
-    n_sites: int,
-    k: int,
-    n_terms: int,
-    letters: str,
-) -> dict[PauliString, complex]:
+def _random_draw(n_sites: int, params: Mapping[str, Any], letters: str) -> KLocalOperator:
+    """``n_terms`` seeded strings of weight <= ``k`` over ``letters``, with
+    uniform real coefficients in [-1, 1]; repeated strings are summed."""
+    k = int(params.get("k", 2))
+    seed = int(params.get("seed", 0))
+    n_terms = int(params.get("n_terms", 2 * n_sites))
+    if not 1 <= k <= n_sites:
+        raise ValidationError(f"k must satisfy 1 <= k <= n_sites, got k={k}, n_sites={n_sites}")
+    rng = np.random.default_rng(seed)
     acc: dict[PauliString, complex] = {}
     for _ in range(n_terms):
         weight = int(rng.integers(1, k + 1))
@@ -255,7 +250,7 @@ def _random_strings(
         string = PauliString.from_letters(n_sites, chosen)
         coeff = float(rng.uniform(-1.0, 1.0))
         acc[string] = acc.get(string, 0j) + coeff
-    return acc
+    return KLocalOperator(n_sites, acc)
 
 
 def _normalize_extensiveness(op: KLocalOperator, g_target: float) -> KLocalOperator:
@@ -266,17 +261,10 @@ def _normalize_extensiveness(op: KLocalOperator, g_target: float) -> KLocalOpera
 
 
 def _build_random_klocal(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
-    k = int(params.get("k", 2))
+    op = _random_draw(n_sites, params, "XYZ")
     g_target = float(params.get("g_target", 1.0))
-    seed = int(params.get("seed", 0))
-    n_terms = int(params.get("n_terms", 2 * n_sites))
-    if not 1 <= k <= n_sites:
-        raise ValidationError(f"k must satisfy 1 <= k <= n_sites, got k={k}, n_sites={n_sites}")
     if g_target <= 0:
         raise ValidationError(f"g_target must be positive, got {g_target}")
-    rng = np.random.default_rng(seed)
-    acc = _random_strings(rng, n_sites, k, n_terms, "XYZ")
-    op = KLocalOperator(n_sites, acc)
     if op.is_zero:
         raise ValidationError("random draw produced the zero operator; change the seed")
     return _normalize_extensiveness(op, g_target)
@@ -292,14 +280,7 @@ def _build_product_field(n_sites: int, params: Mapping[str, Any]) -> KLocalOpera
 
 
 def _build_diagonal_commuting(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
-    k = int(params.get("k", 2))
-    seed = int(params.get("seed", 0))
-    n_terms = int(params.get("n_terms", 2 * n_sites))
-    if not 1 <= k <= n_sites:
-        raise ValidationError(f"k must satisfy 1 <= k <= n_sites, got k={k}, n_sites={n_sites}")
-    rng = np.random.default_rng(seed)
-    acc = _random_strings(rng, n_sites, k, n_terms, "Z")
-    op = KLocalOperator(n_sites, acc)
+    op = _random_draw(n_sites, params, "Z")
     if "g_target" in params:
         op = _normalize_extensiveness(op, float(params["g_target"]))
     return op

@@ -5,7 +5,7 @@ and exists to certify the symbolic algebra and the analytic bounds on
 small instances.  :func:`site_limit` caps dense-operator work at
 ``N_MAX_OPERATOR`` sites and statevector work at ``N_MAX_STATE``; an
 ``n_max`` argument only ever raises a limit.  Hermiticity follows the
-``HERMITIAN_TOL`` rule of :mod:`klocal.pauli`.
+``HERMITIAN_TOL`` rule of :mod:`klocal.pauli`, stated in Frobenius norms.
 
 Conventions (shared with :mod:`klocal.concentration`):
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, check_same_sites
 from .pauli import HERMITIAN_TOL, KLocalOperator
 
 __all__ = [
@@ -124,7 +124,8 @@ class DenseOperator:
     def hermitian(self) -> bool:
         """The ``HERMITIAN_TOL`` rule on ``M - M+``, decided once."""
         m = self.matrix
-        return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * np.max(np.abs(m), initial=1.0))
+        scale = max(2 ** (self.n_sites / 2), np.linalg.norm(m))
+        return bool(np.linalg.norm(m - m.conj().T) / 2 <= HERMITIAN_TOL * scale)
 
 
 def _pauli_action(n_sites: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +194,7 @@ class EigenSystem:
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense.matrix)
 
     def _matrix(self, op: KLocalOperator | DenseOperator) -> np.ndarray:
-        if op.n_sites != self.n_sites:
-            raise ValidationError(f"operators on {self.n_sites} and {op.n_sites} sites")
+        check_same_sites(self.n_sites, op.n_sites)
         return to_dense(op, n_max=self.n_sites).matrix
 
     def evolve_operator(self, gamma: KLocalOperator | DenseOperator, t: float) -> DenseOperator:
@@ -270,10 +270,6 @@ class WeightSpectrum:
     """
 
     weights: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.weights))
 
     def mass_above(self, q: int) -> float:
         """Mass at weights strictly greater than q."""

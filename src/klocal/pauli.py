@@ -58,7 +58,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError, check_same_sites
 
 __all__ = [
     "ZERO_TOL",
@@ -71,8 +71,8 @@ __all__ = [
 # Coefficients at or below this magnitude are treated as exact zeros when
 # operators are put in canonical form.
 ZERO_TOL = 1e-14
-# An operator is Hermitian when max |Im c| (max |M - M+| for a dense matrix)
-# is at most this times max(1, largest |c| or |entry|).
+# Hermitian: ||Im c||_2 <= HERMITIAN_TOL * max(1, ||c||_2), or on the 2**n-dim
+# matrix the same quantities ||M - M+||_F / 2 <= HERMITIAN_TOL * max(2**(n/2), ||M||_F).
 HERMITIAN_TOL = 1e-10
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -294,10 +294,7 @@ class KLocalOperator:
     def __init__(self, n_sites: int, terms: Mapping[PauliString, complex] | None = None):
         terms = terms or {}
         for string in terms:
-            if string.n_sites != n_sites:
-                raise DimensionMismatchError(
-                    f"term on {string.n_sites} sites in operator on {n_sites}"
-                )
+            check_same_sites(n_sites, string.n_sites)
         width = _n_words(n_sites)
         coeff = np.fromiter(terms.values(), dtype=complex, count=len(terms))
         # 0.0 + c, as merging sums from zero (it turns -0.0 parts into 0.0)
@@ -347,13 +344,8 @@ class KLocalOperator:
     def __setattr__(self, name, value):
         raise AttributeError("KLocalOperator is immutable")
 
-    @classmethod
-    def zero(cls, n_sites: int) -> "KLocalOperator":
-        return cls(n_sites)
-
     def coefficient(self, string: PauliString) -> complex:
-        if string.n_sites != self.n_sites:
-            raise DimensionMismatchError(f"string on {string.n_sites} sites, operator on {self.n_sites}")
+        check_same_sites(self.n_sites, string.n_sites)
         width = _n_words(self.n_sites)
         xs, zs = _pack([string.x_mask], width), _pack([string.z_mask], width)
         hit = np.flatnonzero(((self.x == xs) & (self.z == zs)).all(axis=1))
@@ -436,15 +428,12 @@ class KLocalOperator:
 
     def is_hermitian(self) -> bool:
         """The ``HERMITIAN_TOL`` rule on the imaginary parts of the coefficients."""
-        return bool(np.all(np.abs(self.coeff.imag) <= HERMITIAN_TOL * np.max(self.magnitudes, initial=1.0)))
+        return bool(np.linalg.norm(self.coeff.imag) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(self.coeff)))
 
     def __add__(self, other: "KLocalOperator") -> "KLocalOperator":
         if not isinstance(other, KLocalOperator):
             return NotImplemented
-        if self.n_sites != other.n_sites:
-            raise DimensionMismatchError(
-                f"operators on {self.n_sites} and {other.n_sites} sites"
-            )
+        check_same_sites(self.n_sites, other.n_sites)
         rows = _merge(
             np.concatenate([np.concatenate([op.x, op.z], axis=1) for op in (self, other)]),
             np.concatenate([self.coeff.real, other.coeff.real]),
@@ -510,8 +499,7 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     ``b.n_terms`` rows, in (P, Q) order, so the strings seen so far are
     never sorted again and the pending chunk bounds peak memory.
     """
-    if a.n_sites != b.n_sites:
-        raise DimensionMismatchError(f"operators on {a.n_sites} and {b.n_sites} sites")
+    check_same_sites(a.n_sites, b.n_sites)
     bx, bz = b.x, b.z
     x_words, z_words = bx.T.copy(), bz.T.copy()
     b_re, b_im = b.coeff.real.copy(), b.coeff.imag.copy()

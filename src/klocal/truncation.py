@@ -29,7 +29,7 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .bounds import BoundParams, QSchedule, main_rhs, q_schedule, small_time_rhs
-from .errors import DomainError, InfeasibleScheduleError, ValidationError
+from .errors import DomainError, InfeasibleScheduleError, check_same_sites
 from .pauli import KLocalOperator, commutator
 
 __all__ = [
@@ -96,10 +96,7 @@ def nested_commutator_levels(
 
     Stops early once a level vanishes (all later levels are zero too).
     """
-    if hamiltonian.n_sites != gamma.n_sites:
-        raise ValidationError(
-            f"operators on {hamiltonian.n_sites} and {gamma.n_sites} sites"
-        )
+    check_same_sites(hamiltonian.n_sites, gamma.n_sites)
     level = gamma
     yield 0, level, 0.0
     for m in range(1, max_m + 1):
@@ -108,10 +105,6 @@ def nested_commutator_levels(
         yield m, level, dropped
         if level.is_zero:
             return
-
-
-def _resolve_params(hamiltonian: KLocalOperator, params: BoundParams | None) -> BoundParams:
-    return params if params is not None else BoundParams.from_operator(hamiltonian)
 
 
 def hadamard_truncate(
@@ -129,7 +122,7 @@ def hadamard_truncate(
     """
     if q < 1:
         raise DomainError(f"target locality q must be positive, got {q}")
-    params = _resolve_params(hamiltonian, params)
+    params = params or BoundParams.from_operator(hamiltonian)
     q0 = gamma.locality
     if q < q0:
         raise InfeasibleScheduleError(
@@ -172,7 +165,7 @@ def chained_truncate(
     interval at the locality levels of :func:`klocal.bounds.q_schedule`.
     Requires q >= 2**n * locality(gamma).
     """
-    params = _resolve_params(hamiltonian, params)
+    params = params or BoundParams.from_operator(hamiltonian)
     q0 = gamma.locality
     n = params.intervals(t)
     schedule = q_schedule(q0, q, n)

@@ -99,8 +99,8 @@ def reference_commutator(a: KLocalOperator, b: KLocalOperator) -> list[tuple[Pau
 def apply_pauli_string(string: PauliString, psi: np.ndarray) -> np.ndarray:
     """One Pauli string applied to a statevector as its signed permutation,
     without building its matrix: the one-string reference for the grouped
-    X-mask action with which ``klocal.oracle`` builds dense matrices,
-    evolves states and applies probes."""
+    X-mask action with which ``klocal.oracle`` builds dense matrices and
+    evolves states, and for the probes of ``topo_error_estimate``."""
     flips, values = _pauli_action(string.n_sites, string.x_mask, string.z_mask)
     out = np.empty(len(psi), dtype=complex)
     out[flips] = values * psi

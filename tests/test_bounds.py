@@ -64,7 +64,7 @@ class TestBoundParams:
             p.light_cone_radius(4.0)
 
     def test_from_constants_clamps_k(self):
-        const = structural_constants(KLocalOperator.zero(3))
+        const = structural_constants(KLocalOperator(3))
         assert const.k == 0
         assert BoundParams.from_constants(const) == BoundParams(g=0.0, k=1)
 

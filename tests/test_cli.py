@@ -501,6 +501,17 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert json.loads(out)["error"]["message"].startswith("--t must be a comma-separated list")
 
+    @pytest.mark.parametrize(
+        "command", [["truncate", "--t", "0.01", "--q", "3"], ["verify"]], ids=["truncate", "verify"]
+    )
+    def test_gamma_on_other_site_count_exit_code(self, capsys, tmp_path, single_qubit_specs, command):
+        h, _ = single_qubit_specs
+        gamma = tmp_path / "g2.json"
+        gamma.write_text(json.dumps({"n_sites": 2, "terms": [{"sites": [1], "paulis": "Z", "coeff": [1.0, 0.0]}]}))
+        code, out = run(capsys, *command, "--spec", h, "--gamma", str(gamma))
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "gamma is on 2 sites but the Hamiltonian has 1"
+
     def test_missing_file(self, capsys, tmp_path):
         code, out = run(capsys, "constants", "--spec", str(tmp_path / "nope.json"))
         assert code == 2

@@ -81,7 +81,7 @@ class TestPackLayers:
             assert layer.n_terms == 1
 
     def test_zero_hamiltonian(self):
-        zero = KLocalOperator.zero(3)
+        zero = KLocalOperator(3)
         decomp = pack_layers(discretize(zero, 0.5, structural_constants(zero)))
         assert decomp.layer_count == 0
         assert decomp.verify()["all_ok"]

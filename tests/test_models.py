@@ -254,7 +254,7 @@ class TestStructuralConstants:
         assert const.norm_upper == pytest.approx(2.0)
 
     def test_zero_operator(self):
-        const = structural_constants(KLocalOperator.zero(3))
+        const = structural_constants(KLocalOperator(3))
         assert const.k == 0
         assert const.g == 0.0
         assert const.n_terms == 0

@@ -340,28 +340,48 @@ class TestPauliBasis:
             w[(0,) * 4] = 1
 
 
-@pytest.mark.parametrize("scale", [1.0, 1000.0])
-@pytest.mark.parametrize("fraction, hermitian", [(0.49, True), (1.01, False)])
-def test_one_hermiticity_rule(scale, fraction, hermitian):
-    # Im c sits at fraction * HERMITIAN_TOL * max|c|; M - M+ holds 2 Im c, so
-    # 0.49 is below the rule in both forms and 1.01 above it in both
-    op = KLocalOperator(
+def _z0_and_imaginary_x1(scale: float, fraction: float) -> KLocalOperator:
+    return KLocalOperator(
         2,
         {
             PauliString.from_letters(2, {0: "Z"}): scale,
             PauliString.from_letters(2, {1: "X"}): 1j * fraction * HERMITIAN_TOL * scale,
         },
     )
+
+
+def _z_chain_and_imaginary_x0() -> KLocalOperator:
+    terms = {PauliString.from_letters(8, {i: "Z"}): 1.0 for i in range(8)}
+    return KLocalOperator(8, {**terms, PauliString.from_letters(8, {0: "X"}): 3e-10j})
+
+
+@pytest.mark.parametrize(
+    "op, hermitian",
+    [
+        pytest.param(_z0_and_imaginary_x1(scale, fraction), hermitian, id=f"{fraction}-{hermitian}-{scale}")
+        for fraction, hermitian in [(0.49, True), (1.01, False)]
+        for scale in [1.0, 1000.0]
+    ]
+    + [pytest.param(_z_chain_and_imaginary_x0(), False, id="z-chain-8")],
+)
+def test_one_hermiticity_rule(op, hermitian):
+    # Both forms hold the 2-norm of the anti-Hermitian part against that of
+    # the operator: ||Im c||_2 against max(1, ||c||_2), or ||M - M+||_F / 2
+    # against max(2**(n/2), ||M||_F), which is the same scaled by 2**(n/2).
+    # On Z0 + i f TOL X1 (times a scale) that is f against 1.  On the chain,
+    # ||Im c||_2 = 3e-10 exceeds TOL * sqrt(8), though its largest entry of
+    # M - M+ lies below TOL times the largest entry of M.
     assert op.is_hermitian() is hermitian
     assert to_dense(op).hermitian is hermitian
+    state = "+" * op.n_sites
     if hermitian:
         EigenSystem(op)
-        evolve_product_state(op, "00", 1e-3)
+        evolve_product_state(op, state, 1e-3)
     else:
         with pytest.raises(ValidationError, match="Hermitian"):
             EigenSystem(op)
         with pytest.raises(ValidationError, match="Hermitian"):
-            evolve_product_state(op, "00", 1e-3)
+            evolve_product_state(op, state, 1e-3)
 
 
 class TestEnergyBlocks:

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 from klocal import pauli
 from klocal.errors import DimensionMismatchError, ValidationError
 from klocal.models import build_model
-from klocal.oracle import to_dense
+from klocal.oracle import EigenSystem, to_dense
 from klocal.pauli import (
     ZERO_TOL,
     KLocalOperator,
     PauliString,
     commutator,
 )
-from klocal.truncation import nested_commutator_levels
+from klocal.truncation import hadamard_truncate, nested_commutator_levels
 
 from conftest import (
     exact_terms,
@@ -215,16 +215,24 @@ class TestKLocalOperator:
         assert KLocalOperator(1, {s: 2.0}).is_hermitian()
         assert not KLocalOperator(1, {s: 2.0j}).is_hermitian()
 
-    def test_dimension_mismatch(self):
-        a = KLocalOperator.zero(2)
-        b = KLocalOperator.zero(3)
-        with pytest.raises(DimensionMismatchError):
-            _ = a + b
-
-    def test_coefficient_of_a_string_on_another_site_count(self):
-        op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 1.0})
-        with pytest.raises(DimensionMismatchError):
-            op.coefficient(PauliString.from_letters(3, {0: "X"}))
+    @pytest.mark.parametrize(
+        "action",
+        [
+            lambda h3, g2: h3 + g2,
+            lambda h3, g2: commutator(h3, g2),
+            lambda h3, g2: h3.coefficient(PauliString.from_letters(2, {0: "X"})),
+            lambda h3, g2: KLocalOperator(3, {PauliString.from_letters(2, {0: "X"}): 1.0}),
+            lambda h3, g2: EigenSystem(h3).evolve_operator(g2, 0.1),
+            lambda h3, g2: hadamard_truncate(h3, g2, 0.001, 3),
+        ],
+        ids=["add", "commutator", "coefficient", "mapping", "evolve_operator", "hadamard_truncate"],
+    )
+    def test_dimension_mismatch(self, action):
+        # every site-count mismatch raises the one error of klocal.errors.check_same_sites
+        h3 = KLocalOperator(3, {PauliString.from_letters(3, {0: "X", 1: "X"}): 1.0})
+        g2 = KLocalOperator(2, {PauliString.from_letters(2, {0: "Z"}): 1.0})
+        with pytest.raises(DimensionMismatchError, match="^operators on 3 and 2 sites$"):
+            action(h3, g2)
 
     @given(operators(3), operators(3))
     @settings(max_examples=50)
@@ -249,7 +257,7 @@ class TestKLocalOperator:
         )
         op = KLocalOperator(70, {PauliString(70): 2.0, strings[1]: -1j})
         assert repr(op) == "KLocalOperator((2+0j)*I + (0-1j)*Y1Z68, n=70)"
-        assert repr(KLocalOperator.zero(3)) == "KLocalOperator(0, n=3)"
+        assert repr(KLocalOperator(3)) == "KLocalOperator(0, n=3)"
 
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     @pytest.mark.parametrize(
@@ -502,7 +510,7 @@ class TestCommutator:
 
     def test_zero_operands(self, rng):
         a = random_operator(rng, 70, 5, complex_coeffs=True)
-        zero = KLocalOperator.zero(70)
+        zero = KLocalOperator(70)
         assert commutator(a, zero).is_zero and commutator(zero, a).is_zero
         assert a + zero == a and (a - a).is_zero and zero.norm_upper() == 0.0
 
