@@ -17,9 +17,11 @@ per-site sum of term coefficient magnitudes), which drive every bound in
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any
@@ -56,6 +58,22 @@ def _require_fields(obj: Mapping[str, Any], fields: set[str], where: str) -> Non
         raise ValidationError(f"{where}: missing field(s) {sorted(missing)}")
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring the caller's setting.
+
+    A parsed or written spec is a tree of dicts, lists and strings that
+    cannot form cycles; the collections that building it triggers would
+    scan its containers for nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _only(items, kinds) -> bool:
     """True iff every item is an instance of ``kinds`` and none is a bool."""
     return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, items)))
@@ -72,7 +90,8 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     """
     if isinstance(document, str):
         try:
-            document = json.loads(document)
+            with _collector_paused():
+                document = json.loads(document)
         except ValueError as exc:  # also integers beyond the digit limit
             raise ValidationError(f"spec is not valid JSON: {exc}") from None
     if not isinstance(document, Mapping):
@@ -174,10 +193,11 @@ def spec_entries(op: KLocalOperator) -> list[dict[str, Any]]:
     letters = op.letters_at(rows, sites).decode("ascii")
     sites, ends = sites.tolist(), np.cumsum(weights).tolist()
     coeffs = zip(op.coeff.real.tolist(), op.coeff.imag.tolist())
-    return [
-        {"sites": sites[start:end], "paulis": letters[start:end], "coeff": [re, im]}
-        for start, end, (re, im) in zip([0, *ends], ends, coeffs)
-    ]
+    with _collector_paused():
+        return [
+            {"sites": sites[start:end], "paulis": letters[start:end], "coeff": [re, im]}
+            for start, end, (re, im) in zip([0, *ends], ends, coeffs)
+        ]
 
 
 def spec_from_operator(op: KLocalOperator) -> dict[str, Any]:

@@ -24,7 +24,11 @@ from ``letters_at()``, build an operator from such arrays with
 ``from_letter_sites()``, get the rows sorted by (x_mask, z_mask) from
 ``mask_order()``, and a sub-operator from ``select()``, which picks rows
 in a given order and can rescale each one.  The layers of
-:mod:`klocal.layers` are operators built that way.
+:mod:`klocal.layers` are operators built that way.  ``letter_sites``
+unpacks the bits of the nonzero bytes of ``x | z`` alone, so its time and
+memory grow with the words and letters of an operator, not with rows
+times sites: a 256-site long-range chain has 32,896 rows of 256 sites
+but 65,536 letters.
 
 Row order.  Each string occupies one row, in the order in which it first
 occurred: in the constructor's mapping or rows, in ``self`` then
@@ -80,6 +84,9 @@ _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTERS = "IXZY"
 _ASCII_BITS = np.zeros(256, dtype=np.uint8)  # x + 2z of each letter byte
 _ASCII_BITS[list(_LETTERS.encode())] = range(4)
+# ``letter_sites`` unpacks an x | z of at most this many bytes whole: below
+# it the nonzero-byte decode costs more (measured crossover 128-256 bytes)
+_UNPACK_BYTES = 256
 
 # Python reduces int hashes modulo 2**61 - 1; a second residue keeps masks
 # wider than 61 bits from colliding in bulk.
@@ -365,10 +372,20 @@ class KLocalOperator:
         return int(_popcount(self.x | self.z).max(initial=0))
 
     def letter_sites(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, site) of every non-identity letter, rows ascending and
-        sites ascending within a row."""
-        support = (self.x | self.z).astype("<u8", copy=False)
-        return np.nonzero(np.unpackbits(support.view(np.uint8), axis=1, bitorder="little"))
+        """(row, site) of every non-identity letter as ``intp`` arrays,
+        rows ascending and sites ascending within a row.
+
+        Only the nonzero bytes of ``x | z`` are unpacked into bits, so
+        work and memory grow with the words and letters of the operator,
+        not with rows times sites.  At most ``_UNPACK_BYTES`` bytes are
+        unpacked whole, which costs fewer NumPy calls."""
+        support = (self.x | self.z).astype("<u8", copy=False).view(np.uint8)
+        if support.size <= _UNPACK_BYTES:
+            return np.nonzero(np.unpackbits(support, axis=1, bitorder="little"))
+        at = np.flatnonzero(support)
+        bit = np.flatnonzero(np.unpackbits(support.take(at), bitorder="little"))
+        # bit j of the unpacked bytes is bit j % 8 of byte at[j // 8]
+        return np.divmod(8 * at[bit >> 3] + (bit & 7), 8 * support.shape[1])
 
     def letters_at(self, rows: np.ndarray, sites: np.ndarray) -> bytes:
         """The ASCII letter at each (row, site) pair, ``I`` where none."""
@@ -415,16 +432,17 @@ class KLocalOperator:
     def prune(self, threshold: float) -> tuple["KLocalOperator", float]:
         """Drop terms with ``|coeff| <= threshold``.
 
-        Returns the pruned operator and the summed magnitude of what was
-        dropped, added up in row order; ``threshold=0.0`` is the identity
-        transformation.
+        Returns the pruned operator, ``self`` when nothing is dropped, and
+        the summed magnitude of what was dropped, added up in row order;
+        ``threshold=0.0`` is the identity transformation.
         """
         if not threshold >= 0:
             raise ValidationError(f"threshold must be nonnegative, got {threshold}")
         mags = self.magnitudes
         drop = mags <= threshold
-        dropped = float(np.cumsum(mags[drop])[-1]) if drop.any() else 0.0
-        return self.select(~drop), dropped
+        if not drop.any():
+            return self, 0.0
+        return self.select(~drop), float(np.cumsum(mags[drop])[-1])
 
     def is_hermitian(self) -> bool:
         """The ``HERMITIAN_TOL`` rule on the imaginary parts of the coefficients."""

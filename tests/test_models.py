@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
@@ -173,6 +175,22 @@ class TestLoadSpec:
         with pytest.raises(ValidationError, match="n_sites"):
             load_spec({**doc, "n_sites": N_MAX_SITES + 1})
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_keeps_collector_setting(self, tfi_chain, enabled):
+        # the spec is built and parsed with the collector paused
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            text = json.dumps(spec_from_operator(tfi_chain))
+            assert gc.isenabled() is enabled
+            assert load_spec(text) == tfi_chain
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValidationError, match="not valid JSON"):
+                load_spec(text[:-1])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_merges_duplicate_terms(self):
         doc = {
             "n_sites": 1,
@@ -270,6 +288,19 @@ class TestStructuralConstants:
         )
         # site 1 touches |1.0| + |2.0| = 3.0, site 2 touches 2.25
         assert structural_constants(op).g == pytest.approx(3.0)
+
+
+    def test_wide_operator_memory(self):
+        # unpacking every site bit of x | z would take 64 MB here
+        op = build_model("product_field", {"n_sites": 8192})
+        tracemalloc.start()
+        try:
+            const = structural_constants(op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert const == StructuralConstants(k=1, g=1.0, n_terms=8192, norm_upper=8192.0)
+        assert peak < 2 * op.x.nbytes
 
 
 class TestModelFamilies:

@@ -195,6 +195,8 @@ class TestKLocalOperator:
         kept, dropped = op.prune(1e-6)
         assert kept.n_terms == 1
         assert dropped == pytest.approx(1e-9)
+        for threshold in (0.0, 1e-10):  # nothing to drop: no copy
+            assert op.prune(threshold) == (op, 0.0) and op.prune(threshold)[0] is op
         for bad in (-1e-9, math.nan):
             with pytest.raises(ValidationError, match="threshold must be nonnegative"):
                 op.prune(bad)
@@ -294,18 +296,29 @@ class TestKLocalOperator:
         assert merged.n_terms == 16
         assert exact_terms(merged) == exact_terms(KLocalOperator(n, acc))
 
-    @pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
-    def test_from_letter_sites_inverts_letter_sites(self, rng, n):
-        op = random_operator(rng, n, 60, max_weight=4, complex_coeffs=True)
-        rows, sites = op.letter_sites()
-        letters = op.letters_at(rows, sites)
-        assert list(zip(rows.tolist(), sites.tolist(), letters.decode())) == [
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 130, 257, 4096])
+    def test_from_letter_sites_inverts_letter_sites(self, rng, monkeypatch, n):
+        drawn = terms_of(random_operator(rng, n, 60, max_weight=4, complex_coeffs=True))
+        # a row filling the last whole word with X and Y, and an identity row
+        width = min(n, 64)
+        start = (n - width) // 64 * 64
+        full = ((1 << width) - 1) << start
+        edges = {PauliString(n, full, full & int("10" * 32, 2) << start): 2.0, PauliString(n): -0.5j}
+        op = KLocalOperator(n, dict(drawn[:3]) | edges | dict(drawn[3:]))
+        expected = [
             (row, site, letter)
             for row, (string, _) in enumerate(terms_of(op))
             for site, letter in letters_of(string).items()
         ]
-        rebuilt = KLocalOperator.from_letter_sites(n, rows, sites, letters, op.coeff)
-        assert exact_terms(rebuilt) == exact_terms(op)
+        # x | z unpacked whole, and only its nonzero bytes unpacked
+        for unpack_bytes in (2**40, 0):
+            monkeypatch.setattr(pauli, "_UNPACK_BYTES", unpack_bytes)
+            rows, sites = op.letter_sites()
+            assert rows.dtype == sites.dtype == np.intp
+            letters = op.letters_at(rows, sites)
+            assert list(zip(rows.tolist(), sites.tolist(), letters.decode())) == expected
+            rebuilt = KLocalOperator.from_letter_sites(n, rows, sites, letters, op.coeff)
+            assert exact_terms(rebuilt) == exact_terms(op)
 
     def test_magnitudes_match_python_abs(self, rng):
         # NumPy's complex abs may differ from Python's in the last bit
