@@ -289,7 +289,6 @@ class TestStructuralConstants:
         # site 1 touches |1.0| + |2.0| = 3.0, site 2 touches 2.25
         assert structural_constants(op).g == pytest.approx(3.0)
 
-
     def test_wide_operator_memory(self):
         # unpacking every site bit of x | z would take 64 MB here
         op = build_model("product_field", {"n_sites": 8192})

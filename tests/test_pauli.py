@@ -196,7 +196,8 @@ class TestKLocalOperator:
         assert kept.n_terms == 1
         assert dropped == pytest.approx(1e-9)
         for threshold in (0.0, 1e-10):  # nothing to drop: no copy
-            assert op.prune(threshold) == (op, 0.0) and op.prune(threshold)[0] is op
+            kept, dropped = op.prune(threshold)
+            assert kept is op and dropped == 0.0
         for bad in (-1e-9, math.nan):
             with pytest.raises(ValidationError, match="threshold must be nonnegative"):
                 op.prune(bad)
