@@ -84,9 +84,6 @@ _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTERS = "IXZY"
 _ASCII_BITS = np.zeros(256, dtype=np.uint8)  # x + 2z of each letter byte
 _ASCII_BITS[list(_LETTERS.encode())] = range(4)
-# ``letter_sites`` unpacks an x | z of at most this many bytes whole: below
-# it the nonzero-byte decode costs more (measured crossover 128-256 bytes)
-_UNPACK_BYTES = 256
 
 # Python reduces int hashes modulo 2**61 - 1; a second residue keeps masks
 # wider than 61 bits from colliding in bulk.
@@ -377,11 +374,8 @@ class KLocalOperator:
 
         Only the nonzero bytes of ``x | z`` are unpacked into bits, so
         work and memory grow with the words and letters of the operator,
-        not with rows times sites.  At most ``_UNPACK_BYTES`` bytes are
-        unpacked whole, which costs fewer NumPy calls."""
+        not with rows times sites."""
         support = (self.x | self.z).astype("<u8", copy=False).view(np.uint8)
-        if support.size <= _UNPACK_BYTES:
-            return np.nonzero(np.unpackbits(support, axis=1, bitorder="little"))
         at = np.flatnonzero(support)
         bit = np.flatnonzero(np.unpackbits(support.take(at), bitorder="little"))
         # bit j of the unpacked bytes is bit j % 8 of byte at[j // 8]
