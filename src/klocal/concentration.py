@@ -375,8 +375,8 @@ def _bloch_parent(site_states: str, n_sites: int) -> KLocalOperator:
         a, b = _NAMED_SITE_STATES[ch]
         ab = np.conj(a) * b
         for letter, component in zip("XYZ", (2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2)):
-            if abs(component) > 1e-14:
-                terms[PauliString.from_letters(n_sites, {i: letter})] = -component
+            # canonical form drops the components with |c| <= ZERO_TOL
+            terms[PauliString.from_letters(n_sites, {i: letter})] = -component
     return KLocalOperator(n_sites, terms)
 
 

@@ -28,17 +28,21 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ResourceLimitError, ValidationError
 from .models import StructuralConstants, spec_entries
 from .pauli import ZERO_TOL, KLocalOperator, PauliString
 
 __all__ = [
+    "N_MAX_UNITS",
     "UnitPool",
     "LayerDecomposition",
     "discretize",
     "pack_layers",
     "reconstruct",
 ]
+
+# Most unit copies a discretization may ask for; packing visits every copy.
+N_MAX_UNITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,8 @@ def discretize(hamiltonian: KLocalOperator, epsilon: float, const: StructuralCon
     eps * h_X/||h_X||; the remainder mass sum_X (||h_X|| - N_X*eps) is
     reported as ``gap_upper``.  Identity terms are rejected since they
     carry no site support to pack, and so is eps <= ``ZERO_TOL``, whose
-    units canonical form would drop.
+    units canonical form would drop.  More than ``N_MAX_UNITS`` copies in
+    all raise ``ResourceLimitError`` before any unit is built.
     """
     if not ZERO_TOL < epsilon < math.inf:
         raise DomainError(f"epsilon must be finite and above {ZERO_TOL}, got {epsilon}")
@@ -139,7 +144,11 @@ def discretize(hamiltonian: KLocalOperator, epsilon: float, const: StructuralCon
         raise ValidationError("identity term cannot be packed into layers")
     order = hamiltonian.mask_order()
     norms = hamiltonian.magnitudes[order]
-    copies = np.floor(norms / epsilon)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        copies = np.floor(norms / epsilon)
+    if not (n_units := copies.sum()) <= N_MAX_UNITS:
+        message = f"epsilon={epsilon} asks for {n_units:.0f} unit copies, above N_MAX_UNITS = {N_MAX_UNITS}"
+        raise ResourceLimitError(message)
     # cumsum adds in row order, where np.sum would add pairwise
     gap = float(np.cumsum(norms - copies * epsilon)[-1]) if len(norms) else 0.0
     kept = copies > 0

@@ -97,11 +97,7 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     if not isinstance(document, Mapping):
         raise ValidationError(f"spec must be a JSON object, got {type(document).__name__}")
     _require_fields(document, {"n_sites", "terms"}, "spec")
-    n_sites = document["n_sites"]
-    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites <= 0:
-        raise ValidationError(f"n_sites must be a positive integer, got {n_sites!r}")
-    if n_sites > N_MAX_SITES:
-        raise ValidationError(f"n_sites must be at most N_MAX_SITES = {N_MAX_SITES}, got {n_sites}")
+    n_sites = _check_n_sites(document["n_sites"])
     entries = document["terms"]
     if not isinstance(entries, (list, tuple)):
         raise ValidationError("terms must be an array")
@@ -112,6 +108,15 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
         raise AssertionError("the bulk spec checks rejected entries that pass one by one")
     del document, entries  # a parsed spec outweighs the arrays: free it first
     return KLocalOperator.from_letter_sites(n_sites, *arrays)
+
+
+def _check_n_sites(n_sites: Any) -> int:
+    """``n_sites`` if it is an ``int`` (not a ``bool``) in [1, N_MAX_SITES]."""
+    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites <= 0:
+        raise ValidationError(f"n_sites must be a positive integer, got {n_sites!r}")
+    if n_sites > N_MAX_SITES:
+        raise ValidationError(f"n_sites must be at most N_MAX_SITES = {N_MAX_SITES}, got {n_sites}")
+    return n_sites
 
 
 def _flatten(entries, n_sites: int) -> tuple[np.ndarray, ...] | None:
@@ -274,6 +279,8 @@ def _random_draw(n_sites: int, params: Mapping[str, Any], letters: str) -> KLoca
 
 
 def _normalize_extensiveness(op: KLocalOperator, g_target: float) -> KLocalOperator:
+    if not 0 < g_target < math.inf:
+        raise ValidationError(f"g_target must be finite and positive, got {g_target}")
     raw = structural_constants(op).g
     if raw == 0.0:
         raise ValidationError("cannot normalize extensiveness of a zero operator")
@@ -282,12 +289,9 @@ def _normalize_extensiveness(op: KLocalOperator, g_target: float) -> KLocalOpera
 
 def _build_random_klocal(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
     op = _random_draw(n_sites, params, "XYZ")
-    g_target = float(params.get("g_target", 1.0))
-    if g_target <= 0:
-        raise ValidationError(f"g_target must be positive, got {g_target}")
     if op.is_zero:
         raise ValidationError("random draw produced the zero operator; change the seed")
-    return _normalize_extensiveness(op, g_target)
+    return _normalize_extensiveness(op, float(params.get("g_target", 1.0)))
 
 
 def _build_product_field(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
@@ -337,7 +341,4 @@ def build_model(family: str, params: Mapping[str, Any]) -> KLocalOperator:
         ) from None
     if "n_sites" not in params:
         raise ValidationError("params must include n_sites")
-    n_sites = int(params["n_sites"])
-    if n_sites <= 0:
-        raise ValidationError(f"n_sites must be positive, got {n_sites}")
-    return builder(n_sites, params)
+    return builder(_check_n_sites(params["n_sites"]), params)

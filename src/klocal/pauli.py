@@ -11,24 +11,26 @@ algebra never touches a matrix.  A product differs from its right factor
 only on the words where the left factor acts, so :func:`commutator`
 forms strings and phases on those words alone.
 
-Storage.  ``KLocalOperator`` keeps its terms as word-packed arrays: ``x``
-and ``z`` of shape (terms, W) and dtype uint64, W = ceil(n_sites/64),
-with site ``i`` at bit ``i % 64`` of word ``i // 64``, and ``coeff`` of
-dtype complex128.  ``PauliString``, a value type with Python-int masks,
-only names a single string: as a key of the constructor's mapping and
-as the argument of ``coefficient``.  Outside this module only
-:func:`klocal.oracle.to_dense` reads the words (word 0 of each row: a
-dense operator has at most 64 sites).  Other modules get the (row, site)
-pairs of the letters from ``letter_sites()`` and the letters themselves
-from ``letters_at()``, build an operator from such arrays with
-``from_letter_sites()``, get the rows sorted by (x_mask, z_mask) from
-``mask_order()``, and a sub-operator from ``select()``, which picks rows
-in a given order and can rescale each one.  The layers of
-:mod:`klocal.layers` are operators built that way.  ``letter_sites``
-unpacks the bits of the nonzero bytes of ``x | z`` alone, so its time and
-memory grow with the words and letters of an operator, not with rows
-times sites: a 256-site long-range chain has 32,896 rows of 256 sites
-but 65,536 letters.
+Storage.  ``KLocalOperator`` keeps its terms in two read-only arrays:
+``words`` of shape (terms, 2W) and dtype uint64, W = ceil(n_sites/64),
+each row the string's X words then its Z words, with site ``i`` at bit
+``i % 64`` of word ``i // 64`` of each half; and ``coeff`` of dtype
+complex128.  ``x`` and ``z`` are views of the two halves.  The merge and
+:func:`commutator` work on the same rows.  ``PauliString``, a value type
+with Python-int masks, only names a single string: as a key of the
+constructor's mapping and as the argument of ``coefficient``.  Outside
+this module only :func:`klocal.oracle.to_dense` reads the words (word 0
+of each row: a dense operator has at most 64 sites).  Other modules get
+the (row, site) pairs of the letters from ``letter_sites()`` and the
+letters themselves from ``letters_at()``, build an operator from such
+arrays with ``from_letter_sites()``, get the rows sorted by (x_mask,
+z_mask) from ``mask_order()``, and a sub-operator from ``select()``,
+which picks rows in a given order and can rescale each one.  The layers
+of :mod:`klocal.layers` are operators built that way.  ``letter_sites``
+unpacks the bits of the nonzero bytes of ``x | z`` alone, so its time
+and memory grow with the words and letters of an operator, not with
+rows times sites: a 256-site long-range chain has 32,896 rows of 256
+sites but 65,536 letters.
 
 Row order.  Each string occupies one row, in the order in which it first
 occurred: in the constructor's mapping or rows, in ``self`` then
@@ -43,12 +45,13 @@ row, in sorted order; new rows are sorted by key, looked up with
 ``searchsorted``, and merged only once all their words compare equal.
 A key shared by distinct strings makes the running sum key itself again
 with the next salt.  A group's first occurrence is its smallest row, so
-the order the sort gives ties does not matter.  Real and imaginary parts
-are summed (``np.add.at``, in row order) and multiplied with separate
-float64 operations that follow CPython's complex formulas, and
-magnitudes use ``np.hypot`` (NumPy's complex ``abs`` can differ from
-Python's in the last bit), so every coefficient is bit-identical to a
-dict accumulating ``acc.get(s, 0j) + c``.
+the order the sort gives ties does not matter.  Coefficients are summed
+in one complex array (``np.add.at``, in row order), which adds real and
+imaginary parts separately as CPython does; products follow CPython's
+complex formula part by part, and magnitudes use ``np.hypot`` (NumPy's
+complex ``abs`` can differ from Python's in the last bit), so every
+coefficient is bit-identical to a dict accumulating
+``acc.get(s, 0j) + c``.
 
 All functions are pure and the containers are treated as immutable, so
 values can be shared freely across threads.
@@ -178,9 +181,7 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def _anticommuting(
-    x_words: np.ndarray, z_words: np.ndarray, xa: np.ndarray, za: np.ndarray
-) -> np.ndarray:
+def _anticommuting(x_words, z_words, xa, za) -> np.ndarray:
     """Indices of the rows, given as (W, rows) word columns, that anticommute
     with the string (xa, za): those where |x & za| + |z & xa| is odd.  A sum
     of popcounts has the parity of the popcount of the XOR, and words where
@@ -191,15 +192,13 @@ def _anticommuting(
     return np.flatnonzero(np.bitwise_count(parity) & 1)
 
 
-def _cmul(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
-    """(ar + i ai)(br + i bi) by CPython's formula, part by part."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(len(re), dtype=complex)
-    out.real = re
-    out.imag = im
+def _cmul(a, b) -> np.ndarray:
+    """a * b by CPython's formula, part by part; a real factor counts as
+    one with imaginary part 0.0."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
     return out
 
 
@@ -222,19 +221,18 @@ class _RunningSum:
 
     def __init__(self, width: int):
         self.words = np.empty((0, width), dtype=np.uint64)
-        self.re = self.im = np.empty(0)
+        self.coeff = np.empty(0, dtype=complex)
         self.keys, self.slots = np.empty(0, np.uint64), np.empty(0, np.intp)
         self.salt = 0
 
-    def add(self, words, re, im) -> "_RunningSum":
+    def add(self, words, coeff) -> "_RunningSum":
         while (slot := self._slots(words)) is None:
             # distinct strings share a key: key the stored rows with the next salt
             self.salt += 1
             keys = _keys(self.words, self.salt)
             self.slots = np.argsort(keys)
             self.keys = keys[self.slots]
-        np.add.at(self.re, slot, re)
-        np.add.at(self.im, slot, im)
+        np.add.at(self.coeff, slot, coeff)
         return self
 
     def _slots(self, words) -> np.ndarray | None:
@@ -265,7 +263,7 @@ class _RunningSum:
         slot[by_first] = np.arange(n_old, n_old + len(new))
         rows = words if len(new) == len(words) else words.take(first[by_first], axis=0)
         self.words = np.concatenate([self.words, rows]) if n_old else rows
-        self.re, self.im = (np.concatenate([part, np.zeros(len(new))]) for part in (self.re, self.im))
+        self.coeff = np.concatenate([self.coeff, np.zeros(len(new), dtype=complex)])
         if n_old:
             self.keys = np.insert(self.keys, at[new], unique[new])
             self.slots = np.insert(self.slots, at[new], slot[new])
@@ -273,15 +271,11 @@ class _RunningSum:
             self.keys, self.slots = unique, slot
         return slot[group]
 
-    def rows(self) -> tuple[np.ndarray, ...]:
-        """(x, z, re, im) of the distinct rows; x and z are views of the words."""
-        width = self.words.shape[1] // 2
-        return self.words[:, :width], self.words[:, width:], self.re, self.im
 
-
-def _merge(words, re, im) -> tuple[np.ndarray, ...]:
+def _merge(words, coeff) -> tuple[np.ndarray, np.ndarray]:
     """Merge duplicate rows of [x | z] words into their first occurrence."""
-    return _RunningSum(words.shape[1]).add(words, re, im).rows()
+    total = _RunningSum(words.shape[1]).add(words, coeff)
+    return total.words, total.coeff
 
 
 class KLocalOperator:
@@ -290,25 +284,20 @@ class KLocalOperator:
     Canonical form merges duplicate strings and removes coefficients with
     ``|c| <= ZERO_TOL``, so e.g. ``0.5*Z0 - 0.5*Z0`` is the zero operator
     with ``norm_upper() == 0``.  The terms live in the read-only arrays
-    ``x``, ``z`` and ``coeff`` described in the module docstring.
+    ``words`` and ``coeff`` described in the module docstring.
     """
 
-    __slots__ = ("n_sites", "x", "z", "coeff")
+    __slots__ = ("n_sites", "words", "coeff")
 
     def __init__(self, n_sites: int, terms: Mapping[PauliString, complex] | None = None):
         terms = terms or {}
         for string in terms:
             check_same_sites(n_sites, string.n_sites)
         width = _n_words(n_sites)
+        words = _pack([s.z_mask << 64 * width | s.x_mask for s in terms], 2 * width)
         coeff = np.fromiter(terms.values(), dtype=complex, count=len(terms))
         # 0.0 + c, as merging sums from zero (it turns -0.0 parts into 0.0)
-        self._assign(
-            n_sites,
-            _pack([s.x_mask for s in terms], width),
-            _pack([s.z_mask for s in terms], width),
-            0.0 + coeff.real,
-            0.0 + coeff.imag,
-        )
+        self._assign(n_sites, words, 0.0 + coeff)
 
     @classmethod
     def from_letter_sites(
@@ -327,20 +316,20 @@ class KLocalOperator:
         code = _ASCII_BITS[np.frombuffer(letters, dtype=np.uint8)]
         for offset, bit in ((0, code & 1), (width, code >> 1)):
             np.bitwise_or.at(words.reshape(-1), cells + offset, bits * bit)
-        return cls._from_rows(n_sites, *_merge(words, coeff.real, coeff.imag))
+        return cls._from_rows(n_sites, *_merge(words, coeff))
 
     @classmethod
-    def _from_rows(cls, n_sites: int, x, z, re, im) -> "KLocalOperator":
+    def _from_rows(cls, n_sites: int, words, coeff) -> "KLocalOperator":
         """Adopt unique rows whose coefficients were summed from zero."""
         op = cls.__new__(cls)
-        op._assign(n_sites, x, z, re, im)
+        op._assign(n_sites, words, coeff)
         return op
 
-    def _assign(self, n_sites: int, x, z, re, im) -> None:
-        keep = ~(np.hypot(re, im) <= ZERO_TOL)
+    def _assign(self, n_sites: int, words, coeff) -> None:
+        keep = ~(np.hypot(coeff.real, coeff.imag) <= ZERO_TOL)
         if not keep.all():
-            x, z, re, im = x[keep], z[keep], re[keep], im[keep]
-        for name, value in (("n_sites", n_sites), ("x", x), ("z", z), ("coeff", _complex(re, im))):
+            words, coeff = np.compress(keep, words, axis=0), coeff[keep]
+        for name, value in (("n_sites", n_sites), ("words", words), ("coeff", coeff)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -348,11 +337,21 @@ class KLocalOperator:
     def __setattr__(self, name, value):
         raise AttributeError("KLocalOperator is immutable")
 
+    @property
+    def x(self) -> np.ndarray:
+        """The X words of each row, a read-only (terms, W) view of ``words``."""
+        return self.words[:, : self.words.shape[1] // 2]
+
+    @property
+    def z(self) -> np.ndarray:
+        """The Z words of each row, a read-only (terms, W) view of ``words``."""
+        return self.words[:, self.words.shape[1] // 2 :]
+
     def coefficient(self, string: PauliString) -> complex:
         check_same_sites(self.n_sites, string.n_sites)
         width = _n_words(self.n_sites)
-        xs, zs = _pack([string.x_mask], width), _pack([string.z_mask], width)
-        hit = np.flatnonzero(((self.x == xs) & (self.z == zs)).all(axis=1))
+        key = _pack([string.z_mask << 64 * width | string.x_mask], 2 * width)
+        hit = np.flatnonzero((self.words == key).all(axis=1))
         return complex(self.coeff[hit[0]]) if hit.size else 0j
 
     @property
@@ -394,17 +393,15 @@ class KLocalOperator:
         return np.lexsort([*self.z.T, *self.x.T])
 
     def select(self, rows, scale: np.ndarray | None = None) -> "KLocalOperator":
-        """The terms at ``rows`` (distinct indices, or a boolean mask), in
-        that order.  With ``scale``, row i's coefficient becomes
-        ``c * scale[i]`` by CPython's complex-times-float rule, which
-        multiplies by ``complex(scale[i], 0.0)``."""
-        # a mask becomes indices once; take is far faster than 2-D fancy indexing
-        rows = np.flatnonzero(rows) if np.asarray(rows).dtype == bool else rows
-        parts = (self.x, self.z, self.coeff.real, self.coeff.imag)
-        x, z, re, im = (np.take(a, rows, axis=0) for a in parts)
+        """The terms at ``rows`` (distinct indices), in that order.  With
+        ``scale``, row i's coefficient becomes ``c * scale[i]`` by CPython's
+        complex-times-float rule, which multiplies by
+        ``complex(scale[i], 0.0)``."""
+        # take is far faster than 2-D fancy indexing
+        words, coeff = np.take(self.words, rows, axis=0), np.take(self.coeff, rows)
         if scale is not None:
-            re, im = _cmul(re, im, scale, 0.0)
-        return KLocalOperator._from_rows(self.n_sites, x, z, re, im)
+            coeff = _cmul(coeff, scale)
+        return KLocalOperator._from_rows(self.n_sites, words, coeff)
 
     @property
     def magnitudes(self) -> np.ndarray:
@@ -414,10 +411,8 @@ class KLocalOperator:
     @property
     def terms_commute(self) -> bool:
         """True iff the stored strings commute pairwise."""
-        x_words, z_words = self.x.T.copy(), self.z.T.copy()
-        return not any(
-            _anticommuting(x_words, z_words, xa, za).size for xa, za in zip(self.x, self.z)
-        )
+        x_words, z_words = np.split(self.words.T.copy(), 2)
+        return not any(_anticommuting(x_words, z_words, xa, za).size for xa, za in zip(self.x, self.z))
 
     def norm_upper(self) -> float:
         """Triangle-inequality upper bound sum_P |c_P| on the operator norm."""
@@ -436,7 +431,7 @@ class KLocalOperator:
         drop = mags <= threshold
         if not drop.any():
             return self, 0.0
-        return self.select(~drop), float(np.cumsum(mags[drop])[-1])
+        return self.select(np.flatnonzero(~drop)), float(np.cumsum(mags[drop])[-1])
 
     def is_hermitian(self) -> bool:
         """The ``HERMITIAN_TOL`` rule on the imaginary parts of the coefficients."""
@@ -446,11 +441,7 @@ class KLocalOperator:
         if not isinstance(other, KLocalOperator):
             return NotImplemented
         check_same_sites(self.n_sites, other.n_sites)
-        rows = _merge(
-            np.concatenate([np.concatenate([op.x, op.z], axis=1) for op in (self, other)]),
-            np.concatenate([self.coeff.real, other.coeff.real]),
-            np.concatenate([self.coeff.imag, other.coeff.imag]),
-        )
+        rows = _merge(np.concatenate([self.words, other.words]), np.concatenate([self.coeff, other.coeff]))
         return KLocalOperator._from_rows(self.n_sites, *rows)
 
     def __sub__(self, other: "KLocalOperator") -> "KLocalOperator":
@@ -459,9 +450,7 @@ class KLocalOperator:
     def __mul__(self, scalar: complex) -> "KLocalOperator":
         if isinstance(scalar, KLocalOperator):
             return NotImplemented
-        s = complex(scalar)
-        re, im = _cmul(s.real, s.imag, self.coeff.real, self.coeff.imag)
-        return KLocalOperator._from_rows(self.n_sites, self.x, self.z, 0.0 + re, 0.0 + im)
+        return KLocalOperator._from_rows(self.n_sites, self.words, 0.0 + _cmul(complex(scalar), self.coeff))
 
     __rmul__ = __mul__
 
@@ -470,7 +459,7 @@ class KLocalOperator:
 
     def _sorted(self) -> tuple[np.ndarray, ...]:
         order = self.mask_order()
-        return self.x[order], self.z[order], self.coeff[order]
+        return self.words[order], self.coeff[order]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KLocalOperator):
@@ -512,18 +501,15 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     never sorted again and the pending chunk bounds peak memory.
     """
     check_same_sites(a.n_sites, b.n_sites)
-    bx, bz = b.x, b.z
-    x_words, z_words = bx.T.copy(), bz.T.copy()
-    b_re, b_im = b.coeff.real.copy(), b.coeff.imag.copy()
+    width = b.words.shape[1] // 2
+    x_words, z_words = np.split(b.words.T.copy(), 2)  # word columns of b as rows
     # terms of a that share no site with b commute with all of it
-    b_support = np.bitwise_or.reduce(bx | bz, axis=0)
+    b_support = np.bitwise_or.reduce(b.x | b.z, axis=0)
     overlapping = np.flatnonzero(((a.x | a.z) & b_support).any(axis=1))
     ax, az = a.x[overlapping], a.z[overlapping]
     a_y = np.bitwise_count(ax & az).sum(axis=1, dtype=np.uint8)
     # 2 c_P times i^0..i^3, exact: the parts of each factor are 0 and +-1
     turn = (2.0 * a.coeff[overlapping])[:, None] * np.array([1, 1j, -1, -1j])
-    width = bx.shape[1]
-    b_words = np.hstack([bx, bz])
     chunk = max(b.n_terms, 1024)
     total = _RunningSum(2 * width)
     parts: list[tuple[np.ndarray, ...]] = []
@@ -532,7 +518,7 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
         hit = _anticommuting(x_words, z_words, xa, za)
         if not hit.size:
             continue
-        words = b_words.take(hit, axis=0)
+        words = b.words.take(hit, axis=0)
         # the product and its phase change only on the words where P acts;
         # uint8 sums may wrap, since only phi mod 4 matters and 4 divides 256
         phi = a_y[k]
@@ -543,8 +529,7 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
             phi += 2 * np.bitwise_count(za[w] & x_b) + np.bitwise_count(x_b & z_b)
             phi -= np.bitwise_count(x_o & z_o)
         phi &= 3
-        re, im = _cmul(turn.real[k, phi], turn.imag[k, phi], b_re[hit], b_im[hit])
-        parts.append((words, re, im))
+        parts.append((words, _cmul(turn[k, phi], b.coeff.take(hit))))
         n_pending += hit.size
         if n_pending >= chunk:
             pending, parts, n_pending = [np.concatenate(column) for column in zip(*parts)], [], 0
@@ -552,4 +537,4 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     if parts:
         pending, parts = [np.concatenate(column) for column in zip(*parts)], []
         total.add(*pending)
-    return KLocalOperator._from_rows(a.n_sites, *total.rows())
+    return KLocalOperator._from_rows(a.n_sites, total.words, total.coeff)

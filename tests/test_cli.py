@@ -211,6 +211,15 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["result"]["layers"] == []
 
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_unit_count_limit(self, capsys, command):
+        # about 7e6 unit copies: refused before any unit is built
+        code, out = run(capsys, command, "--spec", str(GOLDEN / "tfi4.json"), "--epsilon", "1e-6")
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource"
+        assert "epsilon=1e-06" in error["message"] and "N_MAX_UNITS" in error["message"]
+
 
 class TestVerify:
     def test_single_qubit_pass(self, capsys, single_qubit_specs):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from klocal.certify import layer_certificate
-from klocal.errors import DomainError, ValidationError
-from klocal.layers import discretize, pack_layers, reconstruct
+from klocal.errors import DomainError, ResourceLimitError, ValidationError
+from klocal.layers import N_MAX_UNITS, discretize, pack_layers, reconstruct
 from klocal.models import build_model, structural_constants
 from klocal.oracle import operator_norm_exact, to_dense
 from klocal.pauli import ZERO_TOL, KLocalOperator, PauliString, commutator
@@ -59,6 +59,21 @@ class TestDiscretize:
             discretize(op, -1.0, structural_constants(op))
         with pytest.raises(DomainError):
             discretize(op, ZERO_TOL, structural_constants(op))
+
+    def test_unit_count_limit(self, monkeypatch):
+        def pool(x_coeff, epsilon):
+            op = KLocalOperator(2, {
+                PauliString.from_letters(2, {0: "X"}): x_coeff,
+                PauliString.from_letters(2, {1: "Z"}): 2.0,
+            })
+            return discretize(op, epsilon, structural_constants(op))
+
+        assert pool(N_MAX_UNITS - 1.5, 1.0).total_multiplicity == N_MAX_UNITS
+        # one copy more, or more copies than a float counts, builds no unit
+        monkeypatch.setattr(KLocalOperator, "select", lambda *a: pytest.fail("units built"))
+        for x_coeff, epsilon in ((N_MAX_UNITS - 0.5, 1.0), (1e300, 1e-13)):
+            with pytest.raises(ResourceLimitError, match="unit copies"):
+                pool(x_coeff, epsilon)
 
 
 class TestPackLayers:

@@ -373,3 +373,29 @@ class TestModelFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
             build_model("bogus", {})
+
+    @pytest.mark.parametrize("family", ["random_klocal", "diagonal_commuting"])
+    @pytest.mark.parametrize("g_target", [-1.0, 0.0, math.nan, math.inf])
+    def test_g_target_must_be_finite_and_positive(self, family, g_target):
+        params = {"n_sites": 6, "k": 2, "seed": 1, "g_target": g_target}
+        with pytest.raises(ValidationError, match="g_target must be finite and positive"):
+            build_model(family, params)
+
+
+@pytest.mark.parametrize(
+    "n_sites, message",
+    [
+        (True, "positive integer"),
+        (2.7, "positive integer"),
+        ("3", "positive integer"),
+        (0, "positive integer"),
+        (-2, "positive integer"),
+        (N_MAX_SITES + 1, "at most N_MAX_SITES"),
+    ],
+)
+def test_one_n_sites_rule(n_sites, message):
+    # load_spec and build_model accept and reject the same n_sites
+    with pytest.raises(ValidationError, match=message):
+        load_spec({"n_sites": n_sites, "terms": []})
+    with pytest.raises(ValidationError, match=message):
+        build_model("product_field", {"n_sites": n_sites})

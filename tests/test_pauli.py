@@ -67,7 +67,9 @@ def _clustered_operator(rng: np.random.Generator, n_sites: int, n_terms: int) ->
 def _with_parts(op: KLocalOperator, re, im) -> KLocalOperator:
     """``op``'s strings with the coefficient parts ``re`` and ``im`` taken as
     they are: the constructor would turn -0.0 parts into 0.0."""
-    return KLocalOperator._from_rows(op.n_sites, op.x, op.z, np.asarray(re, float), np.asarray(im, float))
+    coeff = np.empty(op.n_terms, dtype=complex)
+    coeff.real, coeff.imag = re, im
+    return KLocalOperator._from_rows(op.n_sites, op.words, coeff)
 
 
 # ----------------------------------------------------------------- strings
@@ -385,8 +387,35 @@ class TestKLocalOperator:
         rescaled = [(string, c * s) for (string, c), s in zip(picked, scale.tolist())]
         assert exact_terms(op.select(rows)) == exact_terms(picked)
         assert exact_terms(op.select(rows, scale)) == exact_terms(rescaled)
-        mask = np.isin(np.arange(op.n_terms), rows)
-        assert exact_terms(op.select(mask)) == exact_terms([terms[r] for r in sorted(rows)])
+
+    @pytest.mark.parametrize("n", [5, 64, 130])
+    def test_one_term_layout(self, rng, n):
+        # every constructor stores read-only [x | z] word rows and one complex
+        # coefficient array, with x and z as views of the rows
+        a = random_operator(rng, n, 30, max_weight=3, complex_coeffs=True)
+        b = random_operator(rng, n, 30, max_weight=3, complex_coeffs=True)
+        rows, sites = a.letter_sites()
+        built = {
+            "mapping": a,
+            "from_letter_sites": KLocalOperator.from_letter_sites(
+                n, rows, sites, a.letters_at(rows, sites), a.coeff
+            ),
+            "select": a.select(np.arange(a.n_terms)[::-2], np.full((a.n_terms + 1) // 2, 0.5)),
+            "add": a + b,
+            "mul": 2.0j * a,
+            "commutator": commutator(a, b),
+            "prune": a.prune(float(np.median(a.magnitudes)))[0],
+        }
+        width = -(-n // 64)
+        assert KLocalOperator.__slots__ == ("n_sites", "words", "coeff")
+        for name, op in built.items():
+            assert op.n_terms > 0, name
+            assert op.words.shape == (op.n_terms, 2 * width) and op.words.dtype == np.uint64, name
+            assert op.coeff.shape == (op.n_terms,) and op.coeff.dtype == np.complex128, name
+            assert not (op.words.flags.writeable or op.coeff.flags.writeable), name
+            for half, view in ((slice(None, width), op.x), (slice(width, None), op.z)):
+                assert np.shares_memory(view, op.words) and not view.flags.writeable, name
+                assert np.array_equal(view, op.words[:, half]), name
 
 
 # ------------------------------------------------------------- commutators
@@ -596,8 +625,8 @@ def _running_sum(n: int, batches) -> KLocalOperator:
     for batch in batches:
         words = [pauli._pack([getattr(s, mask) for s, _ in batch], width) for mask in ("x_mask", "z_mask")]
         coeff = np.array([c for _, c in batch], dtype=complex)
-        total.add(np.hstack(words), coeff.real, coeff.imag)
-    return KLocalOperator._from_rows(n, *total.rows())
+        total.add(np.hstack(words), coeff)
+    return KLocalOperator._from_rows(n, total.words, total.coeff)
 
 
 def _late_batches(n: int) -> list[list[tuple[PauliString, complex]]]:
@@ -681,7 +710,7 @@ class TestKeyedMerge:
         sizes: list[int] = []
         add = pauli._RunningSum.add
         monkeypatch.setattr(
-            pauli._RunningSum, "add", lambda self, w, re, im: sizes.append(len(w)) or add(self, w, re, im)
+            pauli._RunningSum, "add", lambda self, w, c: sizes.append(len(w)) or add(self, w, c)
         )
 
         def coeff():

@@ -39,6 +39,12 @@ SPANS = {
         "layers.pack_layers",
         "layers.verify",
     },
+    "truncate_chained.json": {
+        "truncation.hadamard",
+        "pauli.commutator",
+        "pauli.prune",
+        "oracle.eigh",
+    },
     "truncate_small_time.json": {
         "truncation.hadamard",
         "pauli.commutator",
