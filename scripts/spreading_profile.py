@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
                     else float("nan")
                 )
                 writer.writerow(
-                    [t, n_int, q, spectrum.mass_above(q), res_op, bound]
+                    [t, n_int, q, float(spectrum[q + 1 :].sum()), res_op, bound]
                 )
     print(f"wrote {args.out}")
     return 0

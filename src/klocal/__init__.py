@@ -50,7 +50,6 @@ from .oracle import (
     N_MAX_STATE,
     DenseOperator,
     EigenSystem,
-    WeightSpectrum,
     energy_block_norm,
     heisenberg_evolve,
     operator_norm_exact,

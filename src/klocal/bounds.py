@@ -6,7 +6,8 @@ form the commutator growth rate lam = 6*g*k**2, the clock rate
 kappa = 4*lam, and the decay length xi = k/ln 2.  For an evolution time t
 the chain is cut into n = ceil(kappa*|t|) intervals (n = 1 when the
 ceiling would be zero) and the reachable weight radius is
-r_t = 2**n - 1.
+r_t = 2**n - 1; above n = 1023, where r_t leaves the float range,
+:meth:`BoundParams.intervals` raises, and so does everything built on n.
 
 The evaluators return plain floats, computed in the log domain where
 exponents could overflow; values beyond the float range saturate at
@@ -35,6 +36,13 @@ __all__ = [
 _LN2 = math.log(2.0)
 _EXP_MAX = 700.0
 _MAX_INTERVALS = 1023  # the largest n with 2**n - 1 below the float maximum
+
+
+def _nonnegative(**values: float) -> None:
+    """Raise a DomainError naming the first negative value, in argument order."""
+    for name, value in values.items():
+        if value < 0:
+            raise DomainError(f"{name} must be nonnegative, got {value}")
 
 
 def _exp_guarded(log_value: float) -> float:
@@ -94,8 +102,14 @@ class BoundParams:
         return self.k / _LN2
 
     def intervals(self, t: float) -> int:
-        """n = ceil(kappa*|t|), remapped to 1 at t = 0."""
-        return max(math.ceil(self.kappa * abs(t)), 1)
+        """n = ceil(kappa*|t|), remapped to 1 at t = 0; a DomainError above n = 1023."""
+        n = max(math.ceil(self.kappa * abs(t)), 1)
+        if n > _MAX_INTERVALS:
+            raise DomainError(
+                f"--t {t} needs n = ceil(kappa*|t|) = {n} intervals; r_t = 2**n - 1 "
+                f"exceeds the float range above n = {_MAX_INTERVALS}"
+            )
+        return n
 
     def delta_t(self, t: float) -> float:
         """Per-interval duration t/n; always <= 1/kappa in magnitude."""
@@ -105,23 +119,10 @@ class BoundParams:
         """Reachable weight radius 2**n - 1."""
         return 2 ** self.intervals(t) - 1
 
-    def light_cone_radius(self, t: float) -> int:
-        """r_t where it must convert to a float, so n <= 1023."""
-        n = self.intervals(t)
-        if n > _MAX_INTERVALS:
-            raise DomainError(
-                f"--t {t} needs n = ceil(kappa*|t|) = {n} intervals; r_t = 2**n - 1 "
-                f"exceeds the float range above n = {_MAX_INTERVALS}"
-            )
-        return self.r_t(t)
-
 
 def theorem1_rhs(params: BoundParams, q: int, gamma_norm: float) -> float:
     """Commutator bound 6*g*k*q*gamma_norm for a q-local operator."""
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
-    if gamma_norm < 0:
-        raise DomainError(f"gamma_norm must be nonnegative, got {gamma_norm}")
+    _nonnegative(q=q, gamma_norm=gamma_norm)
     return 6.0 * params.g * params.k * q * gamma_norm
 
 
@@ -131,15 +132,13 @@ def small_time_rhs(params: BoundParams, q0: int, q: int, t: float, gamma_norm: f
     Valid for 0 <= t < 2/kappa; q >= q0.  The exponents are real (not
     floored), so the value decays smoothly as q grows.
     """
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    _nonnegative(t=t)
     if q < q0:
         raise DomainError(f"q must be >= q0, got q={q}, q0={q0}")
-    if gamma_norm < 0:
-        raise DomainError(f"gamma_norm must be nonnegative, got {gamma_norm}")
-    x = params.kappa * t / 2.0
-    if x >= 1.0:
+    _nonnegative(gamma_norm=gamma_norm)
+    if params.kappa > 0 and t >= 2.0 / params.kappa:
         raise DomainError(f"t={t} outside the validity window t < 2/kappa = {2.0 / params.kappa}")
+    x = params.kappa * t / 2.0
     if gamma_norm == 0.0:
         return 0.0
     lead = (q0 / params.k) * _LN2 - math.log1p(-x) + math.log(gamma_norm)
@@ -155,10 +154,7 @@ def main_rhs(params: BoundParams, q0: int, q: int, t: float, gamma_norm: float) 
 
     Uses |t|; at t = 0 the interval count is remapped to n = 1, r_t = 1.
     """
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
-    if gamma_norm < 0:
-        raise DomainError(f"gamma_norm must be nonnegative, got {gamma_norm}")
+    _nonnegative(q=q, gamma_norm=gamma_norm)
     n = params.intervals(t)
     exponent = -(q / params.r_t(t) - q0) / params.xi
     if gamma_norm == 0.0:
@@ -168,8 +164,7 @@ def main_rhs(params: BoundParams, q0: int, q: int, t: float, gamma_norm: float) 
 
 def delta_value(params: BoundParams, q0: int, q: int, t: float) -> float:
     """Per-interval contraction factor Delta = 4*exp(-(1/xi)*(q/r_t - q0))."""
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
+    _nonnegative(q=q)
     exponent = -(q / params.r_t(t) - q0) / params.xi
     return _exp_guarded(exponent + math.log(4.0))
 
@@ -196,8 +191,7 @@ def q_schedule(q0: int, q: int, n: int) -> QSchedule:
     """
     if n < 1:
         raise DomainError(f"interval count n must be >= 1, got {n}")
-    if q0 < 0:
-        raise DomainError(f"q0 must be nonnegative, got {q0}")
+    _nonnegative(q0=q0)
     pow2 = 2**n
     if q < pow2 * q0:
         raise InfeasibleScheduleError(
@@ -227,8 +221,7 @@ def band_rhs(params: BoundParams, t: float, n_sites: int, x_gap: float) -> float
     C_v = 8*n_sites*exp(5/(2*xi))*n and mu = 1/(2*xi)."""
     if n_sites < 1:
         raise DomainError(f"n_sites must be positive, got {n_sites}")
-    if x_gap < 0:
-        raise DomainError(f"x_gap must be nonnegative, got {x_gap}")
+    _nonnegative(x_gap=x_gap)
     n = params.intervals(t)
     mu = 1.0 / (2.0 * params.xi)
     log_cv = math.log(8.0 * n_sites * n) + 5.0 / (2.0 * params.xi)

@@ -29,8 +29,6 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     BoundParams,
@@ -98,18 +96,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _float_list(text: str, name: str) -> list[float]:
+def _list(text: str, name: str, parse, what: str) -> list:
+    """The nonempty comma-separated parts of ``text``, each read by ``parse``."""
     try:
-        return [_finite_float(part) for part in text.split(",") if part != ""]
-    except argparse.ArgumentTypeError:
-        raise ValidationError(f"{name} must be a comma-separated list of finite numbers: {text!r}") from None
-
-
-def _int_list(text: str, name: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ValidationError(f"{name} must be a comma-separated list of integers: {text!r}") from None
+        return [parse(part) for part in text.split(",") if part != ""]
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValidationError(f"{name} must be a comma-separated list of {what}: {text!r}") from None
 
 
 # ----------------------------------------------------------------- handlers
@@ -133,7 +125,7 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
         result["t"] = args.t
         result["intervals"] = params.intervals(args.t)
         result["delta_t"] = params.delta_t(args.t)
-        result["r_t"] = params.light_cone_radius(args.t)
+        result["r_t"] = params.r_t(args.t)
     rows = [["quantity", "value"]] + [[key, value] for key, value in result.items()]
     return {"input_hash": digest, "result": result}, rows, EXIT_OK
 
@@ -166,8 +158,8 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], in
     q0 = args.q0 if args.q0 is not None else 1
     if q0 < 1:
         raise ValidationError(f"q0 is the support size of gamma and must be >= 1, got {q0}")
-    q_values = _int_list(args.q, "--q") if args.q else [q0]
-    t_values = _float_list(args.t_grid, "--t") if args.t_grid else [0.0]
+    q_values = _list(args.q, "--q", int, "integers") if args.q else [q0]
+    t_values = _list(args.t_grid, "--t", _finite_float, "finite numbers") if args.t_grid else [0.0]
     gamma_norm = args.gamma_norm
     evaluate = _EVALUATORS[args.evaluator]
     points = []
@@ -394,15 +386,7 @@ def _render(report: dict[str, Any], rows: list[list], args: argparse.Namespace) 
         "config": _config_dict(args),
     }
     envelope.update(report)
-    return json.dumps(envelope, sort_keys=True, indent=2, default=_json_default) + "\n"
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value)}")
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:

@@ -170,7 +170,7 @@ def evolve_product_state(
         raise ValidationError("Hamiltonian must be Hermitian for evolution")
     check_sites(h.n_sites, n_max, "statevector")
     psi = build_product_state(site_states, n_sites=h.n_sites)
-    sources, diagonals = _x_mask_action(h.n_sites, h.x[:, 0], h.z[:, 0], h.coeff.real)
+    sources, diagonals = _x_mask_action(h, h.coeff.real)
     steps = math.ceil(abs(t) * h.norm_upper())
     for _ in range(steps):
         term = psi
@@ -347,7 +347,7 @@ def fit_tail_constants(
     """
     if t <= 0:
         raise DomainError(f"fit requires t > 0, got {t}")
-    scale = params.light_cone_radius(t) * math.sqrt(t * n_sites)
+    scale = params.r_t(t) * math.sqrt(t * n_sites)
     if not math.isfinite(scale):
         raise DomainError(f"r_t * sqrt(t*N) overflows at t={t}; no fit in its units")
     rs = np.array([r for r, tail in profile.samples if tail > 0.0])
@@ -420,7 +420,7 @@ def concentrate(
     ``n_max`` raises the site limits as in :func:`klocal.oracle.site_limit`.
     """
     n_sites = hamiltonian.n_sites
-    r_t = params.light_cone_radius(t)
+    r_t = params.r_t(t)
     width = float(r_t) if bin_width is None else bin_width
     observable = ExtensiveObservable.collective(n_sites, axis, n_max=n_max)
     psi_0 = build_product_state(state, n_sites)

@@ -18,10 +18,11 @@ per-site sum of term coefficient magnitudes), which drive every bound in
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import math
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any
@@ -236,12 +237,7 @@ def structural_constants(op: KLocalOperator) -> StructuralConstants:
     return StructuralConstants(k=k, g=g, n_terms=op.n_terms, norm_upper=op.norm_upper())
 
 
-def _build_long_range_ising(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
-    alpha = float(params.get("alpha", 2.0))
-    coupling = float(params.get("coupling", 1.0))
-    field = float(params.get("field", 0.0))
-    if alpha < 0:
-        raise ValidationError(f"alpha must be nonnegative, got {alpha}")
+def _build_long_range_ising(n_sites: int, alpha=2.0, coupling=1.0, field=0.0) -> KLocalOperator:
     # one Python division per distance: each coupling is bit for bit
     # coupling / float(j - i) ** alpha
     decay = np.array([coupling / float(d) ** alpha for d in range(1, n_sites)], dtype=float)
@@ -258,17 +254,15 @@ def _build_long_range_ising(n_sites: int, params: Mapping[str, Any]) -> KLocalOp
     )
 
 
-def _random_draw(n_sites: int, params: Mapping[str, Any], letters: str) -> KLocalOperator:
-    """``n_terms`` seeded strings of weight <= ``k`` over ``letters``, with
-    uniform real coefficients in [-1, 1]; repeated strings are summed."""
-    k = int(params.get("k", 2))
-    seed = int(params.get("seed", 0))
-    n_terms = int(params.get("n_terms", 2 * n_sites))
-    if not 1 <= k <= n_sites:
+def _random_draw(n_sites: int, k: int, n_terms: int | None, seed: int, letters: str) -> KLocalOperator:
+    """``n_terms`` (default 2 * n_sites) seeded strings of weight <= ``k``
+    over ``letters``, with uniform real coefficients in [-1, 1]; repeated
+    strings are summed."""
+    if k > n_sites:
         raise ValidationError(f"k must satisfy 1 <= k <= n_sites, got k={k}, n_sites={n_sites}")
     rng = np.random.default_rng(seed)
     acc: dict[PauliString, complex] = {}
-    for _ in range(n_terms):
+    for _ in range(2 * n_sites if n_terms is None else n_terms):
         weight = int(rng.integers(1, k + 1))
         sites = rng.choice(n_sites, size=weight, replace=False)
         chosen = {s: letters[int(i)] for s, i in zip(sites, rng.integers(0, len(letters), size=weight))}
@@ -279,35 +273,25 @@ def _random_draw(n_sites: int, params: Mapping[str, Any], letters: str) -> KLoca
 
 
 def _normalize_extensiveness(op: KLocalOperator, g_target: float) -> KLocalOperator:
-    if not 0 < g_target < math.inf:
-        raise ValidationError(f"g_target must be finite and positive, got {g_target}")
     raw = structural_constants(op).g
     if raw == 0.0:
-        raise ValidationError("cannot normalize extensiveness of a zero operator")
+        raise ValidationError("random draw produced the zero operator; change the seed")
     return (g_target / raw) * op
 
 
-def _build_random_klocal(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
-    op = _random_draw(n_sites, params, "XYZ")
-    if op.is_zero:
-        raise ValidationError("random draw produced the zero operator; change the seed")
-    return _normalize_extensiveness(op, float(params.get("g_target", 1.0)))
+def _build_random_klocal(n_sites: int, k=2, n_terms=None, seed=0, g_target=1.0) -> KLocalOperator:
+    return _normalize_extensiveness(_random_draw(n_sites, k, n_terms, seed, "XYZ"), g_target)
 
 
-def _build_product_field(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
-    axis = str(params.get("axis", "z")).lower()
-    if axis not in _AXIS_LETTER:
-        raise ValidationError(f"axis must be one of x, y, z, got {axis!r}")
+def _build_product_field(n_sites: int, axis="z") -> KLocalOperator:
     sites = np.arange(n_sites)
-    letters = _AXIS_LETTER[axis].encode() * n_sites
+    letters = _AXIS_LETTER[axis.lower()].encode() * n_sites
     return KLocalOperator.from_letter_sites(n_sites, sites, sites, letters, np.full(n_sites, -1.0))
 
 
-def _build_diagonal_commuting(n_sites: int, params: Mapping[str, Any]) -> KLocalOperator:
-    op = _random_draw(n_sites, params, "Z")
-    if "g_target" in params:
-        op = _normalize_extensiveness(op, float(params["g_target"]))
-    return op
+def _build_diagonal_commuting(n_sites: int, k=2, n_terms=None, seed=0, g_target=None) -> KLocalOperator:
+    op = _random_draw(n_sites, k, n_terms, seed, "Z")
+    return op if g_target is None else _normalize_extensiveness(op, g_target)
 
 
 MODEL_FAMILIES = {
@@ -317,11 +301,35 @@ MODEL_FAMILIES = {
     "diagonal_commuting": _build_diagonal_commuting,
 }
 
+# family parameter -> (kind, rule, test), one rule per name across families
+_PARAM_RULES = {
+    "alpha": (float, "nonnegative", lambda v: v >= 0),  # math.inf: nearest neighbours only
+    "coupling": (float, "a finite number", math.isfinite),
+    "field": (float, "a finite number", math.isfinite),
+    "k": (int, "a positive integer", lambda v: v >= 1),
+    "n_terms": (int, "a positive integer", lambda v: v >= 1),
+    "seed": (int, "a nonnegative integer", lambda v: v >= 0),
+    "g_target": (float, "finite and positive", lambda v: 0 < v < math.inf),
+    "axis": (str, "one of x, y, z", lambda v: v.lower() in _AXIS_LETTER),
+}
+
+
+def _family_param(name: str, value: Any) -> Any:
+    """``value`` as the kind of parameter ``name`` if it is one (an int counts
+    as a float, a bool as nothing) and passes the parameter's test."""
+    kind, rule, test = _PARAM_RULES[name]
+    if _only([value], (int, float) if kind is float else kind):
+        with suppress(OverflowError):  # an int beyond the float range
+            if test(kind(value)):
+                return kind(value)
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
 
 def build_model(family: str, params: Mapping[str, Any]) -> KLocalOperator:
     """Construct a named model family.
 
-    Families and their parameters (all take ``n_sites``):
+    Families and their parameters (all take ``n_sites``; an unknown name,
+    or a value of the wrong type or range, raises ``ValidationError``):
 
     - ``long_range_ising``: open 1D chain, ZZ couplings decaying as
       ``coupling / distance**alpha`` plus a transverse ``field`` on X.
@@ -341,4 +349,10 @@ def build_model(family: str, params: Mapping[str, Any]) -> KLocalOperator:
         ) from None
     if "n_sites" not in params:
         raise ValidationError("params must include n_sites")
-    return builder(_check_n_sites(params["n_sites"]), params)
+    names = inspect.signature(builder).parameters
+    if not params.keys() <= names.keys():
+        raise ValidationError(
+            f"unknown parameter(s) {sorted(params.keys() - names)} for {family}; its parameters: {sorted(names)}"
+        )
+    n_sites = _check_n_sites(params["n_sites"])
+    return builder(n_sites, **{name: _family_param(name, params[name]) for name in params if name != "n_sites"})

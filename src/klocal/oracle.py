@@ -31,7 +31,6 @@ __all__ = [
     "check_sites",
     "DenseOperator",
     "EigenSystem",
-    "WeightSpectrum",
     "to_dense",
     "spectral_norm",
     "operator_norm_exact",
@@ -138,10 +137,11 @@ def _pauli_action(n_sites: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray]
     return idx ^ np.uint64(x), phase * signs
 
 
-def _x_mask_action(n: int, x: np.ndarray, z: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strings (x, z) times ``coeff``, summed, as one signed permutation per X mask g: (H psi)[j] =
-    sum_g diagonals[g, j] psi[sources[g, j]], each diagonal added from zero in row order.  The
-    masks are word 0, which holds every site of a dense operator or state (at most 64)."""
+def _x_mask_action(op: KLocalOperator, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strings of ``op`` times ``coeff``, summed, as one signed permutation per X mask g:
+    (H psi)[j] = sum_g diagonals[g, j] psi[sources[g, j]], each diagonal added from zero in row
+    order.  The masks are word 0, which holds every site of a dense operator or state (at most 64)."""
+    n, x, z = op.n_sites, op.x[:, 0], op.z[:, 0]
     masks, group = np.unique(x, return_inverse=True)
     sources = np.arange(1 << n, dtype=np.uint64) ^ masks[:, None]
     diagonals = np.zeros(sources.shape, dtype=complex)
@@ -157,7 +157,7 @@ def to_dense(op: KLocalOperator | DenseOperator, n_max: int | None = None) -> De
     check_sites(op.n_sites, n_max, "dense operator")
     dim = 2**op.n_sites
     mat = np.zeros((dim, dim), dtype=complex)
-    sources, diagonals = _x_mask_action(op.n_sites, op.x[:, 0], op.z[:, 0], op.coeff)
+    sources, diagonals = _x_mask_action(op, op.coeff)
     mat[np.arange(dim), sources] = diagonals
     return DenseOperator(n_sites=op.n_sites, matrix=mat)
 
@@ -262,30 +262,10 @@ def _weight_tensor(n: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class WeightSpectrum:
-    """Pauli-weight mass distribution w_q = sum_{|P|=q} |c_P|**2.
-
-    The total mass equals ||M||_F**2 / 2**n.
-    """
-
-    weights: np.ndarray
-
-    def mass_above(self, q: int) -> float:
-        """Mass at weights strictly greater than q."""
-        return float(np.sum(self.weights[q + 1 :]))
-
-
-def weight_spectrum(dense: DenseOperator) -> WeightSpectrum:
-    coeffs = pauli_coefficients(dense)
-    n = dense.n_sites
-    if n == 0:
-        return WeightSpectrum(weights=np.array([abs(coeffs) ** 2]))
-    w = _weight_tensor(n)
-    mass = np.bincount(
-        w.ravel().astype(np.int64), weights=np.abs(coeffs.ravel()) ** 2, minlength=n + 1
-    )
-    return WeightSpectrum(weights=mass)
+def weight_spectrum(dense: DenseOperator) -> np.ndarray:
+    """Pauli-weight masses: entry q is sum_{|P|=q} |c_P|**2, and they sum to ||M||_F**2 / 2**n."""
+    w = _weight_tensor(dense.n_sites).ravel().astype(np.int64)
+    return np.bincount(w, weights=np.abs(pauli_coefficients(dense).ravel()) ** 2, minlength=dense.n_sites + 1)
 
 
 def q_local_project(dense: DenseOperator, q: int) -> tuple[DenseOperator, float, float]:

@@ -19,8 +19,9 @@ complex128.  ``x`` and ``z`` are views of the two halves.  The merge and
 :func:`commutator` work on the same rows.  ``PauliString``, a value type
 with Python-int masks, only names a single string: as a key of the
 constructor's mapping and as the argument of ``coefficient``.  Outside
-this module only :func:`klocal.oracle.to_dense` reads the words (word 0
-of each row: a dense operator has at most 64 sites).  Other modules get
+this module only :mod:`klocal.oracle` reads the words (word 0 of each
+row, in ``_x_mask_action``: a dense operator or state has at most 64
+sites).  Other modules get
 the (row, site) pairs of the letters from ``letter_sites()`` and the
 letters themselves from ``letters_at()``, build an operator from such
 arrays with ``from_letter_sites()``, get the rows sorted by (x_mask,

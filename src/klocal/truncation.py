@@ -128,10 +128,8 @@ def hadamard_truncate(
         raise InfeasibleScheduleError(
             f"target locality q={q} below the locality {q0} of gamma"
         )
-    if params.kappa > 0 and abs(t) >= 2.0 / params.kappa:
-        raise DomainError(
-            f"|t|={abs(t)} outside the series window |t| < 2/kappa = {2.0 / params.kappa}"
-        )
+    rhs = partial(small_time_rhs, params, q0, q, abs(t))
+    bound = rhs(gamma.norm_upper())  # refuses |t| outside the series window
     m0 = (q - q0) // params.k
     witness = gamma
     budget = 0.0
@@ -143,8 +141,6 @@ def hadamard_truncate(
         if coeff != 0j:
             witness = witness + coeff * level
     assert witness.locality <= q, "nesting exceeded the locality budget"
-    rhs = partial(small_time_rhs, params, q0, q, abs(t))
-    bound = rhs(gamma.norm_upper())
     return TruncationReport(
         witness=witness, m0=m0, target_q=q, pruning_budget=budget, bound_rhs=bound, rhs=rhs
     )
@@ -167,9 +163,8 @@ def chained_truncate(
     """
     params = params or BoundParams.from_operator(hamiltonian)
     q0 = gamma.locality
-    n = params.intervals(t)
-    schedule = q_schedule(q0, q, n)
-    dt = t / n
+    schedule = q_schedule(q0, q, params.intervals(t))
+    dt = params.delta_t(t)
     witness = gamma
     budget = 0.0
     m0 = 0

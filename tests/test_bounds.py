@@ -58,10 +58,12 @@ class TestBoundParams:
 
     def test_light_cone_radius_float_range(self):
         p = BoundParams(g=3.0, k=2)  # kappa = 288
-        assert p.light_cone_radius(0.05) == p.r_t(0.05) == 2**15 - 1
-        assert float(p.light_cone_radius(3.55)) == float(2**1023 - 1)  # n = 1023
-        with pytest.raises(DomainError, match="1152 intervals"):
-            p.light_cone_radius(4.0)
+        assert p.r_t(0.05) == 2**15 - 1
+        assert p.intervals(3.55) == 1023
+        assert float(p.r_t(3.55)) == float(2**1023 - 1)
+        for bounded in (p.intervals, p.r_t):
+            with pytest.raises(DomainError, match="1152 intervals"):
+                bounded(4.0)
 
     def test_from_constants_clamps_k(self):
         const = structural_constants(KLocalOperator(3))
@@ -111,6 +113,15 @@ class TestSmallTime:
             small_time_rhs(UNIT, 1, 3, -0.01, 1.0)
         with pytest.raises(DomainError):
             small_time_rhs(UNIT, 3, 1, 0.01, 1.0)  # q < q0
+
+    def test_window_edge_where_x_rounds_below_one(self):
+        # at t = 2/kappa here kappa*t/2 = 1 - 2**-53, so a test on x lets the
+        # edge through with a value of 1.27e16; the window is stated in t
+        p = BoundParams(g=5.837986574155762, k=2)
+        t = 2.0 / p.kappa
+        assert p.kappa * t / 2.0 < 1.0
+        with pytest.raises(DomainError, match="outside the validity window"):
+            small_time_rhs(p, 1, 3, t, 1.0)
 
 
 class TestMainBound:

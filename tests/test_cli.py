@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -509,6 +510,44 @@ class TestDeterminismAndErrors:
         code, out = run(capsys, "bound", "--evaluator", "main", "--g", "1", "--k", "2", "--t", grid)
         assert code == 2
         assert json.loads(out)["error"]["message"].startswith("--t must be a comma-separated list")
+
+    def test_bad_bound_q_grid_exit_code(self, capsys):
+        code, out = run(capsys, "bound", "--evaluator", "main", "--g", "1", "--k", "2", "--q", "2,x")
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "--q must be a comma-separated list of integers: '2,x'"
+
+    # kappa = 288 on tfi4 and at --g 3 --k 2: t = 3.555 gives n = ceil(1023.84) = 1024; n = 1023
+    # still runs (TestConstants::test_light_cone_radius_beyond_float_range)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["constants", "--spec", "{spec}"],
+            *(["bound", "--evaluator", name, "--g", "3", "--k", "2", "--q", "5"]
+              for name in ("main", "delta", "topo", "band")),
+            ["truncate", "--spec", "{spec}", "--q", "5"],
+            ["truncate", "--spec", "{spec}", "--q", "5", "--mode", "chained"],
+            ["verify", "--spec", "{spec}"],
+            ["concentrate", "--spec", "{spec}"],
+        ],
+        ids=["constants", "bound-main", "bound-delta", "bound-topo", "bound-band",
+             "truncate-auto", "truncate-chained", "verify", "concentrate"],
+    )
+    def test_interval_count_above_1023_exit_code(self, capsys, tfi_spec, command):
+        argv = [arg.format(spec=tfi_spec) for arg in command]
+        code, out = run(capsys, *argv, "--t", "3.555")
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert "n = ceil(kappa*|t|) = 1024 intervals" in message
+        assert "exceeds the float range above n = 1023" in message
+
+    @pytest.mark.parametrize("command", [["verify"], ["truncate", "--q", "5"]], ids=["verify", "truncate"])
+    def test_huge_t_refused_without_building_2_to_the_n(self, capsys, tfi_spec, command):
+        # n = 2.88e14 intervals: refused before any 2**n integer is formed
+        start = time.perf_counter()
+        code, out = run(capsys, *command, "--spec", tfi_spec, "--t", "1e12")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert "exceeds the float range above n = 1023" in json.loads(out)["error"]["message"]
 
     @pytest.mark.parametrize(
         "command", [["truncate", "--t", "0.01", "--q", "3"], ["verify"]], ids=["truncate", "verify"]

@@ -382,6 +382,42 @@ class TestModelFamilies:
             build_model(family, params)
 
 
+class TestFamilyParameters:
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("random_klocal", {"k": True}, "k must be a positive integer, got True"),
+            ("random_klocal", {"k": 2.9}, "k must be a positive integer, got 2.9"),
+            ("random_klocal", {"n_terms": "5"}, "n_terms must be a positive integer, got '5'"),
+            ("random_klocal", {"g_target": "1.5"}, "g_target must be finite and positive, got '1.5'"),
+            ("long_range_ising", {"alpha": "nan"}, "alpha must be nonnegative, got 'nan'"),
+            ("long_range_ising", {"alpha": math.nan}, "alpha must be nonnegative, got nan"),
+            ("long_range_ising", {"alpha": -0.5}, "alpha must be nonnegative, got -0.5"),
+            ("long_range_ising", {"coupling": math.inf}, "coupling must be a finite number, got inf"),
+            ("long_range_ising", {"field": 10**400}, "field must be a finite number, got 1000"),
+            ("diagonal_commuting", {"n_terms": -3}, "n_terms must be a positive integer, got -3"),
+            ("random_klocal", {"n_terms": 0}, "n_terms must be a positive integer, got 0"),
+            ("random_klocal", {"seed": -1}, "seed must be a nonnegative integer, got -1"),
+            ("product_field", {"axis": 3}, "axis must be one of x, y, z, got 3"),
+            (
+                "random_klocal",
+                {"kk": 2},
+                "unknown parameter(s) ['kk'] for random_klocal; "
+                "its parameters: ['g_target', 'k', 'n_sites', 'n_terms', 'seed']",
+            ),
+        ],
+    )
+    def test_rejected(self, family, params, message):
+        with pytest.raises(ValidationError) as exc:
+            build_model(family, {"n_sites": 4, **params})
+        assert str(exc.value).startswith(message)
+
+    def test_ints_count_as_reals(self):
+        ints = build_model("long_range_ising", {"n_sites": 4, "alpha": 2, "coupling": 1, "field": 1})
+        floats = build_model("long_range_ising", {"n_sites": 4, "alpha": 2.0, "coupling": 1.0, "field": 1.0})
+        assert same_arrays(ints, floats)
+
+
 @pytest.mark.parametrize(
     "n_sites, message",
     [

@@ -257,9 +257,9 @@ class TestPauliBasis:
             },
         )
         spectrum = weight_spectrum(to_dense(op))
-        assert spectrum.weights[1] == pytest.approx(1.0)
-        assert spectrum.weights[2] == pytest.approx(4.0)
-        assert spectrum.mass_above(1) == pytest.approx(4.0)
+        assert spectrum[1] == pytest.approx(1.0)
+        assert spectrum[2] == pytest.approx(4.0)
+        assert spectrum[2:].sum() == pytest.approx(4.0)
 
     def test_projection_residual(self):
         # H = X, gamma = Z at t: the weight-2 content of the evolved op is

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from klocal import truncation
 from klocal.bounds import BoundParams, main_rhs, small_time_rhs
 from klocal.errors import DomainError, InfeasibleScheduleError
 from klocal.oracle import heisenberg_evolve, operator_norm_exact, spectral_norm, to_dense
@@ -151,6 +152,18 @@ class TestHadamardTruncate:
         wide = KLocalOperator(2, {PauliString.from_letters(2, {0: "Z", 1: "Z"}): 1.0})
         with pytest.raises(InfeasibleScheduleError):
             hadamard_truncate(h2, wide, 0.001, 1)  # q < locality(gamma)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_window_refused_before_any_level(self, monkeypatch, sign):
+        # the bound is evaluated first, so no nesting level is built for a
+        # time that small_time_rhs refuses
+        calls = []
+        monkeypatch.setattr(truncation, "commutator", lambda *a: calls.append(a))
+        h, gamma = single_qubit()
+        t = sign * 2.0 / BoundParams.from_operator(h).kappa
+        with pytest.raises(DomainError, match="outside the validity window"):
+            hadamard_truncate(h, gamma, t, 3)
+        assert calls == []
 
     def test_pruning_budget_accumulates(self, rng):
         h = random_operator(rng, 4, 6, max_weight=2)
