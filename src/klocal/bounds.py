@@ -102,7 +102,10 @@ class BoundParams:
         return self.k / _LN2
 
     def intervals(self, t: float) -> int:
-        """n = ceil(kappa*|t|), remapped to 1 at t = 0; a DomainError above n = 1023."""
+        """n = ceil(kappa*|t|), remapped to 1 at t = 0; a DomainError for a
+        non-finite t and above n = 1023."""
+        if not math.isfinite(t):
+            raise DomainError(f"--t must be finite, got {t}")
         n = max(math.ceil(self.kappa * abs(t)), 1)
         if n > _MAX_INTERVALS:
             raise DomainError(

@@ -61,8 +61,9 @@ def _read_spec(path: str) -> tuple[KLocalOperator, str]:
     if not p.is_file():
         raise ValidationError(f"spec file not found: {path}")
     raw = p.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    return load_spec(raw.decode("utf-8")), digest
+    digest, text = hashlib.sha256(raw).hexdigest(), raw.decode("utf-8")
+    del raw  # only the text is needed while the spec is read
+    return load_spec(text), digest
 
 
 def _config_dict(args: argparse.Namespace) -> dict[str, Any]:

@@ -7,12 +7,14 @@ The interchange format for Hamiltonians is a strict JSON document
 
 Unknown fields and non-finite coefficients are rejected, and every
 validation message names the offending term index.  Specs are read and
-written through flat site, letter and coefficient arrays; only a spec
-that fails the bulk checks is walked entry by entry, to name the first
-bad one.  ``structural_constants`` extracts the interaction degree k
-(largest term weight) and the extensiveness constant g (largest
-per-site sum of term coefficient magnitudes), which drive every bound in
-:mod:`klocal.bounds`.
+written through flat site, letter and coefficient arrays.  JSON text is
+read with the parser handing over each entry as it finishes it, so the
+parsed document is never built; text the arrays cannot take, and a spec
+that fails the bulk checks, is parsed plainly and walked entry by entry,
+to name the first bad one.  ``structural_constants`` extracts the
+interaction degree k (largest term weight) and the extensiveness
+constant g (largest per-site sum of term coefficient magnitudes), which
+drive every bound in :mod:`klocal.bounds`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import gc
 import inspect
 import json
 import math
+from array import array
 from collections.abc import Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
 N_MAX_SITES = 1 << 16
 _AXIS_LETTER = {"x": "X", "y": "Y", "z": "Z"}
 _ENTRY_FIELDS = {"sites", "paulis", "coeff"}
+_WRITTEN_ORDER = ("sites", "paulis", "coeff")  # the field order of spec_entries
 _PAULI_LETTERS = set("XYZ")
 
 
@@ -63,8 +66,8 @@ def _require_fields(obj: Mapping[str, Any], fields: set[str], where: str) -> Non
 def _collector_paused():
     """Pause the cyclic garbage collector, restoring the caller's setting.
 
-    A parsed or written spec is a tree of dicts, lists and strings that
-    cannot form cycles; the collections that building it triggers would
+    A written spec is a tree of dicts, lists and strings that cannot
+    form cycles; the collections that building it triggers would
     scan its containers for nothing."""
     enabled = gc.isenabled()
     gc.disable()
@@ -80,6 +83,106 @@ def _only(items, kinds) -> bool:
     return all(issubclass(t, kinds) and not issubclass(t, bool) for t in set(map(type, items)))
 
 
+class _Refused(Exception):
+    """An entry or document that the flat buffers cannot take as it is."""
+
+
+_TAKEN = object()  # what the parser keeps in place of an entry it handed over
+
+
+class _Terms:
+    """Spec entries as flat buffers: each entry's length, its sites,
+    letters and [re, im] coefficient, appended as soon as the entry is
+    read, so no entry outlives its turn."""
+
+    def __init__(self):
+        self.weights, self.sites, self.coeff = array("q"), array("q"), array("d")
+        self.letters: list[str] = []
+
+    def add(self, sites, paulis, coeff) -> None:
+        """Append one entry, or raise _Refused if its shape or item types
+        break a rule of :func:`_check_entry`; bools pass as 0 and 1."""
+        if not (
+            isinstance(sites, (list, tuple)) and isinstance(paulis, str)
+            and len(paulis) == len(sites) > 0
+            and isinstance(coeff, (list, tuple)) and len(coeff) == 2
+        ):
+            raise _Refused
+        try:  # floats, strings and ints beyond int64 fail as sites
+            self.sites.extend(sites)
+            self.coeff.extend(coeff)
+        except (TypeError, OverflowError):
+            raise _Refused from None
+        self.weights.append(len(sites))
+        self.letters.append(paulis)
+
+    def take(self, pairs):
+        """The parser's ``object_pairs_hook``: an object with exactly the
+        entry fields is appended and becomes ``_TAKEN``; any other object,
+        one with a repeated field included, stays a dict."""
+        if len(pairs) != 3:
+            return dict(pairs)
+        (k0, sites), (k1, paulis), (k2, coeff) = pairs
+        if (k0, k1, k2) != _WRITTEN_ORDER:
+            entry = dict(pairs)
+            if entry.keys() != _ENTRY_FIELDS:
+                return entry
+            sites, paulis, coeff = entry["sites"], entry["paulis"], entry["coeff"]
+        self.add(sites, paulis, coeff)
+        return _TAKEN
+
+    def feed(self, entry: Any) -> None:
+        """Append one entry of a Mapping document, whose items may be of
+        any type."""
+        if not ((type(entry) is dict or isinstance(entry, Mapping)) and entry.keys() == _ENTRY_FIELDS):
+            raise _Refused
+        sites, coeff = entry["sites"], entry["coeff"]
+        self.add(sites, entry["paulis"], coeff)
+        if not (_only(sites, int) and _only(coeff, (int, float))):
+            raise _Refused
+
+    def arrays(self, n_sites: int) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
+        """(row, site, ASCII letter) of each letter and each entry's
+        coefficient; _Refused if a site is out of range or twice in one
+        entry, a letter is not X, Y or Z, or a coefficient is not finite."""
+        letters = "".join(self.letters)
+        sites, coeff = np.frombuffer(self.sites, np.int64), np.frombuffer(self.coeff)
+        rows = np.repeat(np.arange(len(self.weights)), np.frombuffer(self.weights, np.int64))
+        cells = rows * n_sites
+        cells += sites
+        cells.sort()
+        in_range = ((sites >= 0) & (sites < n_sites)).all()
+        repeated = (cells[1:] == cells[:-1]).any()  # a site twice in one entry
+        if repeated or not (in_range and np.isfinite(coeff).all() and set(letters) <= _PAULI_LETTERS):
+            raise _Refused
+        return rows, sites, letters.encode("ascii"), coeff.view(complex)
+
+
+def _parse(text: str, hook=None) -> Any:
+    try:
+        return json.loads(text, object_pairs_hook=hook)
+    except ValueError as exc:  # also integers beyond the digit limit
+        raise ValidationError(f"spec is not valid JSON: {exc}") from None
+
+
+def _stream(text: str) -> KLocalOperator:
+    """The operator of a spec text whose entries the parser hands to the
+    buffers one by one; _Refused if anything is off."""
+    terms = _Terms()
+    document = _parse(text, terms.take)
+    if not (type(document) is dict and document.keys() == {"n_sites", "terms"}):
+        raise _Refused
+    n_sites, entries = document["n_sites"], document["terms"]
+    # every entry taken, and all of them here: none was nested elsewhere
+    if not (type(entries) is list and entries.count(_TAKEN) == len(entries) == len(terms.weights)):
+        raise _Refused
+    if not (type(n_sites) is int and 0 < n_sites <= N_MAX_SITES):
+        raise _Refused
+    arrays = terms.arrays(n_sites)
+    del document, entries, terms  # the letters as parsed outweigh the arrays
+    return KLocalOperator.from_letter_sites(n_sites, *arrays)
+
+
 def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     """Parse a Hamiltonian spec (dict or JSON text) into an operator.
 
@@ -90,11 +193,18 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
             coefficients).
     """
     if isinstance(document, str):
-        try:
-            with _collector_paused():
-                document = json.loads(document)
-        except ValueError as exc:  # also integers beyond the digit limit
-            raise ValidationError(f"spec is not valid JSON: {exc}") from None
+        # a bool would pass the typed buffers as 0 or 1: text that may hold
+        # one goes through the Mapping checks
+        if "true" not in document and "false" not in document:
+            with suppress(_Refused):
+                return _stream(document)
+        return _from_mapping(_parse(document))
+    return _from_mapping(document)
+
+
+def _from_mapping(document: Any) -> KLocalOperator:
+    """The operator of a parsed spec, read into the same buffers entry by
+    entry; a spec they refuse is walked to name its first bad entry."""
     if not isinstance(document, Mapping):
         raise ValidationError(f"spec must be a JSON object, got {type(document).__name__}")
     _require_fields(document, {"n_sites", "terms"}, "spec")
@@ -102,12 +212,16 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     entries = document["terms"]
     if not isinstance(entries, (list, tuple)):
         raise ValidationError("terms must be an array")
-    arrays = _flatten(entries, n_sites)
-    if arrays is None:
+    terms = _Terms()
+    try:
+        for entry in entries:
+            terms.feed(entry)
+        arrays = terms.arrays(n_sites)
+    except _Refused:
         for idx, entry in enumerate(entries):
             _check_entry(f"terms[{idx}]", entry, n_sites)
-        raise AssertionError("the bulk spec checks rejected entries that pass one by one")
-    del document, entries  # a parsed spec outweighs the arrays: free it first
+        raise AssertionError("the bulk spec checks rejected entries that pass one by one") from None
+    del document, entries, terms  # a parsed spec outweighs the arrays: free it first
     return KLocalOperator.from_letter_sites(n_sites, *arrays)
 
 
@@ -118,44 +232,6 @@ def _check_n_sites(n_sites: Any) -> int:
     if n_sites > N_MAX_SITES:
         raise ValidationError(f"n_sites must be at most N_MAX_SITES = {N_MAX_SITES}, got {n_sites}")
     return n_sites
-
-
-def _flatten(entries, n_sites: int) -> tuple[np.ndarray, ...] | None:
-    """(row, site, ASCII letter) of each letter and each entry's coefficient,
-    or None if some entry breaks a rule of :func:`_check_entry`."""
-    if not all(
-        (type(e) is dict or isinstance(e, Mapping)) and e.keys() == _ENTRY_FIELDS
-        and isinstance(e["sites"], (list, tuple)) and isinstance(e["paulis"], str)
-        and len(e["paulis"]) == len(e["sites"]) > 0
-        and isinstance(e["coeff"], (list, tuple)) and len(e["coeff"]) == 2
-        for e in entries
-    ):
-        return None
-
-    def items(field: str):  # streamed: a list of every item would raise peak memory
-        return chain.from_iterable(e[field] for e in entries)
-
-    letters = "".join([e["paulis"] for e in entries])
-    if not (
-        _only(items("sites"), int)
-        and _only(items("coeff"), (int, float))
-        and set(letters) <= _PAULI_LETTERS
-    ):
-        return None
-    rows = np.repeat(np.arange(len(entries)), [len(e["sites"]) for e in entries])
-    try:
-        sites = np.fromiter(items("sites"), np.int64, len(rows))
-        coeffs = np.fromiter(items("coeff"), float, 2 * len(entries))
-        cells = rows * n_sites
-    except OverflowError:
-        return None
-    cells += sites
-    cells.sort()
-    in_range = ((sites >= 0) & (sites < n_sites)).all()
-    repeated = (cells[1:] == cells[:-1]).any()  # a site twice in one entry
-    if repeated or not (in_range and np.isfinite(coeffs).all()):
-        return None
-    return rows, sites, letters.encode("ascii"), coeffs.view(complex)
 
 
 def _check_entry(where: str, entry: Any, n_sites: int) -> None:

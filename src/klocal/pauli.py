@@ -203,17 +203,26 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
+# words mixed at once by _keys: bounds its copies of a large batch (512 KB each)
+_KEY_BLOCK = 1 << 16
+
+
 def _keys(words: np.ndarray, salt: int) -> np.ndarray:
     """One 64-bit key per row: the XOR of its words, each first XORed with
     a seed drawn from ``salt`` and its column and then scrambled."""
-    width = words.shape[1]
+    rows, width = words.shape
     seeds = [(salt * width + column + 1) * 0x9E3779B97F4A7C15 % 2**64 for column in range(width)]
-    mixed = words.T.copy()  # word columns as rows: loops along short rows are slow
-    mixed ^= np.array(seeds, dtype=np.uint64)[:, None]
-    mixed *= np.uint64(0xBF58476D1CE4E5B9)
-    mixed ^= mixed >> np.uint64(32)
-    mixed *= np.uint64(0x94D049BB133111EB)
-    return np.bitwise_xor.reduce(mixed, axis=0)
+    seeds = np.array(seeds, dtype=np.uint64)[:, None]
+    keys = np.empty(rows, dtype=np.uint64)
+    step = max(_KEY_BLOCK // width, 1)
+    for start in range(0, rows, step):
+        mixed = words[start : start + step].T.copy()  # word columns as rows: loops along short rows are slow
+        mixed ^= seeds
+        mixed *= np.uint64(0xBF58476D1CE4E5B9)
+        mixed ^= mixed >> np.uint64(32)
+        mixed *= np.uint64(0x94D049BB133111EB)
+        np.bitwise_xor.reduce(mixed, axis=0, out=keys[start : start + step])
+    return keys
 
 
 class _RunningSum:

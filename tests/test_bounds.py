@@ -65,6 +65,14 @@ class TestBoundParams:
             with pytest.raises(DomainError, match="1152 intervals"):
                 bounded(4.0)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("g", [1.0, 0.0])
+    def test_non_finite_t(self, t, g):
+        p = BoundParams(g=g, k=2)
+        for bounded in (p.intervals, p.r_t, lambda t: main_rhs(p, 1, 4, t, 1.0)):
+            with pytest.raises(DomainError, match="--t must be finite"):
+                bounded(t)
+
     def test_from_constants_clamps_k(self):
         const = structural_constants(KLocalOperator(3))
         assert const.k == 0

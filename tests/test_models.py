@@ -5,11 +5,14 @@ from __future__ import annotations
 import gc
 import json
 import math
+import random
 import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import random_operator, reference_load_spec, reference_spec_entries, same_arrays, terms_of
 
 from klocal import models
@@ -160,11 +163,12 @@ class TestLoadSpec:
         def allocate(*args):
             raise AssertionError("the n_sites cap is checked after arrays are built")
 
-        monkeypatch.setattr(models, "_flatten", allocate)
+        monkeypatch.setattr(models._Terms, "arrays", allocate)
         monkeypatch.setattr(KLocalOperator, "from_letter_sites", allocate)
         doc = {"n_sites": n_sites, "terms": [{"sites": [0], "paulis": "X", "coeff": [1, 0]}]}
-        with pytest.raises(ValidationError, match="n_sites"):
-            load_spec(doc)
+        for spec in (doc, json.dumps(doc)):
+            with pytest.raises(ValidationError, match="n_sites"):
+                load_spec(spec)
 
     def test_loads_at_n_sites_cap(self):
         last = N_MAX_SITES - 1
@@ -177,7 +181,7 @@ class TestLoadSpec:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_keeps_collector_setting(self, tfi_chain, enabled):
-        # the spec is built and parsed with the collector paused
+        # the spec is written with the collector paused
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -226,6 +230,107 @@ class TestBulkLoader:
         rules = sorted(BAD_ENTRIES)
         entries[9] = BAD_ENTRIES[rules[(rules.index(rule) + 1) % len(rules)]]
         assert load_error(doc) == (bulk, reference)
+
+
+GOOD_TEXT = json.dumps(GOOD)
+# spec texts the streamed parse cannot take, each with terms[1] bad, which
+# must fail with the message of the plain parse and the entry walk
+BAD_TEXTS = {
+    "bool site": '{"sites": [0, true], "paulis": "XZ", "coeff": [0.5, 0.0]}',
+    "float site": '{"sites": [0, 2.0], "paulis": "XZ", "coeff": [0.5, 0.0]}',
+    "site beyond int64": f'{{"sites": [0, {2**70}], "paulis": "XZ", "coeff": [0.5, 0.0]}}',
+    "bool coeff": '{"sites": [0, 2], "paulis": "XZ", "coeff": [false, 0.0]}',
+    "string coeff": '{"sites": [0, 2], "paulis": "XZ", "coeff": [0.5, "0"]}',
+    "coeff beyond float": f'{{"sites": [0, 2], "paulis": "XZ", "coeff": [{10**400}, 0]}}',
+    "NaN": '{"sites": [0, 2], "paulis": "XZ", "coeff": [NaN, 0.0]}',
+    "repeated field": '{"sites": [0, 2], "sites": [3, 3], "paulis": "XZ", "coeff": [0.5, 0.0]}',
+    "extra field": '{"sites": [0, 2], "paulis": "XZ", "coeff": [0.5, 0.0], "note": 1}',
+    "other field names": '{"site": [0, 2], "letters": "XZ", "coeffs": [0.5, 0.0]}',
+    "entry nested in sites": f'{{"sites": [{GOOD_TEXT}], "paulis": "X", "coeff": [1, 0]}}',
+    "true as paulis": '{"sites": [0, 1, 2, 3], "paulis": "true", "coeff": [0.5, 0.0]}',
+    "entry in a list": f"[{GOOD_TEXT}]",
+    "null": "null",
+}
+
+
+def spec_text(entry: str) -> str:
+    return f'{{"n_sites": 8, "terms": [{GOOD_TEXT}, {entry}, {GOOD_TEXT}]}}'
+
+
+class TestStreamedLoader:
+    @pytest.mark.parametrize("case", sorted(BAD_TEXTS))
+    def test_bad_entry_message(self, case):
+        bulk, reference = load_error(spec_text(BAD_TEXTS[case]))
+        assert bulk == reference
+        assert bulk.startswith("terms[1]: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"[{GOOD_TEXT}]", "spec must be a JSON object, got list"),
+            (GOOD_TEXT, "spec: unknown field(s) ['coeff', 'paulis', 'sites']"),
+            (f'{{"n_sites": {GOOD_TEXT}, "terms": []}}', "n_sites must be a positive integer"),
+            (f'{{"n_sites": 8, "terms": {GOOD_TEXT}}}', "terms must be an array"),
+            (f'{{"n_sites": 8, "terms": [{GOOD_TEXT}], "n": {GOOD_TEXT}}}', "spec: unknown field(s) ['n']"),
+            (f'{{"n_sites": true, "terms": [{GOOD_TEXT}]}}', "n_sites must be a positive integer"),
+            (f'{{"n_sites": 8, "terms": [{GOOD_TEXT}]', "spec is not valid JSON"),
+            (f'{{"n_sites": 8, "terms": [{GOOD_TEXT}, {GOOD_TEXT},]}}', "spec is not valid JSON"),
+        ],
+    )
+    def test_bad_document_message(self, text, message):
+        bulk, reference = load_error(text)
+        assert bulk == reference
+        assert bulk.startswith(message)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"coeff": [0.5, -0.0], "sites": [4, 1], "paulis": "YX"}',  # another field order
+            '{"sites": [0, 0], "sites": [4, 1], "paulis": "YX", "coeff": [0.5, 0.0]}',  # the last one counts
+        ],
+    )
+    def test_takes_what_the_plain_parse_takes(self, entry):
+        text = spec_text(entry)
+        assert same_arrays(load_spec(text), reference_load_spec(text))
+
+    def test_shuffled_long_range_ising_peak_memory(self):
+        # the parsed document (about 17 MB here) is never built
+        op = build_model("long_range_ising", {"n_sites": 256, "alpha": 2, "field": 1})
+        spec = spec_from_operator(op)
+        random.Random(1).shuffle(spec["terms"])
+        text = json.dumps(spec)
+        del spec
+        tracemalloc.start()
+        try:
+            loaded = load_spec(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.n_terms == op.n_terms == 32_896
+        assert same_arrays(loaded.select(loaded.mask_order()), op.select(op.mask_order()))
+        assert peak < 10e6
+
+    @settings(max_examples=25, deadline=2000)
+    @given(data=st.data(), n_sites=st.integers(1, 70))
+    def test_text_and_mapping_match_reference(self, data, n_sites):
+        number = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-(2**62), 2**62),
+            st.sampled_from([0.0, -0.0, 1e-300, 5e-324]),
+        )
+        entries = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            sites = data.draw(st.lists(st.integers(0, n_sites - 1), min_size=1, max_size=4, unique=True))
+            letters = data.draw(st.text(alphabet="XYZ", min_size=len(sites), max_size=len(sites)))
+            fields = {"sites": sites, "paulis": letters, "coeff": [data.draw(number), data.draw(number)]}
+            order = data.draw(st.permutations(sorted(fields)))
+            entries.append({name: fields[name] for name in order})
+        if entries:  # a repeated string, to be summed
+            entries.append(data.draw(st.sampled_from(entries)))
+        doc = {"n_sites": n_sites, "terms": entries}
+        reference = reference_load_spec(doc)
+        assert same_arrays(load_spec(doc), reference)
+        assert same_arrays(load_spec(json.dumps(doc)), reference)
 
 
 class TestSpecWriter:

@@ -663,6 +663,30 @@ class TestKeyedMerge:
             _KEYS(rows, 2)
             assert np.array_equal(rows, before)
 
+    @pytest.mark.parametrize("n", [5, 64, 130, 256, 2**16])
+    def test_keys_match_whole_batch_formula(self, n):
+        # the mixer on the whole transposed batch at once, as keys were first defined
+        def whole_batch(words, salt):
+            width = words.shape[1]
+            seeds = [(salt * width + column + 1) * 0x9E3779B97F4A7C15 % 2**64 for column in range(width)]
+            mixed = words.T.copy()
+            mixed ^= np.array(seeds, dtype=np.uint64)[:, None]
+            mixed *= np.uint64(0xBF58476D1CE4E5B9)
+            mixed ^= mixed >> np.uint64(32)
+            mixed *= np.uint64(0x94D049BB133111EB)
+            return np.bitwise_xor.reduce(mixed, axis=0)
+
+        rng = np.random.default_rng(n)
+        width = 2 * pauli._n_words(n)
+        rows = 5 * max(pauli._KEY_BLOCK // width, 1) // 2  # two blocks and a half
+        words = rng.integers(0, 2**64, size=(rows, width), dtype=np.uint64)
+        words[::3] |= np.uint64(1 << 63)  # top bits set
+        words[1::3] = 0
+        words[2::5, 1:] = 0
+        for salt in range(4):
+            assert np.array_equal(_KEYS(words, salt), whole_batch(words, salt))
+            assert np.array_equal(_KEYS(words[7:8], salt), whole_batch(words[7:8], salt))
+
     @pytest.mark.parametrize("n", [8, 64, 130])
     def test_running_sum_matches_dict(self, salts, n):
         batches = _late_batches(n)
