@@ -6,15 +6,16 @@ The interchange format for Hamiltonians is a strict JSON document
      "terms": [{"sites": [0, 1], "paulis": "ZZ", "coeff": [1.0, 0.0]}, ...]}
 
 Unknown fields and non-finite coefficients are rejected, and every
-validation message names the offending term index.  Specs are read and
-written through flat site, letter and coefficient arrays.  JSON text is
-read with the parser handing over each entry as it finishes it, so the
-parsed document is never built; text the arrays cannot take, and a spec
-that fails the bulk checks, is parsed plainly and walked entry by entry,
-to name the first bad one.  ``structural_constants`` extracts the
-interaction degree k (largest term weight) and the extensiveness
-constant g (largest per-site sum of term coefficient magnitudes), which
-drive every bound in :mod:`klocal.bounds`.
+validation message names the offending term index.  Repeated strings are
+summed; a sum beyond the float range is rejected.  Specs are read through
+flat site, letter and coefficient buffers by one of two routes: JSON text
+without ``true`` or ``false`` is streamed, the parser handing over each
+entry as it finishes it, so the parsed document is never built; anything
+else (a Mapping, text holding a bool, text the stream refuses) is parsed
+plainly and walked entry by entry, naming the first bad one.
+``structural_constants`` extracts the interaction degree k (largest term
+weight) and the extensiveness constant g (largest per-site sum of term
+coefficient magnitudes), which drive every bound in :mod:`klocal.bounds`.
 """
 
 from __future__ import annotations
@@ -131,16 +132,6 @@ class _Terms:
         self.add(sites, paulis, coeff)
         return _TAKEN
 
-    def feed(self, entry: Any) -> None:
-        """Append one entry of a Mapping document, whose items may be of
-        any type."""
-        if not ((type(entry) is dict or isinstance(entry, Mapping)) and entry.keys() == _ENTRY_FIELDS):
-            raise _Refused
-        sites, coeff = entry["sites"], entry["coeff"]
-        self.add(sites, entry["paulis"], coeff)
-        if not (_only(sites, int) and _only(coeff, (int, float))):
-            raise _Refused
-
     def arrays(self, n_sites: int) -> tuple[np.ndarray, np.ndarray, bytes, np.ndarray]:
         """(row, site, ASCII letter) of each letter and each entry's
         coefficient; _Refused if a site is out of range or twice in one
@@ -167,7 +158,7 @@ def _parse(text: str, hook=None) -> Any:
 
 def _stream(text: str) -> KLocalOperator:
     """The operator of a spec text whose entries the parser hands to the
-    buffers one by one; _Refused if anything is off."""
+    buffers one by one; _Refused if they cannot take the text as it is."""
     terms = _Terms()
     document = _parse(text, terms.take)
     if not (type(document) is dict and document.keys() == {"n_sites", "terms"}):
@@ -176,25 +167,24 @@ def _stream(text: str) -> KLocalOperator:
     # every entry taken, and all of them here: none was nested elsewhere
     if not (type(entries) is list and entries.count(_TAKEN) == len(entries) == len(terms.weights)):
         raise _Refused
-    if not (type(n_sites) is int and 0 < n_sites <= N_MAX_SITES):
-        raise _Refused
+    n_sites = _check_n_sites(n_sites)  # the plain route reaches the same value
     arrays = terms.arrays(n_sites)
     del document, entries, terms  # the letters as parsed outweigh the arrays
-    return KLocalOperator.from_letter_sites(n_sites, *arrays)
+    return _operator(n_sites, *arrays)
 
 
 def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
-    """Parse a Hamiltonian spec (dict or JSON text) into an operator.
+    """Parse a Hamiltonian spec into an operator: JSON text without
+    ``true`` or ``false`` is streamed, anything else walked entry by
+    entry.  Repeated strings are summed; a sum beyond the float range is
+    rejected.
 
     Raises:
-        ValidationError: on schema violations, with the term index named
-            for per-entry problems (out-of-range or duplicate sites,
-            empty or mismatched Pauli letters, malformed or non-finite
-            coefficients).
+        ValidationError: on schema violations, naming the index of a bad
+            entry, or the string of a sum beyond the float range.
     """
     if isinstance(document, str):
-        # a bool would pass the typed buffers as 0 or 1: text that may hold
-        # one goes through the Mapping checks
+        # a bool would pass the typed buffers as 0 or 1
         if "true" not in document and "false" not in document:
             with suppress(_Refused):
                 return _stream(document)
@@ -203,8 +193,8 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
 
 
 def _from_mapping(document: Any) -> KLocalOperator:
-    """The operator of a parsed spec, read into the same buffers entry by
-    entry; a spec they refuse is walked to name its first bad entry."""
+    """The operator of a parsed spec, walked entry by entry: each entry
+    passes :func:`_check_entry` before it joins the buffers."""
     if not isinstance(document, Mapping):
         raise ValidationError(f"spec must be a JSON object, got {type(document).__name__}")
     _require_fields(document, {"n_sites", "terms"}, "spec")
@@ -213,16 +203,25 @@ def _from_mapping(document: Any) -> KLocalOperator:
     if not isinstance(entries, (list, tuple)):
         raise ValidationError("terms must be an array")
     terms = _Terms()
-    try:
-        for entry in entries:
-            terms.feed(entry)
-        arrays = terms.arrays(n_sites)
-    except _Refused:
-        for idx, entry in enumerate(entries):
-            _check_entry(f"terms[{idx}]", entry, n_sites)
-        raise AssertionError("the bulk spec checks rejected entries that pass one by one") from None
+    for idx, entry in enumerate(entries):
+        _check_entry(f"terms[{idx}]", entry, n_sites)
+        terms.add(entry["sites"], entry["paulis"], entry["coeff"])
+    arrays = terms.arrays(n_sites)
     del document, entries, terms  # a parsed spec outweighs the arrays: free it first
-    return KLocalOperator.from_letter_sites(n_sites, *arrays)
+    return _operator(n_sites, *arrays)
+
+
+def _operator(n_sites: int, *arrays) -> KLocalOperator:
+    """The operator of checked spec arrays; a sum beyond the float range is refused."""
+    with np.errstate(over="ignore"):
+        op = KLocalOperator.from_letter_sites(n_sites, *arrays)
+    bad = np.flatnonzero(~np.isfinite(op.coeff))[:1]
+    if bad.size:
+        (entry,) = spec_entries(op.select(bad))
+        raise ValidationError(
+            f"terms: repeated string {entry['paulis']} on sites {entry['sites']} sums beyond the float range"
+        )
+    return op
 
 
 def _check_n_sites(n_sites: Any) -> int:

@@ -17,8 +17,8 @@ Each nesting level is pruned at ``threshold``; the summed magnitude of
 dropped coefficients is reported as ``pruning_budget`` and belongs on
 the right-hand side of any certificate involving the witness.  At the
 default threshold the dropped terms are cancellation dust far below the
-bound values.  Series coefficients are evaluated in the log domain, so
-deep series (m0 in the hundreds) neither overflow nor underflow.
+bound values.  Series coefficients are evaluated in the log domain; the
+series stops at the first exactly zero one, since all later ones are too.
 """
 
 from __future__ import annotations
@@ -134,11 +134,11 @@ def hadamard_truncate(
     witness = gamma
     budget = 0.0
     for m, level, dropped in nested_commutator_levels(hamiltonian, gamma, m0, threshold):
-        budget += dropped
-        if m == 0:
-            continue
         coeff = series_coefficient(t, m)
-        if coeff != 0j:
+        if coeff == 0j:  # so is every later one: |t|**m / m! only falls from here
+            break
+        budget += dropped
+        if m:
             witness = witness + coeff * level
     assert witness.locality <= q, "nesting exceeded the locality budget"
     return TruncationReport(

@@ -456,6 +456,17 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert "n_sites" in json.loads(out)["error"]["message"]
 
+    def test_overflowing_repeated_string_exit_code(self, capsys, tmp_path):
+        huge = {"sites": [0], "paulis": "X", "coeff": [1e308, 0]}
+        path = tmp_path / "overflow.json"
+        z1 = {"sites": [1], "paulis": "Z", "coeff": [1, 0]}
+        path.write_text(json.dumps({"n_sites": 2, "terms": [huge, huge, z1]}))
+        code, out = run(capsys, "constants", "--spec", str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["message"] == "terms: repeated string X on sites [0] sums beyond the float range"
+        assert error["type"] == "ValidationError"
+
     @pytest.mark.parametrize(
         "command",
         [["constants"], ["bound", "--evaluator", "main"], ["decompose"]],

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from types import MappingProxyType
 
 import numpy as np
@@ -275,6 +276,9 @@ class TestStreamedLoader:
             (f'{{"n_sites": true, "terms": [{GOOD_TEXT}]}}', "n_sites must be a positive integer"),
             (f'{{"n_sites": 8, "terms": [{GOOD_TEXT}]', "spec is not valid JSON"),
             (f'{{"n_sites": 8, "terms": [{GOOD_TEXT}, {GOOD_TEXT},]}}', "spec is not valid JSON"),
+            # streamed, with n_sites tested by the plain route's rule
+            (f'{{"n_sites": 8.0, "terms": [{GOOD_TEXT}]}}', "n_sites must be a positive integer, got 8.0"),
+            (f'{{"terms": [{GOOD_TEXT}], "n_sites": {{"a": [1]}}}}', "n_sites must be a positive integer"),
         ],
     )
     def test_bad_document_message(self, text, message):
@@ -329,8 +333,41 @@ class TestStreamedLoader:
             entries.append(data.draw(st.sampled_from(entries)))
         doc = {"n_sites": n_sites, "terms": entries}
         reference = reference_load_spec(doc)
-        assert same_arrays(load_spec(doc), reference)
-        assert same_arrays(load_spec(json.dumps(doc)), reference)
+        for spec in (doc, json.dumps(doc)):
+            if np.isfinite(reference.coeff).all():
+                assert same_arrays(load_spec(spec), reference)
+            else:  # a repeated string summed beyond the float range
+                with pytest.raises(ValidationError, match="beyond the float range"):
+                    load_spec(spec)
+
+
+X0_HUGE = {"sites": [0], "paulis": "X", "coeff": [1e308, 0]}
+OVERFLOW = {"n_sites": 2, "terms": [X0_HUGE, X0_HUGE, {"sites": [1], "paulis": "Z", "coeff": [1, 0]}]}
+X0_MESSAGE = "terms: repeated string X on sites [0] sums beyond the float range"
+WIDE = {"sites": [70, 3], "paulis": "YZ", "coeff": [1.0, -1e308]}
+
+
+class TestOverflowingSum:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (OVERFLOW, X0_MESSAGE),
+            (json.dumps(OVERFLOW), X0_MESSAGE),  # streamed
+            (json.dumps(OVERFLOW).replace('"sites": [1]', '"sites": [0], "sites": [1]'), X0_MESSAGE),  # walked
+            ({**OVERFLOW, "terms": [*OVERFLOW["terms"], {**X0_HUGE, "coeff": [-1e308, 0]}]}, X0_MESSAGE),
+            (
+                {"n_sites": 80, "terms": [GOOD, WIDE, GOOD, WIDE]},
+                "terms: repeated string ZY on sites [3, 70] sums beyond the float range",
+            ),
+        ],
+        ids=["mapping", "streamed text", "walked text", "summed back", "imaginary part"],
+    )
+    def test_refused_naming_the_string(self, spec, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                load_spec(spec)
+        assert str(info.value) == message
 
 
 class TestSpecWriter:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from klocal import truncation
 from klocal.bounds import BoundParams, main_rhs, small_time_rhs
 from klocal.errors import DomainError, InfeasibleScheduleError
 from klocal.oracle import heisenberg_evolve, operator_norm_exact, spectral_norm, to_dense
-from klocal.pauli import KLocalOperator, PauliString
+from klocal.models import load_spec
+from klocal.pauli import KLocalOperator, PauliString, commutator
 from klocal.truncation import (
     chained_truncate,
     hadamard_truncate,
@@ -104,6 +108,37 @@ class TestHadamardTruncate:
         report = hadamard_truncate(h, gamma, 0.0, 3)
         assert report.witness == gamma
         assert report.pruning_budget == 0.0
+
+    def test_t_zero_leaves_pruned_mass_out(self):
+        # level 1 ([X, Z] = -2iY) is pruned whole, but its coefficient is 0j,
+        # so the series stops before its mass is counted
+        h, gamma = single_qubit()
+        report = hadamard_truncate(h, gamma, 0.0, 3, threshold=10.0)
+        assert report.witness == gamma
+        assert report.pruning_budget == 0.0
+
+    def test_series_stops_at_first_zero_coefficient(self, monkeypatch):
+        # the interval of verify --t 0.05 on tfi4: q = 2**15 allows ~16k
+        # levels, whose coefficients underflow to 0j after a few hundred
+        # and whose terms overflow soon after
+        h = load_spec((Path(__file__).parent / "golden" / "tfi4.json").read_text())
+        gamma = KLocalOperator(4, {PauliString.from_letters(4, {0: "Z"}): 1.0})
+        params = BoundParams.from_operator(h)
+        dt, n = params.delta_t(0.05), params.intervals(0.05)
+        first_zero = next(m for m in itertools.count(1) if series_coefficient(dt, m) == 0j)
+        calls = []
+
+        def counted(a, b):
+            calls.append(b.n_terms)
+            return commutator(a, b)
+
+        monkeypatch.setattr(truncation, "commutator", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = hadamard_truncate(h, gamma, dt, 2**n)
+        assert report.m0 == (2**n - 1) // 2 > first_zero
+        assert 0 < len(calls) <= first_zero  # the last nonzero order plus one
+        assert np.isfinite(report.witness.coeff).all()
 
     def test_single_qubit_certificate_sweep(self):
         h, gamma = single_qubit()
