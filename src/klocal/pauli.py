@@ -40,10 +40,17 @@ occurred: in the constructor's mapping or rows, in ``self`` then
 
 Merge rule.  Duplicate strings are merged by summing their coefficients
 from zero in that same order, and merged coefficients with magnitude at
-most ``ZERO_TOL`` are dropped at the end.  A running sum keeps the
-distinct rows so far and their 64-bit keys, which mix all words of a
-row, in sorted order; new rows are sorted by key, looked up with
-``searchsorted``, and merged only once all their words compare equal.
+most ``ZERO_TOL`` are dropped at the end.  A running sum stores each
+distinct string so far as an id, next to its coefficient, its 64-bit
+key, which mixes all words of the string, and its slot, keeping the keys
+in sorted order: 40 bytes a string at any width.  An id is a row number
+in a sum, and in :func:`commutator` ``k * b.n_terms + j`` for the
+product of the k-th term of ``a`` that overlaps ``b`` with the j-th term
+of ``b``.  New strings are sorted by key, looked up with
+``searchsorted``, and merged only once all their words compare equal:
+a batch brings its own words, and those of stored strings are
+regenerated from ids, a block at a time, for that check, for re-keying
+and for the result, so no batch copies the stored strings' words.
 A key shared by distinct strings makes the running sum key itself again
 with the next salt.  A group's first occurrence is its smallest row, so
 the order the sort gives ties does not matter.  Coefficients are summed
@@ -203,8 +210,9 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-# words mixed at once by _keys: bounds its copies of a large batch (512 KB each)
-_KEY_BLOCK = 1 << 16
+# words mixed or regenerated at once: bounds the copies _keys makes of a
+# large batch and the rows the running sum regenerates (256 KB each)
+_KEY_BLOCK = 1 << 15
 
 
 def _keys(words: np.ndarray, salt: int) -> np.ndarray:
@@ -226,53 +234,81 @@ def _keys(words: np.ndarray, salt: int) -> np.ndarray:
 
 
 class _RunningSum:
-    """The running sum of the merge rule: distinct rows of [x | z] words in
-    first-occurrence order, their summed coefficients and sorted keys."""
+    """The running sum of the merge rule.  Each distinct string is stored
+    as the id it first occurred with, next to its summed coefficient, in
+    first-occurrence order; the strings' keys are kept sorted, each with
+    its slot.  ``source`` maps an array of ids to their rows of ``width``
+    words: stored strings keep no words, which are regenerated from ids
+    whenever they are needed."""
 
-    def __init__(self, width: int):
-        self.words = np.empty((0, width), dtype=np.uint64)
-        self.coeff = np.empty(0, dtype=complex)
+    def __init__(self, width: int, source):
+        self.width, self.source = width, source
+        self.ids, self.coeff = np.empty(0, np.intp), np.empty(0, dtype=complex)
         self.keys, self.slots = np.empty(0, np.uint64), np.empty(0, np.intp)
         self.salt = 0
 
-    def add(self, words, coeff) -> "_RunningSum":
-        while (slot := self._slots(words)) is None:
-            # distinct strings share a key: key the stored rows with the next salt
+    def add(self, ids, words, coeff) -> "_RunningSum":
+        """Add ``coeff[i]`` to the string ``ids[i]``, whose words are
+        ``words[i]``, in that order."""
+        while (slot := self._slots(ids, words)) is None:
+            # distinct strings share a key: key the stored strings with the next salt
             self.salt += 1
-            keys = _keys(self.words, self.salt)
+            keys = _keys(self.words(), self.salt)
             self.slots = np.argsort(keys)
             self.keys = keys[self.slots]
         np.add.at(self.coeff, slot, coeff)
         return self
 
-    def _slots(self, words) -> np.ndarray | None:
-        """The stored row of each row of ``words``, appending new strings
-        at 0.0; None, with nothing changed, if distinct rows share a key."""
+    def words(self) -> np.ndarray:
+        """The words of the stored strings, one row each."""
+        out = np.empty((len(self.ids), self.width), dtype=np.uint64)
+        for part, rows in self._blocks(self.ids):
+            out[part] = rows
+        return out
+
+    def _blocks(self, ids):
+        """(slice, words) for each block of the strings ``ids``."""
+        step = max(_KEY_BLOCK // self.width, 1)
+        for start in range(0, len(ids), step):
+            yield slice(start, start + step), self.source(ids[start : start + step])
+
+    def _slots(self, ids, words) -> np.ndarray | None:
+        """The slot of each row of ``words``, appending new strings at 0.0;
+        None, with nothing changed, if distinct rows share a key."""
         key = _keys(words, self.salt)
         order = np.argsort(key)
-        ranked = key[order]
+        key = key[order]
         leads = np.ones(len(key), dtype=bool)
-        np.not_equal(ranked[1:], ranked[:-1], out=leads[1:])
-        starts = np.flatnonzero(leads)
+        np.not_equal(key[1:], key[:-1], out=leads[1:])
+        starts, n_old = np.flatnonzero(leads), len(self.keys)
+        if not n_old and len(starts) == len(key):
+            # distinct strings into an empty sum: row i takes slot i
+            self.ids, self.coeff = ids, np.zeros(len(ids), dtype=complex)
+            self.keys, self.slots = key, order
+            return np.arange(len(ids))
+        unique, rank = key[starts], leads.cumsum() - 1
+        later = np.flatnonzero(~leads)  # the rows after the first of their key group
+        if later.size and not (
+            words.take(order[later], axis=0) == words.take(order[starts[rank[later]]], axis=0)
+        ).all():
+            return None
         group = np.empty_like(order)
-        group[order] = leads.cumsum() - 1
+        group[order] = rank
         # the smallest row of a group comes first, whatever the order of ties
         first = np.minimum.reduceat(order, starts)
-        if len(starts) < len(key) and not (words == words.take(first[group], axis=0)).all():
-            return None
-        unique, n_old = ranked[starts], len(self.keys)
+        del key, order, leads, rank, later  # a batch's arrays set the peak: free them once spent
         slot = np.full(len(unique), -1)
         if n_old:
             at = np.searchsorted(self.keys, unique)
             seen = np.flatnonzero(self.keys[at.clip(max=n_old - 1)] == unique)
             slot[seen] = self.slots[at[seen]]
-            if not (self.words.take(slot[seen], axis=0) == words.take(first[seen], axis=0)).all():
+            blocks = self._blocks(self.ids[slot[seen]])
+            if not all((rows == words.take(first[seen[part]], axis=0)).all() for part, rows in blocks):
                 return None
         new = np.flatnonzero(slot < 0)
         by_first = new[np.argsort(first[new])]
         slot[by_first] = np.arange(n_old, n_old + len(new))
-        rows = words if len(new) == len(words) else words.take(first[by_first], axis=0)
-        self.words = np.concatenate([self.words, rows]) if n_old else rows
+        self.ids = np.concatenate([self.ids, ids[first[by_first]]])
         self.coeff = np.concatenate([self.coeff, np.zeros(len(new), dtype=complex)])
         if n_old:
             self.keys = np.insert(self.keys, at[new], unique[new])
@@ -284,8 +320,9 @@ class _RunningSum:
 
 def _merge(words, coeff) -> tuple[np.ndarray, np.ndarray]:
     """Merge duplicate rows of [x | z] words into their first occurrence."""
-    total = _RunningSum(words.shape[1]).add(words, coeff)
-    return total.words, total.coeff
+    total = _RunningSum(words.shape[1], lambda ids: words.take(ids, axis=0))
+    total.add(np.arange(len(words)), words, coeff)
+    return (words if len(total.ids) == len(words) else words.take(total.ids, axis=0)), total.coeff
 
 
 class KLocalOperator:
@@ -336,7 +373,8 @@ class KLocalOperator:
         return op
 
     def _assign(self, n_sites: int, words, coeff) -> None:
-        keep = ~(np.hypot(coeff.real, coeff.imag) <= ZERO_TOL)
+        with np.errstate(over="ignore"):  # a modulus beyond the float range is inf: kept
+            keep = ~(np.hypot(coeff.real, coeff.imag) <= ZERO_TOL)
         if not keep.all():
             words, coeff = np.compress(keep, words, axis=0), coeff[keep]
         for name, value in (("n_sites", n_sites), ("words", words), ("coeff", coeff)):
@@ -506,45 +544,53 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     Q's, and the coefficient is ``(i^phi * 2 c_P) * c_Q``: the rotation is
     exact, so it is ``i^phi * (2 c_P * c_Q)`` up to the sign of zero
     parts, which summing from zero removes.  Products
-    join one running sum (see the merge rule) in chunks of about
-    ``b.n_terms`` rows, in (P, Q) order, so the strings seen so far are
-    never sorted again and the pending chunk bounds peak memory.
+    join one running sum (see the merge rule) as ids, in chunks of about
+    ``b.n_terms``, in (P, Q) order, so the strings seen so far are never
+    sorted again; a chunk's words are formed from its ids as it joins,
+    and the result's once at the end.
     """
     check_same_sites(a.n_sites, b.n_sites)
-    width = b.words.shape[1] // 2
     x_words, z_words = np.split(b.words.T.copy(), 2)  # word columns of b as rows
     # terms of a that share no site with b commute with all of it
     b_support = np.bitwise_or.reduce(b.x | b.z, axis=0)
     overlapping = np.flatnonzero(((a.x | a.z) & b_support).any(axis=1))
-    ax, az = a.x[overlapping], a.z[overlapping]
+    left = a.words.take(overlapping, axis=0)
+    ax, az = np.split(left, 2, axis=1)
     a_y = np.bitwise_count(ax & az).sum(axis=1, dtype=np.uint8)
     # 2 c_P times i^0..i^3, exact: the parts of each factor are 0 and +-1
     turn = (2.0 * a.coeff[overlapping])[:, None] * np.array([1, 1j, -1, -1j])
-    chunk = max(b.n_terms, 1024)
-    total = _RunningSum(2 * width)
-    parts: list[tuple[np.ndarray, ...]] = []
+    n_b = b.n_terms
+
+    def products(ids):
+        # id k * n_b + j stands for P_k Q_j, whose words are left[k] ^ Q_j:
+        # left[k] is zero where P_k does not act
+        k = ids // n_b  # a scalar floor_divide is far faster than divmod
+        rows = left.take(k, axis=0)
+        rows ^= b.words.take(ids - k * n_b, axis=0)
+        return rows
+
+    total = _RunningSum(left.shape[1], products)
+    chunk = max(n_b, 1024)
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
     n_pending = 0
     for k, (xa, za) in enumerate(zip(ax, az)):
         hit = _anticommuting(x_words, z_words, xa, za)
         if not hit.size:
             continue
-        words = b.words.take(hit, axis=0)
-        # the product and its phase change only on the words where P acts;
-        # uint8 sums may wrap, since only phi mod 4 matters and 4 divides 256
+        # the phase changes only on the words where P acts; uint8 sums
+        # may wrap, since only phi mod 4 matters and 4 divides 256
         phi = a_y[k]
         for w in np.flatnonzero(xa | za):
             x_b, z_b = x_words[w].take(hit), z_words[w].take(hit)
-            x_o, z_o = x_b ^ xa[w], z_b ^ za[w]
-            words[:, w], words[:, width + w] = x_o, z_o
             phi += 2 * np.bitwise_count(za[w] & x_b) + np.bitwise_count(x_b & z_b)
-            phi -= np.bitwise_count(x_o & z_o)
+            phi -= np.bitwise_count((x_b ^ xa[w]) & (z_b ^ za[w]))
         phi &= 3
-        parts.append((words, _cmul(turn[k, phi], b.coeff.take(hit))))
+        parts.append((k * n_b + hit, _cmul(turn[k, phi], b.coeff.take(hit))))
         n_pending += hit.size
         if n_pending >= chunk:
-            pending, parts, n_pending = [np.concatenate(column) for column in zip(*parts)], [], 0
-            total.add(*pending)
+            (ids, coeff), parts, n_pending = [np.concatenate(column) for column in zip(*parts)], [], 0
+            total.add(ids, products(ids), coeff)
     if parts:
-        pending, parts = [np.concatenate(column) for column in zip(*parts)], []
-        total.add(*pending)
-    return KLocalOperator._from_rows(a.n_sites, total.words, total.coeff)
+        (ids, coeff), parts = [np.concatenate(column) for column in zip(*parts)], []
+        total.add(ids, products(ids), coeff)
+    return KLocalOperator._from_rows(a.n_sites, total.words(), total.coeff)

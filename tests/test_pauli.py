@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ class TestKLocalOperator:
         op = KLocalOperator(2, {s: 1.0}) + KLocalOperator(2, {s: -1.0})
         assert op.is_zero
         assert op.n_terms == 0
+
+    def test_modulus_beyond_float_range_is_kept(self):
+        # |c| rounds to inf for this finite coefficient; canonical form
+        # keeps the term without a RuntimeWarning (an error under the
+        # test settings)
+        s = PauliString.from_letters(2, {1: "Z"})
+        c = complex(1.8941775056029057e300, 1.7976931348623157e308)
+        op = KLocalOperator(2, {s: c})
+        assert op.coefficient(s) == c
+        assert (op + KLocalOperator(2, {s: 0.0})).coefficient(s) == c
 
     def test_locality_and_support(self):
         op = KLocalOperator(
@@ -621,12 +632,15 @@ def _dict_sum(n: int, rows) -> list[tuple[PauliString, complex]]:
 def _running_sum(n: int, batches) -> KLocalOperator:
     """The operator that one running sum makes of the batches of rows."""
     width = pauli._n_words(n)
-    total = pauli._RunningSum(2 * width)
+    rows = [row for batch in batches for row in batch]
+    words = np.hstack([pauli._pack([getattr(s, mask) for s, _ in rows], width) for mask in ("x_mask", "z_mask")])
+    total = pauli._RunningSum(2 * width, lambda ids: words.take(ids, axis=0))
+    start = 0
     for batch in batches:
-        words = [pauli._pack([getattr(s, mask) for s, _ in batch], width) for mask in ("x_mask", "z_mask")]
-        coeff = np.array([c for _, c in batch], dtype=complex)
-        total.add(np.hstack(words), coeff)
-    return KLocalOperator._from_rows(n, total.words, total.coeff)
+        ids = np.arange(start, start + len(batch))
+        total.add(ids, words[ids], np.array([c for _, c in batch], dtype=complex))
+        start += len(batch)
+    return KLocalOperator._from_rows(n, total.words(), total.coeff)
 
 
 def _late_batches(n: int) -> list[list[tuple[PauliString, complex]]]:
@@ -702,13 +716,83 @@ class TestKeyedMerge:
         salts.check()
 
     @pytest.mark.parametrize("n", [5, 64, 130])
-    def test_commutator_with_collisions(self, salts, n):
+    def test_commutator_with_collisions(self, salts, monkeypatch, n):
+        # the largest case joins the running sum in several chunks, so later
+        # chunks are checked against stored strings regenerated from their ids
         rng = np.random.default_rng(n)
+        chunks: list[int] = []
+        add = pauli._RunningSum.add
+        monkeypatch.setattr(
+            pauli._RunningSum, "add", lambda self, ids, w, c: chunks.append(len(ids)) or add(self, ids, w, c)
+        )
+        most = 0
         for n_left, n_right in [(3, 4), (40, 60), (120, 400)]:
             a = _clustered_operator(rng, n, n_left)
             b = _clustered_operator(rng, n, n_right)
+            chunks.clear()
             assert exact_terms(commutator(a, b)) == exact_terms(reference_commutator(a, b))
+            most = max(most, len(chunks))
+        assert most >= 2
         salts.check()
+
+    def test_commutator_collision_with_stored_string(self, monkeypatch):
+        # at salt 0 a product of the second chunk takes the key of a product
+        # stored from the first; only the stored string, regenerated from its
+        # id, tells them apart, and the sum keys itself again
+        n = 12
+        b = KLocalOperator(n, {
+            PauliString.from_letters(n, {0: "X", **{s: "Z" for s in range(1, 11) if m >> s & 1}}): 1.0 + 0.5j
+            for m in range(0, 2048, 2)
+        })
+        a = KLocalOperator(n, {
+            PauliString.from_letters(n, {0: "Z", 11: "X"}): 0.75,
+            PauliString.from_letters(n, {0: "Z", 1: "Z", 11: "Y"}): -1.25j,
+        })
+        # Y0 X11 = (Z0 X11)(X0) comes first; Y0 Z1 Y11 = (Z0 Z1 Y11)(X0) in the second chunk
+        stored = np.array([[1 | 1 << 11, 1]], dtype=np.uint64)
+        target = np.array([1 | 1 << 11, 1 | 1 << 1 | 1 << 11], dtype=np.uint64)
+        used: list[int] = []
+
+        def keys(words, salt):
+            used.append(salt)
+            out = _KEYS(words, salt)
+            if salt == 0:
+                out[(words == target).all(axis=1)] = _KEYS(stored, 0)[0]
+            return out
+
+        monkeypatch.setattr(pauli, "_keys", keys)
+        sizes: list[int] = []
+        add = pauli._RunningSum.add
+        monkeypatch.setattr(
+            pauli._RunningSum, "add", lambda self, ids, w, c: sizes.append(len(ids)) or add(self, ids, w, c)
+        )
+        got = commutator(a, b)
+        assert sizes == [1024, 1024]
+        assert max(used) == 1
+        assert exact_terms(got) == exact_terms(reference_commutator(a, b))
+        assert got.n_terms == 2048
+
+    def test_commutator_peak_memory(self):
+        # the running sum stores an id per string, not its words, and
+        # regenerates stored words a block at a time: the traced peak of one
+        # level stays within a small multiple of what goes in and comes out
+        # (3.1 times when every chunk copied the stored words)
+        n = 128
+        ising = build_model(
+            "long_range_ising", {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.05}
+        )
+        h = ising + (-0.5) * build_model("product_field", {"n_sites": n, "axis": "z"})
+        gamma = KLocalOperator(n, {PauliString.from_letters(n, {64: "Z"}): 1.0})
+        *_, (_, level, _) = nested_commutator_levels(h, gamma, 16)
+        tracemalloc.start()
+        try:
+            out = commutator(h, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (level.n_terms, out.n_terms) == (11_310, 18_489)
+        size = sum(array.nbytes for op in (level, out) for array in (op.words, op.coeff))
+        assert peak <= 2.7 * size
 
     def test_sum_and_letter_sites_with_collisions(self, salts, rng):
         n = 130
@@ -734,7 +818,7 @@ class TestKeyedMerge:
         sizes: list[int] = []
         add = pauli._RunningSum.add
         monkeypatch.setattr(
-            pauli._RunningSum, "add", lambda self, w, c: sizes.append(len(w)) or add(self, w, c)
+            pauli._RunningSum, "add", lambda self, ids, w, c: sizes.append(len(ids)) or add(self, ids, w, c)
         )
 
         def coeff():
