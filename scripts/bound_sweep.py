@@ -16,7 +16,8 @@ import csv
 import math
 import sys
 
-from klocal.bounds import BoundParams, main_rhs, small_time_rhs
+from klocal.bounds import BoundParams, main_rhs, q_schedule, small_time_rhs
+from klocal.errors import DomainError, InfeasibleScheduleError
 from klocal.models import build_model
 
 
@@ -46,16 +47,15 @@ def main(argv: list[str] | None = None) -> int:
             t = i * 3.0 / (args.t_points * params.kappa)  # up to 3/kappa
             n = params.intervals(t)
             for q in range(args.q0, args.q_max + 1):
-                small = (
-                    small_time_rhs(params, args.q0, q, t, 1.0)
-                    if t < 2.0 / params.kappa
-                    else float("nan")
-                )
-                chained = (
-                    main_rhs(params, args.q0, q, t, 1.0)
-                    if q >= (2**n) * args.q0
-                    else float("nan")
-                )
+                try:
+                    small = small_time_rhs(params, args.q0, q, t, 1.0)
+                except DomainError:  # t outside the series window
+                    small = math.nan
+                try:
+                    q_schedule(args.q0, q, n)  # refuses a q below 2**n * q0
+                    chained = main_rhs(params, args.q0, q, t, 1.0)
+                except InfeasibleScheduleError:
+                    chained = math.nan
                 writer.writerow([t, q, n, params.r_t(t), small, chained])
     print(f"wrote {args.out}")
     return 0

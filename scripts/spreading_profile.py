@@ -18,7 +18,8 @@ import csv
 import math
 import sys
 
-from klocal.bounds import BoundParams, main_rhs
+from klocal.bounds import BoundParams, main_rhs, q_schedule
+from klocal.errors import InfeasibleScheduleError
 from klocal.models import build_model
 from klocal.oracle import EigenSystem, q_local_project, weight_spectrum
 from klocal.pauli import KLocalOperator, PauliString
@@ -56,11 +57,11 @@ def main(argv: list[str] | None = None) -> int:
             n_int = params.intervals(t)
             for q in range(1, n + 1):
                 _, _, res_op = q_local_project(evolved, q)
-                bound = (
-                    main_rhs(params, 1, q, t, 1.0)
-                    if q >= 2**n_int
-                    else float("nan")
-                )
+                try:
+                    q_schedule(1, q, n_int)  # refuses a q below 2**n
+                    bound = main_rhs(params, 1, q, t, 1.0)
+                except InfeasibleScheduleError:
+                    bound = math.nan
                 writer.writerow(
                     [t, n_int, q, float(spectrum[q + 1 :].sum()), res_op, bound]
                 )

@@ -17,6 +17,7 @@ exponents could overflow; values beyond the float range saturate at
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleScheduleError, ValidationError
@@ -61,6 +62,8 @@ class BoundParams:
     Attributes:
         g: extensiveness constant, nonnegative.
         k: interaction degree, positive integer.
+
+    Together they keep kappa = 24*g*k**2 within the float range.
     """
 
     g: float
@@ -71,6 +74,10 @@ class BoundParams:
             raise ValidationError(f"k must be a positive integer, got {self.k!r}")
         if self.g < 0 or not math.isfinite(self.g):
             raise ValidationError(f"g must be finite and nonnegative, got {self.g!r}")
+        with suppress(OverflowError):  # raised for a k beyond the float range
+            if self.kappa < math.inf:
+                return
+        raise ValidationError(f"kappa = 24*g*k**2 is beyond the float range for g={self.g!r}, k={self.k!r}")
 
     @classmethod
     def from_constants(cls, const) -> "BoundParams":
@@ -106,7 +113,8 @@ class BoundParams:
         non-finite t and above n = 1023."""
         if not math.isfinite(t):
             raise DomainError(f"--t must be finite, got {t}")
-        n = max(math.ceil(self.kappa * abs(t)), 1)
+        x = self.kappa * abs(t)  # inf beyond the float range: refused as well
+        n = max(math.ceil(x), 1) if x < math.inf else x
         if n > _MAX_INTERVALS:
             raise DomainError(
                 f"--t {t} needs n = ceil(kappa*|t|) = {n} intervals; r_t = 2**n - 1 "
@@ -174,11 +182,8 @@ def delta_value(params: BoundParams, q0: int, q: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class QSchedule:
-    """Locality targets q_m = 2*q_{m-1} + delta_q over n chained intervals."""
+    """Locality targets q_m = 2*q_{m-1} + delta_q, one per chained interval."""
 
-    q0: int
-    q: int
-    n: int
     delta_q: int
     levels: tuple[int, ...]
 
@@ -207,7 +212,7 @@ def q_schedule(q0: int, q: int, n: int) -> QSchedule:
         level = 2 * level + delta_q
         levels.append(level)
     assert levels[-1] == pow2 * (q0 + delta_q) - delta_q <= q
-    return QSchedule(q0=q0, q=q, n=n, delta_q=delta_q, levels=tuple(levels))
+    return QSchedule(delta_q=delta_q, levels=tuple(levels))
 
 
 def topo_error_rhs(params: BoundParams, q0: int, q: int, t: float) -> float:

@@ -95,12 +95,12 @@ def layer_certificate(
         "within_layer_disjoint": cert["disjoint_ok"],
         "within_layer_commuting": cert["disjoint_ok"],
         "per_site_multiplicity_cap": cert["per_site_cap"],
-        "reconstruction_gap_upper": decomp.reconstruction_gap,
+        "reconstruction_gap_upper": decomp.pool.gap_upper,
         "reconstruction_vs_source_norm_upper": distance,
     }
     checks = [
         Check.compare("layer_count", float(cert["layer_count"]), float(cert["layer_bound"])),
-        Check.compare("layer_reconstruction", distance, decomp.reconstruction_gap + slack, note),
+        Check.compare("layer_reconstruction", distance, decomp.pool.gap_upper + slack, note),
         Check.compare("layer_structure", float(not structure_ok), 0.0, "" if structure_ok else str(cert)),
     ]
     return report, checks

@@ -116,8 +116,8 @@ def _cmd_constants(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
         "n_sites": op.n_sites,
         "k": const.k,
         "g": const.g,
-        "n_terms": const.n_terms,
-        "norm_upper": const.norm_upper,
+        "n_terms": op.n_terms,
+        "norm_upper": op.norm_upper(),
         "lambda": params.lam,
         "kappa": params.kappa,
         "xi": params.xi,
@@ -199,7 +199,7 @@ def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list],
     result: dict[str, Any] = {
         "mode": mode,
         "t": t,
-        "target_q": report_t.target_q,
+        "target_q": args.q,
         "m0": report_t.m0,
         "witness_terms": report_t.witness.n_terms,
         "witness_locality": report_t.witness.locality,
@@ -209,7 +209,7 @@ def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list],
     if report_t.schedule is not None:
         result["schedule"] = list(report_t.schedule.levels)
         result["delta_q"] = report_t.schedule.delta_q
-        result["intervals"] = report_t.schedule.n
+        result["intervals"] = len(report_t.schedule.levels)
     if op.n_sites <= site_limit("dense operator", args.nmax):
         check, rhs = witness_check(gamma, report_t, t, EigenSystem(op, args.nmax))
         result["oracle_error"] = check.lhs

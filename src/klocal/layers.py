@@ -55,7 +55,6 @@ class UnitPool:
     accounted for in ``gap_upper``.
     """
 
-    n_sites: int
     epsilon: float
     units: KLocalOperator
     multiplicity: tuple[int, ...]
@@ -70,18 +69,14 @@ class UnitPool:
 
 @dataclass(frozen=True)
 class LayerDecomposition:
-    """Layers of disjoint-support unit operators covering the pool.
+    """Layers of disjoint-support unit operators covering ``pool``.
 
     Each layer is an operator holding a unit at most once, so a unit with
     multiplicity M appears in M distinct layers.
     """
 
-    n_sites: int
-    epsilon: float
+    pool: UnitPool
     layers: tuple[KLocalOperator, ...]
-    reconstruction_gap: float
-    source_g: float
-    source_k: int
 
     @property
     def layer_count(self) -> int:
@@ -90,7 +85,7 @@ class LayerDecomposition:
     @property
     def layer_bound(self) -> int:
         """Guaranteed ceiling k * floor(g/eps) on the layer count."""
-        return self.source_k * math.floor(self.source_g / self.epsilon)
+        return self.pool.source_k * math.floor(self.pool.source_g / self.pool.epsilon)
 
     def verify(self) -> dict[str, Any]:
         """Re-derive the certificates from scratch.
@@ -100,12 +95,11 @@ class LayerDecomposition:
         disjoint supports commute), and the per-site multiplicity cap;
         ``all_ok`` aggregates them.
         """
-        per_layer = [
-            np.bincount(layer.letter_sites()[1], minlength=self.n_sites) for layer in self.layers
-        ]
+        n_sites = self.pool.units.n_sites
+        per_layer = [np.bincount(layer.letter_sites()[1], minlength=n_sites) for layer in self.layers]
         disjoint = all(counts.max(initial=0) <= 1 for counts in per_layer)
-        per_site = sum(per_layer, np.zeros(self.n_sites, dtype=np.int64))
-        site_cap = math.floor(self.source_g / self.epsilon)
+        per_site = sum(per_layer, np.zeros(n_sites, dtype=np.int64))
+        site_cap = math.floor(self.pool.source_g / self.pool.epsilon)
         multiplicity_ok = bool((per_site <= site_cap).all())
         count_ok = self.layer_count <= self.layer_bound
         return {
@@ -121,8 +115,8 @@ class LayerDecomposition:
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-ready export with per-layer unit lists."""
         return {
-            "n_sites": self.n_sites,
-            "epsilon": self.epsilon,
+            "n_sites": self.pool.units.n_sites,
+            "epsilon": self.pool.epsilon,
             "layers": [[{**entry, "count": 1} for entry in spec_entries(layer)] for layer in self.layers],
         }
 
@@ -153,7 +147,6 @@ def discretize(hamiltonian: KLocalOperator, epsilon: float, const: StructuralCon
     gap = float(np.cumsum(norms - copies * epsilon)[-1]) if len(norms) else 0.0
     kept = copies > 0
     return UnitPool(
-        n_sites=hamiltonian.n_sites,
         epsilon=epsilon,
         units=hamiltonian.select(order[kept], epsilon / norms[kept]),
         multiplicity=tuple(map(int, copies[kept].tolist())),
@@ -193,20 +186,13 @@ def pack_layers(pool: UnitPool) -> LayerDecomposition:
             remaining[i] -= 1
             total_left -= 1
         layers.append(pool.units.select(layer))
-    return LayerDecomposition(
-        n_sites=pool.n_sites,
-        epsilon=pool.epsilon,
-        layers=tuple(layers),
-        reconstruction_gap=pool.gap_upper,
-        source_g=pool.source_g,
-        source_k=pool.source_k,
-    )
+    return LayerDecomposition(pool=pool, layers=tuple(layers))
 
 
 def reconstruct(decomp: LayerDecomposition) -> KLocalOperator:
     """Sum all layers back into one operator.
 
     The result equals the discretized Hamiltonian, i.e. it differs from
-    the source by at most ``reconstruction_gap`` in norm_upper.
+    the source by at most ``decomp.pool.gap_upper`` in norm_upper.
     """
-    return sum(decomp.layers, KLocalOperator(decomp.n_sites))
+    return sum(decomp.layers, KLocalOperator(decomp.pool.units.n_sites))

@@ -7,7 +7,8 @@ The interchange format for Hamiltonians is a strict JSON document
 
 Unknown fields and non-finite coefficients are rejected, and every
 validation message names the offending term index.  Repeated strings are
-summed; a sum beyond the float range is rejected.  Specs are read through
+summed; a sum beyond the float range is rejected, and so is a spec whose
+sum of |coeff| over all terms is.  Specs are read through
 flat site, letter and coefficient buffers by one of two routes: JSON text
 without ``true`` or ``false`` is streamed, the parser handing over each
 entry as it finishes it, so the parsed document is never built; anything
@@ -177,11 +178,11 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     """Parse a Hamiltonian spec into an operator: JSON text without
     ``true`` or ``false`` is streamed, anything else walked entry by
     entry.  Repeated strings are summed; a sum beyond the float range is
-    rejected.
+    rejected, and so is a sum of |coeff| over all terms beyond it.
 
     Raises:
         ValidationError: on schema violations, naming the index of a bad
-            entry, or the string of a sum beyond the float range.
+            entry, or the sum beyond the float range.
     """
     if isinstance(document, str):
         # a bool would pass the typed buffers as 0 or 1
@@ -221,6 +222,8 @@ def _operator(n_sites: int, *arrays) -> KLocalOperator:
         raise ValidationError(
             f"terms: repeated string {entry['paulis']} on sites {entry['sites']} sums beyond the float range"
         )
+    if op.norm_upper() == math.inf:
+        raise ValidationError("terms: the sum of |coeff| over all terms is beyond the float range")
     return op
 
 
@@ -289,27 +292,25 @@ def spec_from_operator(op: KLocalOperator) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class StructuralConstants:
-    """Interaction degree, extensiveness constant and cheap norm data."""
+    """Interaction degree k and extensiveness constant g."""
 
     k: int
     g: float
-    n_terms: int
-    norm_upper: float
 
 
 def structural_constants(op: KLocalOperator) -> StructuralConstants:
-    """Compute (k, g, n_terms, norm_upper) for an operator.
+    """Compute (k, g) for an operator.
 
     k is the largest string weight present and g the largest per-site sum
-    of coefficient magnitudes; the zero operator yields all zeros.  For
-    operators without an identity component, norm_upper <= g * n_sites.
+    of coefficient magnitudes; the zero operator yields zeros.  For
+    operators without an identity component, ``op.norm_upper()`` <= g * n_sites.
     """
     # (term, site) pairs in term order, so each site sums like a loop over terms
     rows, sites = op.letter_sites()
     weights = np.bincount(rows, minlength=op.n_terms)
     per_site = np.bincount(sites, weights=op.magnitudes[rows], minlength=op.n_sites)
     k, g = int(weights.max(initial=0)), float(per_site.max(initial=0.0))
-    return StructuralConstants(k=k, g=g, n_terms=op.n_terms, norm_upper=op.norm_upper())
+    return StructuralConstants(k=k, g=g)
 
 
 def _build_long_range_ising(n_sites: int, alpha=2.0, coupling=1.0, field=0.0) -> KLocalOperator:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError, check_same_sites
-from .pauli import HERMITIAN_TOL, KLocalOperator
+from .pauli import KLocalOperator, hermitian_rule
 
 __all__ = [
     "N_MAX_OPERATOR",
@@ -123,8 +123,9 @@ class DenseOperator:
     def hermitian(self) -> bool:
         """The ``HERMITIAN_TOL`` rule on ``M - M+``, decided once."""
         m = self.matrix
-        scale = max(2 ** (self.n_sites / 2), np.linalg.norm(m))
-        return bool(np.linalg.norm(m - m.conj().T) / 2 <= HERMITIAN_TOL * scale)
+        skew = m - m.conj().T
+        skew *= 0.5
+        return hermitian_rule(skew, m, 2 ** (self.n_sites / 2))
 
 
 def _pauli_action(n_sites: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray]:

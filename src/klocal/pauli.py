@@ -69,6 +69,8 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import suppress
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -81,6 +83,7 @@ __all__ = [
     "PauliString",
     "KLocalOperator",
     "commutator",
+    "hermitian_rule",
 ]
 
 # Coefficients at or below this magnitude are treated as exact zeros when
@@ -101,6 +104,7 @@ _ASCII_BITS[list(_LETTERS.encode())] = range(4)
 _HASH_PRIME = 1_000_000_007
 
 
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """An n-site Pauli string without coefficient.
 
@@ -108,22 +112,18 @@ class PauliString:
     is represented by both masks being zero.
     """
 
-    __slots__ = ("n_sites", "x_mask", "z_mask")
+    n_sites: int
+    x_mask: int = 0
+    z_mask: int = 0
 
-    def __init__(self, n_sites: int, x_mask: int = 0, z_mask: int = 0):
-        if n_sites < 0:
-            raise ValidationError(f"n_sites must be nonnegative, got {n_sites}")
-        top = 1 << n_sites
-        if not (0 <= x_mask < top and 0 <= z_mask < top):
+    def __post_init__(self):
+        if self.n_sites < 0:
+            raise ValidationError(f"n_sites must be nonnegative, got {self.n_sites}")
+        top = 1 << self.n_sites
+        if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
             raise ValidationError(
-                f"masks ({x_mask:#x}, {z_mask:#x}) out of range for {n_sites} sites"
+                f"masks ({self.x_mask:#x}, {self.z_mask:#x}) out of range for {self.n_sites} sites"
             )
-        object.__setattr__(self, "n_sites", n_sites)
-        object.__setattr__(self, "x_mask", x_mask)
-        object.__setattr__(self, "z_mask", z_mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliString is immutable")
 
     @classmethod
     def from_letters(cls, n_sites: int, letters: Mapping[int, str]) -> "PauliString":
@@ -141,15 +141,6 @@ class PauliString:
             z |= bz << site
         return cls(n_sites, x, z)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        return (
-            self.n_sites == other.n_sites
-            and self.x_mask == other.x_mask
-            and self.z_mask == other.z_mask
-        )
-
     def __hash__(self) -> int:
         x, z = self.x_mask, self.z_mask
         return hash((self.n_sites, x, z, x % _HASH_PRIME, z % _HASH_PRIME))
@@ -162,6 +153,24 @@ class PauliString:
             if (x | z) >> s & 1
         )
         return f"PauliString({body or 'I'}, n={self.n_sites})"
+
+
+def _modulus(coeff: np.ndarray) -> np.ndarray:
+    """|c| per entry, bit-identical to Python's ``abs``; inf beyond the float range."""
+    with np.errstate(over="ignore"):
+        return np.hypot(coeff.real, coeff.imag)
+
+
+def hermitian_rule(skew: np.ndarray, values: np.ndarray, floor: float) -> bool:
+    """The ``HERMITIAN_TOL`` rule ||skew||_2 <= HERMITIAN_TOL * max(floor,
+    ||values||_2) for the anti-Hermitian part ``skew`` of ``values``, every
+    norm taken after an exact scaling by the power of two that brings the
+    largest |Re| or |Im| part of ``values`` into [0.5, 1), so no square overflows."""
+    top = max(max(part.max(initial=0.0), -part.min(initial=0.0)) for part in (values.real, values.imag))
+    if not math.isfinite(top):
+        return False
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    return bool(np.linalg.norm(skew * scale) <= HERMITIAN_TOL * max(floor * scale, np.linalg.norm(values * scale)))
 
 
 # ------------------------------------------------------------ word arrays
@@ -373,8 +382,7 @@ class KLocalOperator:
         return op
 
     def _assign(self, n_sites: int, words, coeff) -> None:
-        with np.errstate(over="ignore"):  # a modulus beyond the float range is inf: kept
-            keep = ~(np.hypot(coeff.real, coeff.imag) <= ZERO_TOL)
+        keep = ~(_modulus(coeff) <= ZERO_TOL)
         if not keep.all():
             words, coeff = np.compress(keep, words, axis=0), coeff[keep]
         for name, value in (("n_sites", n_sites), ("words", words), ("coeff", coeff)):
@@ -453,8 +461,8 @@ class KLocalOperator:
 
     @property
     def magnitudes(self) -> np.ndarray:
-        """|c| per stored term, bit-identical to Python's ``abs``."""
-        return np.hypot(self.coeff.real, self.coeff.imag)
+        """|c| per stored term, bit-identical to Python's ``abs``; inf beyond the float range."""
+        return _modulus(self.coeff)
 
     @property
     def terms_commute(self) -> bool:
@@ -463,8 +471,11 @@ class KLocalOperator:
         return not any(_anticommuting(x_words, z_words, xa, za).size for xa, za in zip(self.x, self.z))
 
     def norm_upper(self) -> float:
-        """Triangle-inequality upper bound sum_P |c_P| on the operator norm."""
-        return math.fsum(self.magnitudes.tolist())
+        """Triangle-inequality upper bound sum_P |c_P| on the operator norm,
+        summed exactly; inf where the sum is beyond the float range."""
+        with suppress(OverflowError):  # raised for a partial sum beyond the float range
+            return math.fsum(self.magnitudes.tolist())
+        return math.inf
 
     def prune(self, threshold: float) -> tuple["KLocalOperator", float]:
         """Drop terms with ``|coeff| <= threshold``.
@@ -483,7 +494,7 @@ class KLocalOperator:
 
     def is_hermitian(self) -> bool:
         """The ``HERMITIAN_TOL`` rule on the imaginary parts of the coefficients."""
-        return bool(np.linalg.norm(self.coeff.imag) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(self.coeff)))
+        return hermitian_rule(self.coeff.imag, self.coeff, 1.0)
 
     def __add__(self, other: "KLocalOperator") -> "KLocalOperator":
         if not isinstance(other, KLocalOperator):

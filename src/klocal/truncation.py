@@ -49,21 +49,19 @@ class TruncationReport:
     """A locality-truncated witness plus its certificate ingredients.
 
     Attributes:
-        witness: the truncated operator, locality <= target_q.
+        witness: the truncated operator, locality <= the requested q.
         m0: series order of the (final) truncation step.
-        target_q: requested locality ceiling.
         pruning_budget: summed magnitude of pruned coefficients across
             all nesting levels (and all intervals, for chained runs).
         bound_rhs: ``rhs`` at the cheap norm proxy ``gamma.norm_upper()``.
         rhs: the analytic error bound as a function of the norm of gamma
             (``small_time_rhs`` or ``main_rhs`` over this run's params, q0,
-            target q and t); certificates evaluate it at the exact norm.
+            q and t); certificates evaluate it at the exact norm.
         schedule: locality schedule for chained runs, None otherwise.
     """
 
     witness: KLocalOperator
     m0: int
-    target_q: int
     pruning_budget: float
     bound_rhs: float
     rhs: Callable[[float], float]
@@ -141,9 +139,7 @@ def hadamard_truncate(
         if m:
             witness = witness + coeff * level
     assert witness.locality <= q, "nesting exceeded the locality budget"
-    return TruncationReport(
-        witness=witness, m0=m0, target_q=q, pruning_budget=budget, bound_rhs=bound, rhs=rhs
-    )
+    return TruncationReport(witness=witness, m0=m0, pruning_budget=budget, bound_rhs=bound, rhs=rhs)
 
 
 def chained_truncate(
@@ -177,7 +173,6 @@ def chained_truncate(
     return TruncationReport(
         witness=witness,
         m0=m0,
-        target_q=q,
         pruning_budget=budget,
         bound_rhs=rhs(gamma.norm_upper()),
         rhs=rhs,

@@ -214,7 +214,7 @@ def per_site_multiplicity(pool) -> np.ndarray:
     ``letter_sites()``."""
     rows, sites = pool.units.letter_sites()
     copies = np.asarray(pool.multiplicity, dtype=np.int64)[rows]
-    return np.bincount(sites, weights=copies, minlength=pool.n_sites)
+    return np.bincount(sites, weights=copies, minlength=pool.units.n_sites)
 
 
 def same_arrays(a: KLocalOperator, b: KLocalOperator) -> bool:

@@ -197,7 +197,7 @@ def test_criterion_4_layer_decomposition(acceptance_report):
         if n <= 6:
             dense_checks += 1
             gap = operator_norm_exact(reconstruct(decomp) - op, n_max=6)
-            ok = ok and gap <= decomp.reconstruction_gap + 1e-12
+            ok = ok and gap <= decomp.pool.gap_upper + 1e-12
         if not ok:
             violations += 1
     elapsed = time.monotonic() - start

@@ -7,6 +7,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,45 @@ class TestDeterminismAndErrors:
         error = json.loads(out)["error"]
         assert error["message"] == "terms: repeated string X on sites [0] sums beyond the float range"
         assert error["type"] == "ValidationError"
+
+    # unscaled, the norms of the Hermitian test overflow, and X0 at [1e200, 1e200] passed as Hermitian
+    HUGE_X0 = [[1e200, 1e200], [1, 0]]
+    HERMITIAN_MESSAGE = "Hamiltonian must be Hermitian for evolution"
+    KAPPA_MESSAGE = "kappa = 24*g*k**2 is beyond the float range for g=1e+307, k=1"
+    ABS_SUM_MESSAGE = "terms: the sum of |coeff| over all terms is beyond the float range"
+
+    @pytest.mark.parametrize(
+        "argv, coeffs, message",
+        [
+            (["truncate", "--t", "0", "--q", "1"], HUGE_X0, HERMITIAN_MESSAGE),
+            (["concentrate", "--t", "0"], HUGE_X0, HERMITIAN_MESSAGE),
+            (["constants", "--t", "0.5"], [[1e307, 0]], KAPPA_MESSAGE),
+            (["constants"], [[1e307, 0]], KAPPA_MESSAGE),
+            (["bound", "--g", "1e307", "--k", "1", "--evaluator", "main", "--t", "0.1"], None, KAPPA_MESSAGE),
+            (["bound", "--g", "1", "--k", "1" + "0" * 400, "--evaluator", "theorem1"], None, "for g=1.0, k=1000"),
+            (["bound", "--g", "1", "--k", "1", "--evaluator", "main", "--t", "1e308"], None, "= inf intervals"),
+            (["concentrate", "--t", "0.1"], [[1e308, 0], [1e308, 0]], ABS_SUM_MESSAGE),
+            (["constants"], [[1e308, 0], [1e308, 0]], ABS_SUM_MESSAGE),
+        ],
+        ids=["truncate-hermitian", "concentrate-hermitian", "constants-t", "constants", "bound-g", "bound-k",
+             "bound-t", "concentrate-sum", "constants-sum"],
+    )
+    def test_huge_values_exit_code(self, capsys, tmp_path, argv, coeffs, message):
+        # each exited 0 with an unsound report, or 1 with an OverflowError traceback
+        if coeffs is not None:  # X0, then Z1, with these [re, im] coefficients
+            terms = [
+                {"sites": [site], "paulis": letter, "coeff": c} for site, letter, c in zip((0, 1), "XZ", coeffs)
+            ]
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps({"n_sites": len(coeffs), "terms": terms}))
+            argv = [*argv, "--spec", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, *argv)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid"
+        assert message in error["message"]
 
     @pytest.mark.parametrize(
         "command",

@@ -126,10 +126,10 @@ class TestPackLayers:
             decomp = pack_layers(discretize(op, eps, const))
             rebuilt = reconstruct(decomp)
             gap = (rebuilt - op).norm_upper()
-            assert gap <= decomp.reconstruction_gap + 1e-12
+            assert gap <= decomp.pool.gap_upper + 1e-12
             # dense check: operator-norm distance below the same gap
             dense_gap = operator_norm_exact(rebuilt - op)
-            assert dense_gap <= decomp.reconstruction_gap + 1e-12
+            assert dense_gap <= decomp.pool.gap_upper + 1e-12
 
     def test_layer_count_bound_tight_family(self):
         # M identical max-weight terms on one site force M layers

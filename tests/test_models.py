@@ -105,6 +105,15 @@ def load_error(doc) -> tuple[str, str]:
     return messages[0], messages[1]
 
 
+def abs_sum_within_float_range(op: KLocalOperator) -> bool:
+    """Whether the exact sum of Python's ``abs`` of each coefficient of
+    ``op`` lies within the float range."""
+    try:
+        return math.fsum(abs(c) for c in op.coeff.tolist()) < math.inf
+    except OverflowError:  # a modulus, or a partial sum, beyond the float range
+        return False
+
+
 def dict_long_range_ising(n_sites: int, alpha: float, coupling: float, field: float):
     acc = {}
     for i in range(n_sites):
@@ -334,9 +343,9 @@ class TestStreamedLoader:
         doc = {"n_sites": n_sites, "terms": entries}
         reference = reference_load_spec(doc)
         for spec in (doc, json.dumps(doc)):
-            if np.isfinite(reference.coeff).all():
+            if np.isfinite(reference.coeff).all() and abs_sum_within_float_range(reference):
                 assert same_arrays(load_spec(spec), reference)
-            else:  # a repeated string summed beyond the float range
+            else:  # a repeated string, or the sum of |coeff|, beyond the float range
                 with pytest.raises(ValidationError, match="beyond the float range"):
                     load_spec(spec)
 
@@ -344,6 +353,10 @@ class TestStreamedLoader:
 X0_HUGE = {"sites": [0], "paulis": "X", "coeff": [1e308, 0]}
 OVERFLOW = {"n_sites": 2, "terms": [X0_HUGE, X0_HUGE, {"sites": [1], "paulis": "Z", "coeff": [1, 0]}]}
 X0_MESSAGE = "terms: repeated string X on sites [0] sums beyond the float range"
+# every coefficient finite, but not the sum of their moduli, which norm_upper reads
+ABS_SUM = {"n_sites": 2, "terms": [X0_HUGE, {"sites": [1], "paulis": "Z", "coeff": [1e308, 0]}]}
+BIG_MODULUS = {"sites": [1], "paulis": "Z", "coeff": [1.8941775056029057e300, 1.7976931348623157e308]}
+ABS_SUM_MESSAGE = "terms: the sum of |coeff| over all terms is beyond the float range"
 WIDE = {"sites": [70, 3], "paulis": "YZ", "coeff": [1.0, -1e308]}
 
 
@@ -359,8 +372,12 @@ class TestOverflowingSum:
                 {"n_sites": 80, "terms": [GOOD, WIDE, GOOD, WIDE]},
                 "terms: repeated string ZY on sites [3, 70] sums beyond the float range",
             ),
+            (ABS_SUM, ABS_SUM_MESSAGE),
+            (json.dumps(ABS_SUM), ABS_SUM_MESSAGE),
+            (json.dumps({"n_sites": 2, "terms": [BIG_MODULUS]}), ABS_SUM_MESSAGE),
         ],
-        ids=["mapping", "streamed text", "walked text", "summed back", "imaginary part"],
+        ids=["mapping", "streamed text", "walked text", "summed back", "imaginary part",
+             "sum of moduli", "sum of moduli, streamed", "one modulus"],
     )
     def test_refused_naming_the_string(self, spec, message):
         with warnings.catch_warnings():
@@ -404,20 +421,22 @@ class TestSpecWriter:
 class TestStructuralConstants:
     def test_tfi_chain(self, tfi_chain):
         const = structural_constants(tfi_chain)
-        assert const == StructuralConstants(k=2, g=3.0, n_terms=7, norm_upper=7.0)
+        assert const == StructuralConstants(k=2, g=3.0)
+        assert (tfi_chain.n_terms, tfi_chain.norm_upper()) == (7, 7.0)
 
     def test_single_term(self):
         op = KLocalOperator(3, {PauliString.from_letters(3, {0: "X", 2: "Y"}): -2.0})
         const = structural_constants(op)
         assert const.k == 2
         assert const.g == pytest.approx(2.0)
-        assert const.norm_upper == pytest.approx(2.0)
+        assert op.norm_upper() == pytest.approx(2.0)
 
     def test_zero_operator(self):
-        const = structural_constants(KLocalOperator(3))
+        zero = KLocalOperator(3)
+        const = structural_constants(zero)
         assert const.k == 0
         assert const.g == 0.0
-        assert const.n_terms == 0
+        assert zero.n_terms == 0
 
     def test_g_is_max_per_site_sum(self):
         op = KLocalOperator(
@@ -440,7 +459,8 @@ class TestStructuralConstants:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert const == StructuralConstants(k=1, g=1.0, n_terms=8192, norm_upper=8192.0)
+        assert const == StructuralConstants(k=1, g=1.0)
+        assert (op.n_terms, op.norm_upper()) == (8192, 8192.0)
         assert peak < 2 * op.x.nbytes
 
 
@@ -468,7 +488,7 @@ class TestModelFamilies:
             {"n_sites": 4, "alpha": math.inf, "coupling": 1.0, "field": 1.0},
         )
         const = structural_constants(op)
-        assert (const.k, const.g, const.n_terms) == (2, 3.0, 7)
+        assert (const.k, const.g, op.n_terms) == (2, 3.0, 7)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130])
     @pytest.mark.parametrize("alpha", [0.0, 1.5, 2.0, math.inf])

@@ -355,6 +355,12 @@ def _z_chain_and_imaginary_x0() -> KLocalOperator:
     return KLocalOperator(8, {**terms, PauliString.from_letters(8, {0: "X"}): 3e-10j})
 
 
+def _huge_complex_x0_and_z1() -> KLocalOperator:
+    # unscaled, both norms of either form overflow to inf, and inf <= TOL * inf
+    x0, z1 = PauliString.from_letters(2, {0: "X"}), PauliString.from_letters(2, {1: "Z"})
+    return KLocalOperator(2, {x0: 1e200 + 1e200j, z1: 1.0})
+
+
 @pytest.mark.parametrize(
     "op, hermitian",
     [
@@ -362,7 +368,10 @@ def _z_chain_and_imaginary_x0() -> KLocalOperator:
         for fraction, hermitian in [(0.49, True), (1.01, False)]
         for scale in [1.0, 1000.0]
     ]
-    + [pytest.param(_z_chain_and_imaginary_x0(), False, id="z-chain-8")],
+    + [
+        pytest.param(_z_chain_and_imaginary_x0(), False, id="z-chain-8"),
+        pytest.param(_huge_complex_x0_and_z1(), False, id="huge-x0"),
+    ],
 )
 def test_one_hermiticity_rule(op, hermitian):
     # Both forms hold the 2-norm of the anti-Hermitian part against that of

@@ -197,6 +197,19 @@ class TestKLocalOperator:
         )
         assert op.norm_upper() == pytest.approx(7.0)
 
+    def test_moduli_beyond_the_float_range(self):
+        # |c| overflows to inf without a RuntimeWarning, which tier-1 makes an error
+        z1 = PauliString.from_letters(2, {1: "Z"})
+        op = KLocalOperator(2, {z1: 1.8941775056029057e300 + 1.7976931348623157e308j})
+        assert op.magnitudes.tolist() == [math.inf]
+        assert op.norm_upper() == math.inf
+        kept, dropped = op.prune(1.0)
+        assert kept is op and dropped == 0.0
+        assert not op.is_hermitian()
+        # finite moduli whose sum is not: inf, not fsum's OverflowError
+        x0 = PauliString.from_letters(2, {0: "X"})
+        assert KLocalOperator(2, {x0: 1e308, z1: 1e308}).norm_upper() == math.inf
+
     def test_prune(self):
         op = KLocalOperator(
             2,

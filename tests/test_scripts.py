@@ -106,6 +106,24 @@ def test_spreading_profile_matches_benchmark_reference(tmp_path):
             ), (got, want)
 
 
+def test_bound_sweep_nan_cells(tmp_path):
+    # at N = 4, kappa = 288 and the 12 default times are i / (4 kappa):
+    # small_time_rhs leaves its window t < 2/kappa from i = 8 on, and
+    # main_rhs needs q >= 2**n with n = 1, 2, 3 intervals for i in
+    # 1..4, 5..8, 9..12
+    _run("bound_sweep", "--out", str(tmp_path / "b.csv"))
+    _, rows = _read(tmp_path / "b.csv")
+    for index, row in enumerate(rows):
+        i, q = index // 40 + 1, int(row[1])
+        n = (i + 3) // 4
+        assert int(row[2]) == n
+        assert math.isnan(float(row[4])) == (i >= 8), row
+        assert math.isnan(float(row[5])) == (q < 2**n), row
+    # 5 times outside the window, and 1 + 3 + 7 q below 2**n at 4 times each
+    assert sum(row[4] == "nan" for row in rows) == 5 * 40
+    assert sum(row[5] == "nan" for row in rows) == 4 * (1 + 3 + 7)
+
+
 def test_concentration_tails_builds_one_eigensystem(tmp_path, monkeypatch):
     # every default time splits the bins and evolves the parent, all on
     # the one eigendecomposition of the chain

@@ -218,7 +218,7 @@ class TestChainedTruncate:
         t = 0.5 / 24.0  # n = 1
         single = hadamard_truncate(h, gamma, t, 4, threshold=0.0)
         chained = chained_truncate(h, gamma, t, 4, threshold=0.0)
-        assert chained.schedule is not None and chained.schedule.n == 1
+        assert chained.schedule is not None and len(chained.schedule.levels) == 1
         assert chained.witness == single.witness
 
     def test_infeasible_q(self):
@@ -234,7 +234,7 @@ class TestChainedTruncate:
         q = 6
         report = chained_truncate(tfi_chain, gamma, t, q, threshold=0.0)
         assert report.schedule is not None
-        assert report.schedule.n == 2
+        assert len(report.schedule.levels) == 2
         assert report.witness.locality <= q
         exact = heisenberg_evolve(tfi_chain, gamma, t)
         err = spectral_norm(to_dense(report.witness).matrix - exact.matrix)
