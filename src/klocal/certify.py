@@ -15,13 +15,14 @@ their envelopes in ``concentration.concentrate``.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
 from .bounds import BoundParams, theorem1_rhs
 from .layers import LayerDecomposition, discretize, pack_layers, reconstruct
-from .models import structural_constants
+from .models import StructuralConstants, structural_constants
 from .oracle import EigenSystem, operator_norm_exact, spectral_norm, to_dense
 from .pauli import KLocalOperator, commutator
 from .truncation import DEFAULT_PRUNE_TOL, TruncationReport, chained_truncate
@@ -74,34 +75,39 @@ def witness_check(
 
 
 def layer_certificate(
-    hamiltonian: KLocalOperator, decomp: LayerDecomposition, note: str = ""
+    hamiltonian: KLocalOperator, const: StructuralConstants, decomp: LayerDecomposition, note: str = ""
 ) -> tuple[dict[str, Any], list[Check]]:
-    """Hold the layer packing ``decomp`` of ``hamiltonian`` against its
-    guarantees: at most k*floor(g/eps) layers, disjoint supports (hence
-    commuting units) within each layer, at most floor(g/eps) units on any
-    site, and a reconstruction within the discretization gap of the
-    source in norm_upper.
+    """Hold the layer packing ``decomp`` of ``hamiltonian``, whose
+    structural constants are ``const``, against its guarantees: at most
+    k*floor(g/eps) layers, disjoint supports (hence commuting units)
+    within each layer, at most floor(g/eps) units on any site, and a
+    reconstruction within the discretization gap of the source in
+    norm_upper.
 
     Returns the certificates under the keys of the ``decompose`` report,
     and as checks with ``note`` on the reconstruction check.
     """
-    cert = decomp.verify()
+    cap = math.floor(const.g / decomp.pool.epsilon)
+    bound = const.k * cap
+    disjoint, per_site = decomp.verify()
+    most = int(per_site.max(initial=0))
+    structure_ok = disjoint and most <= cap
     distance = (reconstruct(decomp) - hamiltonian).norm_upper()
-    slack = _reconstruction_slack(hamiltonian, cert["per_site_cap"])
-    structure_ok = cert["disjoint_ok"] and cert["multiplicity_ok"]
+    gap = decomp.pool.gap_upper
     report = {
-        "layer_count": cert["layer_count"],
-        "layer_bound": cert["layer_bound"],
-        "within_layer_disjoint": cert["disjoint_ok"],
-        "within_layer_commuting": cert["disjoint_ok"],
-        "per_site_multiplicity_cap": cert["per_site_cap"],
-        "reconstruction_gap_upper": decomp.pool.gap_upper,
+        "layer_count": decomp.layer_count,
+        "layer_bound": bound,
+        "within_layer_disjoint": disjoint,
+        "within_layer_commuting": disjoint,
+        "per_site_multiplicity_cap": cap,
+        "reconstruction_gap_upper": gap,
         "reconstruction_vs_source_norm_upper": distance,
     }
+    structure_note = "" if structure_ok else f"disjoint={disjoint}, most units on a site={most}, cap={cap}"
     checks = [
-        Check.compare("layer_count", float(cert["layer_count"]), float(cert["layer_bound"])),
-        Check.compare("layer_reconstruction", distance, decomp.pool.gap_upper + slack, note),
-        Check.compare("layer_structure", float(not structure_ok), 0.0, "" if structure_ok else str(cert)),
+        Check.compare("layer_count", float(decomp.layer_count), float(bound)),
+        Check.compare("layer_reconstruction", distance, gap + _reconstruction_slack(hamiltonian, cap), note),
+        Check.compare("layer_structure", float(not structure_ok), 0.0, structure_note),
     ]
     return report, checks
 
@@ -159,8 +165,8 @@ def verify_checks(
     if epsilon is None and const.g > 0:
         epsilon = const.g / 10.0
     if epsilon is not None:
-        decomp = pack_layers(discretize(hamiltonian, epsilon, const))
-        checks += layer_certificate(hamiltonian, decomp, f"epsilon={epsilon}")[1]
+        decomp = pack_layers(discretize(hamiltonian, epsilon))
+        checks += layer_certificate(hamiltonian, const, decomp, f"epsilon={epsilon}")[1]
 
     checks.append(_energy_block_check(hamiltonian, gamma, 2.0 * const.g * q0, eig))
     return checks

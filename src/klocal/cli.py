@@ -75,15 +75,17 @@ def _config_dict(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _load_gamma(args: argparse.Namespace, n_sites: int) -> tuple[KLocalOperator, str | None]:
+def _load_gamma(args: argparse.Namespace, n_sites: int) -> tuple[KLocalOperator, dict[str, str]]:
+    """Gamma from ``--gamma``, or Z on site 0, with the report entry that
+    names its file by SHA-256 (none for the default)."""
     if getattr(args, "gamma", None):
         gamma, digest = _read_spec(args.gamma)
         if gamma.n_sites != n_sites:
             raise ValidationError(
                 f"gamma is on {gamma.n_sites} sites but the Hamiltonian has {n_sites}"
             )
-        return gamma, digest
-    return KLocalOperator(n_sites, {PauliString.from_letters(n_sites, {0: "Z"}): 1.0 + 0j}), None
+        return gamma, {"gamma_hash": digest}
+    return KLocalOperator(n_sites, {PauliString.from_letters(n_sites, {0: "Z"}): 1.0 + 0j}), {}
 
 
 def _finite_float(text: str) -> float:
@@ -98,11 +100,15 @@ def _finite_float(text: str) -> float:
 
 
 def _list(text: str, name: str, parse, what: str) -> list:
-    """The nonempty comma-separated parts of ``text``, each read by ``parse``."""
+    """The nonempty comma-separated parts of ``text``, each read by
+    ``parse``; there must be at least one."""
     try:
-        return [parse(part) for part in text.split(",") if part != ""]
+        values = [parse(part) for part in text.split(",") if part != ""]
     except (ValueError, argparse.ArgumentTypeError):
-        raise ValidationError(f"{name} must be a comma-separated list of {what}: {text!r}") from None
+        values = []
+    if not values:
+        raise ValidationError(f"{name} must be a comma-separated list of {what}: {text!r}")
+    return values
 
 
 # ----------------------------------------------------------------- handlers
@@ -159,8 +165,10 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], in
     q0 = args.q0 if args.q0 is not None else 1
     if q0 < 1:
         raise ValidationError(f"q0 is the support size of gamma and must be >= 1, got {q0}")
-    q_values = _list(args.q, "--q", int, "integers") if args.q else [q0]
-    t_values = _list(args.t_grid, "--t", _finite_float, "finite numbers") if args.t_grid else [0.0]
+    q_values = _list(args.q, "--q", int, "integers") if args.q is not None else [q0]
+    t_values = [0.0]
+    if args.t_grid is not None:
+        t_values = _list(args.t_grid, "--t", _finite_float, "finite numbers")
     gamma_norm = args.gamma_norm
     evaluate = _EVALUATORS[args.evaluator]
     points = []
@@ -186,7 +194,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], in
 
 def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
     op, digest = _read_spec(args.spec)
-    gamma, gamma_digest = _load_gamma(args, op.n_sites)
+    gamma, gamma_hash = _load_gamma(args, op.n_sites)
     t = args.t if args.t is not None else 0.0
     params = BoundParams.from_operator(op)
     mode = args.mode
@@ -218,13 +226,10 @@ def _cmd_truncate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list],
     rows = [["quantity", "value"]] + [
         [key, value] for key, value in result.items() if key != "schedule"
     ]
-    report = {"input_hash": digest, "result": result}
-    if gamma_digest:
-        report["gamma_hash"] = gamma_digest
     code = EXIT_OK
     if result.get("certified") is False:
         code = EXIT_BOUND_VIOLATION
-    return report, rows, code
+    return {"input_hash": digest, "result": result, **gamma_hash}, rows, code
 
 
 def _cmd_decompose(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
@@ -235,8 +240,8 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
         if const.g <= 0:
             raise ValidationError("Hamiltonian has g = 0; pass --epsilon explicitly")
         epsilon = const.g / 10.0
-    decomp = pack_layers(discretize(op, epsilon, const))
-    exported = {**decomp.to_json_dict(), "certificates": layer_certificate(op, decomp)[0]}
+    decomp = pack_layers(discretize(op, epsilon))
+    exported = {**decomp.to_json_dict(), "certificates": layer_certificate(op, const, decomp)[0]}
     rows = [["layer", "sites", "paulis", "coeff_re", "coeff_im", "count"]] + [
         [index, " ".join(map(str, entry["sites"])), entry["paulis"], *entry["coeff"], entry["count"]]
         for index, layer in enumerate(exported["layers"])
@@ -247,7 +252,7 @@ def _cmd_decompose(args: argparse.Namespace) -> tuple[dict[str, Any], list[list]
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:
     op, digest = _read_spec(args.spec)
-    gamma, _ = _load_gamma(args, op.n_sites)
+    gamma, gamma_hash = _load_gamma(args, op.n_sites)
     found = verify_checks(
         op,
         gamma,
@@ -269,7 +274,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], i
         [c["check"], c["lhs"], c["rhs"], c["margin"], c["status"]] for c in checks
     ]
     code = EXIT_OK if not failed else EXIT_BOUND_VIOLATION
-    return {"input_hash": digest, "result": result}, rows, code
+    return {"input_hash": digest, "result": result, **gamma_hash}, rows, code
 
 
 def _cmd_concentrate(args: argparse.Namespace) -> tuple[dict[str, Any], list[list], int]:

@@ -101,8 +101,14 @@ class ExtensiveObservable:
         check_sites(n_sites, n_max, "statevector")
         self.n_sites = n_sites
         self.letters = letters
-        bits = (np.arange(2**n_sites)[:, None] >> np.arange(n_sites)) & 1
-        self.eigenvalues = (1 - 2 * bits) @ np.where(signs == 1, 1.0, -1.0)
+        # eigenvalue j is sum_i c_i - 2 (popcount(j & P) - popcount(j & M)),
+        # where P and M mask the sites with c_i = +1 and c_i = -1
+        plus = sum(1 << int(i) for i in np.flatnonzero(signs == 1))
+        minus = (1 << n_sites) - 1 - plus
+        j = np.arange(2**n_sites)
+        flips = np.bitwise_count(j & plus).astype(float)
+        flips -= np.bitwise_count(j & minus)
+        self.eigenvalues = float(plus.bit_count() - minus.bit_count()) - 2 * flips
 
     @classmethod
     def collective(cls, n_sites: int, axis: str = "z", n_max: int | None = None) -> "ExtensiveObservable":

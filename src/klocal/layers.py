@@ -16,8 +16,8 @@ cross-check lives in
 
 The discretization gap sum_X (||h_X|| - N_X * eps) bounds the norm
 distance between the reconstruction and the source Hamiltonian.
-``klocal.certify.layer_certificate`` holds a packing against all of
-these, running ``LayerDecomposition.verify`` once.
+``klocal.certify.layer_certificate`` computes these bounds and holds a
+packing against them, running ``LayerDecomposition.verify`` once.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, ValidationError
-from .models import StructuralConstants, spec_entries
+from .models import spec_entries
 from .pauli import ZERO_TOL, KLocalOperator, PauliString
 
 __all__ = [
@@ -59,8 +59,6 @@ class UnitPool:
     units: KLocalOperator
     multiplicity: tuple[int, ...]
     gap_upper: float
-    source_g: float
-    source_k: int
 
     @property
     def total_multiplicity(self) -> int:
@@ -82,35 +80,15 @@ class LayerDecomposition:
     def layer_count(self) -> int:
         return len(self.layers)
 
-    @property
-    def layer_bound(self) -> int:
-        """Guaranteed ceiling k * floor(g/eps) on the layer count."""
-        return self.pool.source_k * math.floor(self.pool.source_g / self.pool.epsilon)
-
-    def verify(self) -> dict[str, Any]:
-        """Re-derive the certificates from scratch.
-
-        Returns a dict with the layer-count bound, per-layer support
-        disjointness (which implies within-layer commutation: strings on
-        disjoint supports commute), and the per-site multiplicity cap;
-        ``all_ok`` aggregates them.
-        """
+    def verify(self) -> tuple[bool, np.ndarray]:
+        """Re-derive from the layers whether the supports within every
+        layer are disjoint (which implies within-layer commutation:
+        strings on disjoint supports commute), and the number of units on
+        each site across all layers."""
         n_sites = self.pool.units.n_sites
         per_layer = [np.bincount(layer.letter_sites()[1], minlength=n_sites) for layer in self.layers]
         disjoint = all(counts.max(initial=0) <= 1 for counts in per_layer)
-        per_site = sum(per_layer, np.zeros(n_sites, dtype=np.int64))
-        site_cap = math.floor(self.pool.source_g / self.pool.epsilon)
-        multiplicity_ok = bool((per_site <= site_cap).all())
-        count_ok = self.layer_count <= self.layer_bound
-        return {
-            "layer_count": self.layer_count,
-            "layer_bound": self.layer_bound,
-            "count_ok": count_ok,
-            "disjoint_ok": disjoint,
-            "per_site_cap": site_cap,
-            "multiplicity_ok": multiplicity_ok,
-            "all_ok": count_ok and disjoint and multiplicity_ok,
-        }
+        return disjoint, sum(per_layer, np.zeros(n_sites, dtype=np.int64))
 
     def to_json_dict(self) -> dict[str, Any]:
         """JSON-ready export with per-layer unit lists."""
@@ -121,9 +99,8 @@ class LayerDecomposition:
         }
 
 
-def discretize(hamiltonian: KLocalOperator, epsilon: float, const: StructuralConstants) -> UnitPool:
-    """Split terms into unit copies of norm ``epsilon``, given the
-    structural constants ``const`` of ``hamiltonian``.
+def discretize(hamiltonian: KLocalOperator, epsilon: float) -> UnitPool:
+    """Split terms into unit copies of norm ``epsilon``.
 
     Every term h_X becomes N_X = floor(||h_X||/eps) copies of
     eps * h_X/||h_X||; the remainder mass sum_X (||h_X|| - N_X*eps) is
@@ -151,8 +128,6 @@ def discretize(hamiltonian: KLocalOperator, epsilon: float, const: StructuralCon
         units=hamiltonian.select(order[kept], epsilon / norms[kept]),
         multiplicity=tuple(map(int, copies[kept].tolist())),
         gap_upper=gap,
-        source_g=const.g,
-        source_k=const.k,
     )
 
 

@@ -96,8 +96,9 @@ HERMITIAN_TOL = 1e-10
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # the letter with bits (x, z) is _LETTERS[x + 2z]
 _LETTERS = "IXZY"
-_ASCII_BITS = np.zeros(256, dtype=np.uint8)  # x + 2z of each letter byte
-_ASCII_BITS[list(_LETTERS.encode())] = range(4)
+# x + 2z of each X, Y or Z byte; 4 marks every other byte
+_ASCII_BITS = np.full(256, 4, dtype=np.uint8)
+_ASCII_BITS[list(_LETTERS[1:].encode())] = range(1, 4)
 
 # Python reduces int hashes modulo 2**61 - 1; a second residue keeps masks
 # wider than 61 bits from colliding in bulk.
@@ -363,13 +364,17 @@ class KLocalOperator:
         ``letters[i]`` (X, Y or Z) on ``sites[i]`` for every i with
         ``rows[i] == r``, merging repeated strings: the inverse of
         :meth:`letter_sites` with :meth:`letters_at`.  Sites are taken as
-        in range and distinct within a row."""
+        in range and distinct within a row; any other letter byte raises
+        ``ValidationError``."""
+        code = _ASCII_BITS[np.frombuffer(letters, dtype=np.uint8)]
+        if (bad := np.flatnonzero(code > 3)).size:
+            i = int(bad[0])
+            raise ValidationError(f"letter {letters[i : i + 1]!r} at index {i} is not X, Y or Z")
         coeff = np.asarray(coeff, dtype=complex)
         width = _n_words(n_sites)
         words = np.zeros((len(coeff), 2 * width), dtype=np.uint64)
         cells = rows * (2 * width) + sites // 64
         bits = np.uint64(1) << (sites % 64).astype(np.uint64)
-        code = _ASCII_BITS[np.frombuffer(letters, dtype=np.uint8)]
         for offset, bit in ((0, code & 1), (width, code >> 1)):
             np.bitwise_or.at(words.reshape(-1), cells + offset, bits * bit)
         return cls._from_rows(n_sites, *_merge(words, coeff))

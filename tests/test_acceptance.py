@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from klocal.bounds import BoundParams, delta_value, main_rhs, small_time_rhs, theorem1_rhs, band_rhs
+from klocal.certify import layer_certificate
 from klocal.concentration import (
     ExtensiveObservable,
     band_matrix,
@@ -185,12 +186,12 @@ def test_criterion_4_layer_decomposition(acceptance_report):
         op = random_operator(rng, n, int(rng.integers(1, min(2 * n, 40) + 1)), max_weight=3)
         const = structural_constants(op)
         eps = const.g / float(rng.uniform(0.8, 8.0))
-        pool = discretize(op, eps, const)
+        pool = discretize(op, eps)
         decomp = pack_layers(pool)
-        cert = decomp.verify()
+        checks = layer_certificate(op, const, decomp)[1]
         cap = math.floor(const.g / eps)
         ok = (
-            cert["all_ok"]
+            all(check.status == "pass" for check in checks)
             and decomp.layer_count <= const.k * cap
             and per_site_multiplicity(pool).max(initial=0) <= cap
         )

@@ -194,7 +194,7 @@ def test_one_layer_verify_per_run(run, monkeypatch, name):
 
 @pytest.mark.parametrize(
     "name, expected",
-    # decompose hands its constants to discretize, and the truncation
+    # decompose hands its constants to layer_certificate, and the truncation
     # report carries its bound, so witness_check derives no parameters
     [
         ("decompose_tfi4.json", 1),
@@ -225,8 +225,8 @@ def test_layer_reconstruction_slack_covers_rounding():
     # sums differ by more than 1e-12 in rounding alone
     op = models.build_model("long_range_ising", {"n_sites": 256, "alpha": 2, "field": 1})
     const = models.structural_constants(op)
-    decomp = pack_layers(discretize(op, const.g / 10, const))
-    cert, checks = layer_certificate(op, decomp)
+    decomp = pack_layers(discretize(op, const.g / 10))
+    cert, checks = layer_certificate(op, const, decomp)
     (recon,) = [c for c in checks if c.check == "layer_reconstruction"]
     gap = cert["reconstruction_gap_upper"]
     assert recon.lhs - gap > 1e-12

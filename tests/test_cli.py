@@ -235,6 +235,14 @@ class TestVerify:
         for check in result["checks"]:
             assert {"check", "lhs", "rhs", "margin", "status"} <= set(check)
 
+    @pytest.mark.parametrize("command", [["truncate", "--q", "3"], ["verify"]], ids=["truncate", "verify"])
+    def test_gamma_file_enters_by_its_hash(self, capsys, tmp_path, tfi_spec, command):
+        gamma = tmp_path / "gamma.json"
+        gamma.write_text(json.dumps(spec_from_operator(build_model("product_field", {"n_sites": 4}))))
+        code, out = run(capsys, *command, "--spec", tfi_spec, "--gamma", str(gamma), "--t", "0.001")
+        assert code == 0
+        assert json.loads(out)["gamma_hash"] == hashlib.sha256(gamma.read_bytes()).hexdigest()
+
     def test_energy_block_runs_for_commuting(self, capsys, tmp_path):
         op = build_model("diagonal_commuting", {"n_sites": 5, "k": 2, "n_terms": 8, "seed": 2})
         path = tmp_path / "diag.json"
@@ -561,6 +569,12 @@ class TestDeterminismAndErrors:
         code, out = run(capsys, "bound", "--evaluator", "main", "--g", "1", "--k", "2", "--t", grid)
         assert code == 2
         assert json.loads(out)["error"]["message"].startswith("--t must be a comma-separated list")
+
+    @pytest.mark.parametrize("option, grid", [("--q", ","), ("--t", ","), ("--q", ""), ("--t", "")])
+    def test_empty_bound_grid_exit_code(self, capsys, option, grid):
+        code, out = run(capsys, "bound", "--evaluator", "theorem1", "--g", "1", "--k", "2", option, grid)
+        assert code == 2
+        assert json.loads(out)["error"]["message"].startswith(f"{option} must be a comma-separated list")
 
     def test_bad_bound_q_grid_exit_code(self, capsys):
         code, out = run(capsys, "bound", "--evaluator", "main", "--g", "1", "--k", "2", "--q", "2,x")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,9 +214,28 @@ class TestExtensiveObservable:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_spectrum_builds_no_bit_matrix(self):
+        # a (2**16, 16) int64 bit matrix alone would be 8.4 MB
+        signs = np.where(np.arange(16) % 3 == 0, -1.0, 1.0)
+        tracemalloc.start()
+        try:
+            eigenvalues = ExtensiveObservable("XYZ" * 5 + "X", signs, n_max=16).eigenvalues
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * eigenvalues.nbytes
+        bits = (np.arange(2**16)[:, None] >> np.arange(16)) & 1
+        np.testing.assert_array_equal(eigenvalues, (1 - 2 * bits) @ signs)
+
     def test_non_real_coefficient_rejected(self):
         with pytest.raises(ValidationError, match="sign"):
             ExtensiveObservable("Z", [1j])
+
+    def test_complex_typed_signs_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obs = ExtensiveObservable("XZ", [1 + 0j, -1])
+        np.testing.assert_array_equal(obs.eigenvalues, [0.0, -2.0, 2.0, 0.0])
 
 
 class TestTailProfile:

@@ -29,7 +29,7 @@ def chain_hamiltonian():
 class TestDiscretize:
     def test_unit_counts_and_gap(self):
         op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 1.05})
-        pool = discretize(op, 0.5, structural_constants(op))
+        pool = discretize(op, 0.5)
         assert pool.total_multiplicity == 2
         assert pool.gap_upper == pytest.approx(0.05)
         (mult,) = pool.multiplicity
@@ -41,24 +41,24 @@ class TestDiscretize:
 
     def test_sub_epsilon_term_dropped_into_gap(self):
         op = KLocalOperator(2, {PauliString.from_letters(2, {0: "X"}): 0.2})
-        pool = discretize(op, 0.5, structural_constants(op))
+        pool = discretize(op, 0.5)
         assert pool.total_multiplicity == 0
         assert pool.gap_upper == pytest.approx(0.2)
 
     def test_exact_multiple_no_gap(self):
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 1.5})
-        pool = discretize(op, 0.5, structural_constants(op))
+        pool = discretize(op, 0.5)
         assert pool.total_multiplicity == 3
         assert pool.gap_upper == pytest.approx(0.0)
 
     def test_epsilon_validation(self):
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 1.0})
         with pytest.raises(DomainError):
-            discretize(op, 0.0, structural_constants(op))
+            discretize(op, 0.0)
         with pytest.raises(DomainError):
-            discretize(op, -1.0, structural_constants(op))
+            discretize(op, -1.0)
         with pytest.raises(DomainError):
-            discretize(op, ZERO_TOL, structural_constants(op))
+            discretize(op, ZERO_TOL)
 
     def test_unit_count_limit(self, monkeypatch):
         def pool(x_coeff, epsilon):
@@ -66,7 +66,7 @@ class TestDiscretize:
                 PauliString.from_letters(2, {0: "X"}): x_coeff,
                 PauliString.from_letters(2, {1: "Z"}): 2.0,
             })
-            return discretize(op, epsilon, structural_constants(op))
+            return discretize(op, epsilon)
 
         assert pool(N_MAX_UNITS - 1.5, 1.0).total_multiplicity == N_MAX_UNITS
         # one copy more, or more copies than a float counts, builds no unit
@@ -79,17 +79,17 @@ class TestDiscretize:
 class TestPackLayers:
     def test_chain_packs_two_body_terms_in_parallel(self):
         h = chain_hamiltonian()
-        pool = discretize(h, 0.5, structural_constants(h))
+        pool = discretize(h, 0.5)
         decomp = pack_layers(pool)
+        cert, checks = layer_certificate(h, structural_constants(h), decomp)
         # g = 3, epsilon = 0.5 -> bound = k * floor(g / eps) = 2 * 6 = 12
-        assert decomp.layer_bound == 12
+        assert cert["layer_bound"] == 12
         assert decomp.layer_count <= 12
-        cert = decomp.verify()
-        assert cert["all_ok"]
+        assert all(check.status == "pass" for check in checks)
 
     def test_multiplicity_spreads_across_layers(self):
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 1.5})
-        decomp = pack_layers(discretize(op, 0.5, structural_constants(op)))
+        decomp = pack_layers(discretize(op, 0.5))
         # three copies of the same unit cannot share a layer
         assert decomp.layer_count == 3
         for layer in decomp.layers:
@@ -97,16 +97,17 @@ class TestPackLayers:
 
     def test_zero_hamiltonian(self):
         zero = KLocalOperator(3)
-        decomp = pack_layers(discretize(zero, 0.5, structural_constants(zero)))
+        decomp = pack_layers(discretize(zero, 0.5))
         assert decomp.layer_count == 0
-        assert decomp.verify()["all_ok"]
+        checks = layer_certificate(zero, structural_constants(zero), decomp)[1]
+        assert all(check.status == "pass" for check in checks)
 
     def test_within_layer_disjoint_and_commuting(self, rng):
         for trial in range(20):
             op = random_operator(rng, 10, 8, max_weight=3)
             const = structural_constants(op)
             eps = const.g / 3.7
-            decomp = pack_layers(discretize(op, eps, const))
+            decomp = pack_layers(discretize(op, eps))
             for layer in decomp.layers:
                 seen = 0
                 for string, _ in terms_of(layer):
@@ -123,7 +124,7 @@ class TestPackLayers:
             op = random_operator(rng, 6, 6, max_weight=2)
             const = structural_constants(op)
             eps = const.g / 5.3
-            decomp = pack_layers(discretize(op, eps, const))
+            decomp = pack_layers(discretize(op, eps))
             rebuilt = reconstruct(decomp)
             gap = (rebuilt - op).norm_upper()
             assert gap <= decomp.pool.gap_upper + 1e-12
@@ -134,17 +135,18 @@ class TestPackLayers:
     def test_layer_count_bound_tight_family(self):
         # M identical max-weight terms on one site force M layers
         op = KLocalOperator(1, {PauliString.from_letters(1, {0: "Z"}): 4.0})
-        decomp = pack_layers(discretize(op, 1.0, structural_constants(op)))
+        decomp = pack_layers(discretize(op, 1.0))
         assert decomp.layer_count == 4
-        assert decomp.layer_bound == 4  # k=1, floor(g/eps)=4
+        cert = layer_certificate(op, structural_constants(op), decomp)[0]
+        assert cert["layer_bound"] == 4  # k=1, floor(g/eps)=4
 
     def test_export_schema(self):
         h = chain_hamiltonian()
-        decomp = pack_layers(discretize(h, 0.5, structural_constants(h)))
+        decomp = pack_layers(discretize(h, 0.5))
         doc = decomp.to_json_dict()
         assert set(doc) == {"n_sites", "epsilon", "layers"}
         # the decompose report adds the certificates from klocal.certify
-        cert, checks = layer_certificate(h, decomp)
+        cert, checks = layer_certificate(h, structural_constants(h), decomp)
         assert all(check.status == "pass" for check in checks)
         assert cert["layer_count"] == decomp.layer_count
         assert cert["layer_count"] <= cert["layer_bound"]
@@ -159,6 +161,6 @@ class TestPackLayers:
             op = random_operator(rng, 8, 10, max_weight=3)
             const = structural_constants(op)
             eps = const.g / 4.1
-            pool = discretize(op, eps, const)
+            pool = discretize(op, eps)
             cap = math.floor(const.g / eps)
             assert per_site_multiplicity(pool).max(initial=0) <= cap

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -322,6 +323,13 @@ class TestKLocalOperator:
         )
         assert merged.n_terms == 16
         assert exact_terms(merged) == exact_terms(KLocalOperator(n, acc))
+
+    @pytest.mark.parametrize("letters", [b"Q", b"xZ", b"ZI", b"X\xff"])
+    def test_from_letter_sites_refuses_other_letters(self, letters):
+        sites = np.arange(len(letters))
+        bad = next(bytes([b]) for b in letters if b not in b"XYZ")
+        with pytest.raises(ValidationError, match=re.escape(f"letter {bad!r} at index {letters.index(bad)}")):
+            KLocalOperator.from_letter_sites(2, np.zeros_like(sites), sites, letters, [1.0])
 
     @pytest.mark.parametrize("n", [5, 63, 64, 65, 130, 257, 4096])
     def test_from_letter_sites_inverts_letter_sites(self, rng, n):
