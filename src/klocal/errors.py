@@ -40,7 +40,8 @@ class InfeasibleScheduleError(KLocalError, ValueError):
 
 
 class ResourceLimitError(KLocalError, RuntimeError):
-    """Dense computation would exceed the configured size limit."""
+    """Work would exceed a size limit: dense dimensions, unit copies, or
+    the distinct strings of a symbolic sum."""
 
 
 def check_same_sites(n_a: int, n_b: int) -> None:

@@ -183,6 +183,7 @@ def load_spec(document: Mapping[str, Any] | str) -> KLocalOperator:
     Raises:
         ValidationError: on schema violations, naming the index of a bad
             entry, or the sum beyond the float range.
+        ResourceLimitError: above ``pauli.N_MAX_TERMS`` distinct strings.
     """
     if isinstance(document, str):
         # a bool would pass the typed buffers as 0 or 1

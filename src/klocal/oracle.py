@@ -200,6 +200,8 @@ class EigenSystem:
 
     def evolve_operator(self, gamma: KLocalOperator | DenseOperator, t: float) -> DenseOperator:
         """Heisenberg picture gamma(t) = exp(-iHt) gamma exp(+iHt), exactly."""
+        if t == 0:  # exp(0) = I exactly, while V diag(1) V+ is I only to rounding
+            return DenseOperator(self.n_sites, self._matrix(gamma))
         u = (self.eigenvectors * np.exp(-1j * self.eigenvalues * t)) @ self.eigenvectors.conj().T
         left = u @ self._matrix(gamma)
         return DenseOperator(self.n_sites, left @ np.conjugate(u, out=u).T)

@@ -15,18 +15,24 @@ Storage.  ``KLocalOperator`` keeps its terms in two read-only arrays:
 ``words`` of shape (terms, 2W) and dtype uint64, W = ceil(n_sites/64),
 each row the string's X words then its Z words, with site ``i`` at bit
 ``i % 64`` of word ``i // 64`` of each half; and ``coeff`` of dtype
-complex128.  ``x`` and ``z`` are views of the two halves.  The merge and
-:func:`commutator` work on the same rows.  ``PauliString``, a value type
-with Python-int masks, only names a single string: as a key of the
-constructor's mapping and as the argument of ``coefficient``.  Outside
-this module only :mod:`klocal.oracle` reads the words (word 0 of each
-row, in ``_x_mask_action``: a dense operator or state has at most 64
-sites).  Other modules get
-the (row, site) pairs of the letters from ``letter_sites()`` and the
-letters themselves from ``letters_at()``, build an operator from such
-arrays with ``from_letter_sites()``, get the rows sorted by (x_mask,
-z_mask) from ``mask_order()``, and a sub-operator from ``select()``,
-which picks rows in a given order and can rescale each one.  The layers
+complex128.  ``x`` and ``z`` are views of the two halves.  The merge
+works on the same rows.  :func:`commutator` narrows them to its active
+words, those where ``b`` or a term of ``a`` that overlaps ``b`` acts, as
+the same columns of both halves: its scan, phases, product words, keys
+and the running sum's checks and regenerated words all use those
+2 x |active| columns, and its result is widened to 2W columns once, at
+the end (a local operator's level at 256 sites uses one or two of the
+four words).  ``PauliString``, a value type with Python-int masks, only
+names a single string: as a key of the constructor's mapping and as the
+argument of ``coefficient``.  Outside this module only
+:mod:`klocal.oracle` reads the words (word 0 of each row, in
+``_x_mask_action``: a dense operator or state has at most 64 sites).
+Other modules get the (row, site) pairs of the letters from
+``letter_sites()`` and the letters themselves from ``letters_at()``,
+build an operator from such arrays with ``from_letter_sites()``, get the
+rows sorted by (x_mask, z_mask) from ``mask_order()``, and a
+sub-operator from ``select()``, which picks rows in a given order and
+can rescale each one.  The layers
 of :mod:`klocal.layers` are operators built that way.  ``letter_sites``
 unpacks the bits of the nonzero bytes of ``x | z`` alone, so its time
 and memory grow with the words and letters of an operator, not with
@@ -43,8 +49,9 @@ from zero in that same order, and merged coefficients with magnitude at
 most ``ZERO_TOL`` are dropped at the end.  A running sum stores each
 distinct string so far as an id, next to its coefficient, its 64-bit
 key, which mixes all words of the string, and its slot, keeping the keys
-in sorted order: 40 bytes a string at any width.  An id is a row number
-in a sum, and in :func:`commutator` ``k * b.n_terms + j`` for the
+in sorted order: 40 bytes a string at any width, 32 with real
+coefficients.  An id is a row number in a sum, and in
+:func:`commutator` ``k * b.n_terms + j`` for the
 product of the k-th term of ``a`` that overlaps ``b`` with the j-th term
 of ``b``.  New strings are sorted by key, looked up with
 ``searchsorted``, and merged only once all their words compare equal:
@@ -54,12 +61,20 @@ and for the result, so no batch copies the stored strings' words.
 A key shared by distinct strings makes the running sum key itself again
 with the next salt.  A group's first occurrence is its smallest row, so
 the order the sort gives ties does not matter.  Coefficients are summed
-in one complex array (``np.add.at``, in row order), which adds real and
-imaginary parts separately as CPython does; products follow CPython's
-complex formula part by part, and magnitudes use ``np.hypot`` (NumPy's
-complex ``abs`` can differ from Python's in the last bit), so every
-coefficient is bit-identical to a dict accumulating
-``acc.get(s, 0j) + c``.
+in one array (``np.add.at``, in row order).  In general it is complex,
+which adds real and imaginary parts separately as CPython does, and
+products follow CPython's complex formula part by part (``_cmul``, also
+used by ``select(rows, scale)`` and scalar multiplication).  A
+commutator of two single-phase operands, each with every coefficient
+i^s times a real for one s in {0, 1} (every Hermitian operator, and
+every nested commutator of Hermitian operators), sums float64 values
+instead: each complex product would have one part +-0 and the other
+that real value, and zero parts summed from zero give 0.0.  (The reals
+must be finite, twice ``a``'s too: the complex formula turns an
+infinite part into NaN on the other.)  Magnitudes
+use ``np.hypot`` (NumPy's complex ``abs`` can differ from Python's in
+the last bit), so every coefficient is bit-identical to a dict
+accumulating ``acc.get(s, 0j) + c``.
 
 All functions are pure and the containers are treated as immutable, so
 values can be shared freely across threads.
@@ -75,11 +90,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_same_sites
+from .errors import ResourceLimitError, ValidationError, check_same_sites
 
 __all__ = [
     "ZERO_TOL",
     "HERMITIAN_TOL",
+    "N_MAX_TERMS",
     "PauliString",
     "KLocalOperator",
     "commutator",
@@ -92,6 +108,8 @@ ZERO_TOL = 1e-14
 # Hermitian: ||Im c||_2 <= HERMITIAN_TOL * max(1, ||c||_2), or on the 2**n-dim
 # matrix the same quantities ||M - M+||_F / 2 <= HERMITIAN_TOL * max(2**(n/2), ||M||_F).
 HERMITIAN_TOL = 1e-10
+# distinct strings a running sum may hold: about 0.5 GB at 256 sites
+N_MAX_TERMS = 1 << 22
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # the letter with bits (x, z) is _LETTERS[x + 2z]
@@ -210,6 +228,15 @@ def _anticommuting(x_words, z_words, xa, za) -> np.ndarray:
     return np.flatnonzero(np.bitwise_count(parity) & 1)
 
 
+def _single_phase(coeff) -> tuple[int, np.ndarray] | None:
+    """(s, r) with ``coeff == i**s * r`` for one s in {0, 1} and finite
+    real r, or None."""
+    for s, (part, other) in enumerate([(coeff.real, coeff.imag), (coeff.imag, coeff.real)]):
+        if not other.any() and np.isfinite(part).all():
+            return s, part
+    return None
+
+
 def _cmul(a, b) -> np.ndarray:
     """a * b by CPython's formula, part by part; a real factor counts as
     one with imaginary part 0.0."""
@@ -245,15 +272,15 @@ def _keys(words: np.ndarray, salt: int) -> np.ndarray:
 
 class _RunningSum:
     """The running sum of the merge rule.  Each distinct string is stored
-    as the id it first occurred with, next to its summed coefficient, in
-    first-occurrence order; the strings' keys are kept sorted, each with
-    its slot.  ``source`` maps an array of ids to their rows of ``width``
-    words: stored strings keep no words, which are regenerated from ids
-    whenever they are needed."""
+    as the id it first occurred with, next to its summed coefficient of
+    ``dtype``, in first-occurrence order; the strings' keys are kept
+    sorted, each with its slot.  ``source`` maps an array of ids to their
+    rows of ``width`` words: stored strings keep no words, which are
+    regenerated from ids whenever they are needed."""
 
-    def __init__(self, width: int, source):
+    def __init__(self, width: int, source, dtype=complex):
         self.width, self.source = width, source
-        self.ids, self.coeff = np.empty(0, np.intp), np.empty(0, dtype=complex)
+        self.ids, self.coeff = np.empty(0, np.intp), np.empty(0, dtype)
         self.keys, self.slots = np.empty(0, np.uint64), np.empty(0, np.intp)
         self.salt = 0
 
@@ -266,14 +293,17 @@ class _RunningSum:
             keys = _keys(self.words(), self.salt)
             self.slots = np.argsort(keys)
             self.keys = keys[self.slots]
+        if len(self.ids) > N_MAX_TERMS:
+            raise ResourceLimitError(f"{len(self.ids)} distinct Pauli strings exceed N_MAX_TERMS = {N_MAX_TERMS}")
         np.add.at(self.coeff, slot, coeff)
         return self
 
-    def words(self) -> np.ndarray:
-        """The words of the stored strings, one row each."""
-        out = np.empty((len(self.ids), self.width), dtype=np.uint64)
+    def words(self, width: int | None = None, columns=slice(None)) -> np.ndarray:
+        """The words of the stored strings, one row each; with ``width``,
+        in the ``columns`` of rows that wide, zero elsewhere."""
+        out = np.zeros((len(self.ids), width or self.width), dtype=np.uint64)
         for part, rows in self._blocks(self.ids):
-            out[part] = rows
+            out[part, columns] = rows
         return out
 
     def _blocks(self, ids):
@@ -293,7 +323,7 @@ class _RunningSum:
         starts, n_old = np.flatnonzero(leads), len(self.keys)
         if not n_old and len(starts) == len(key):
             # distinct strings into an empty sum: row i takes slot i
-            self.ids, self.coeff = ids, np.zeros(len(ids), dtype=complex)
+            self.ids, self.coeff = ids, np.zeros(len(ids), self.coeff.dtype)
             self.keys, self.slots = key, order
             return np.arange(len(ids))
         unique, rank = key[starts], leads.cumsum() - 1
@@ -319,7 +349,7 @@ class _RunningSum:
         by_first = new[np.argsort(first[new])]
         slot[by_first] = np.arange(n_old, n_old + len(new))
         self.ids = np.concatenate([self.ids, ids[first[by_first]]])
-        self.coeff = np.concatenate([self.coeff, np.zeros(len(new), dtype=complex)])
+        self.coeff = np.concatenate([self.coeff, np.zeros(len(new), self.coeff.dtype)])
         if n_old:
             self.keys = np.insert(self.keys, at[new], unique[new])
             self.slots = np.insert(self.slots, at[new], slot[new])
@@ -555,26 +585,45 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     once; commuting pairs (among them all pairs with disjoint supports)
     contribute nothing, and an anticommuting pair contributes
     ``2 * c_P * c_Q * phase(PQ)`` on the product string, so every
-    surviving string straddles supports from both operands.  PQ and
-    its phase i^phi are formed on the words where P acts, the rest being
-    Q's, and the coefficient is ``(i^phi * 2 c_P) * c_Q``: the rotation is
-    exact, so it is ``i^phi * (2 c_P * c_Q)`` up to the sign of zero
-    parts, which summing from zero removes.  Products
-    join one running sum (see the merge rule) as ids, in chunks of about
-    ``b.n_terms``, in (P, Q) order, so the strings seen so far are never
-    sorted again; a chunk's words are formed from its ids as it joins,
-    and the result's once at the end.
+    surviving string straddles supports from both operands.  All words
+    are narrowed to the active ones (see Storage).  PQ and its phase
+    i^phi are formed on the words where P acts, the rest being Q's, and
+    the coefficient is ``(i^phi * 2 c_P) * c_Q``: the rotation is exact,
+    so it is ``i^phi * (2 c_P * c_Q)`` up to the sign of zero parts,
+    which summing from zero removes.  With c_P = i^s_a p and
+    c_Q = i^s_b q for real p and q, phi is odd, so i^(s_a + s_b + phi)
+    puts the value ``(+-2p) * q`` on the same part for every pair: the
+    running sum adds those reals, and the result takes that part once.
+    Products join one running sum (see the merge rule) as ids, in chunks
+    of about ``b.n_terms``, in (P, Q) order, so the strings seen so far
+    are never sorted again; a chunk's words are formed from its ids as it
+    joins, and the result's once at the end.
     """
     check_same_sites(a.n_sites, b.n_sites)
-    x_words, z_words = np.split(b.words.T.copy(), 2)  # word columns of b as rows
+    width = b.words.shape[1] // 2
     # terms of a that share no site with b commute with all of it
     b_support = np.bitwise_or.reduce(b.x | b.z, axis=0)
     overlapping = np.flatnonzero(((a.x | a.z) & b_support).any(axis=1))
+    if not overlapping.size:
+        return KLocalOperator(a.n_sites)
     left = a.words.take(overlapping, axis=0)
+    # the active words: every product acts on these alone
+    acts = np.flatnonzero(b_support | np.bitwise_or.reduce(left[:, :width] | left[:, width:], axis=0))
+    columns = np.concatenate([acts, acts + width]) if len(acts) < width else slice(None)
+    left = left[:, columns]
+    columns_b = np.ascontiguousarray(b.words.T[columns])  # word columns of b as rows
+    x_words, z_words = np.split(columns_b, 2)
     ax, az = np.split(left, 2, axis=1)
     a_y = np.bitwise_count(ax & az).sum(axis=1, dtype=np.uint8)
-    # 2 c_P times i^0..i^3, exact: the parts of each factor are 0 and +-1
-    turn = (2.0 * a.coeff[overlapping])[:, None] * np.array([1, 1j, -1, -1j])
+    doubled = 2.0 * a.coeff[overlapping]
+    phases = _single_phase(doubled), _single_phase(b.coeff)
+    if real := all(phases):
+        (s_a, p), (s_b, q) = phases
+        # the sign of i^(s_a + s_b + phi) for phi = 0..3, which sits on one part
+        turn, b_coeff, multiply = p[:, None] * (1 - (s_a + s_b + np.arange(4) & 2)), q, np.multiply
+    else:
+        # 2 c_P times i^0..i^3, exact: the parts of each factor are 0 and +-1
+        turn, b_coeff, multiply = doubled[:, None] * np.array([1, 1j, -1, -1j]), b.coeff, _cmul
     n_b = b.n_terms
 
     def products(ids):
@@ -582,10 +631,10 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
         # left[k] is zero where P_k does not act
         k = ids // n_b  # a scalar floor_divide is far faster than divmod
         rows = left.take(k, axis=0)
-        rows ^= b.words.take(ids - k * n_b, axis=0)
+        rows ^= columns_b.take(ids - k * n_b, axis=1).T
         return rows
 
-    total = _RunningSum(left.shape[1], products)
+    total = _RunningSum(left.shape[1], products, turn.dtype)
     chunk = max(n_b, 1024)
     parts: list[tuple[np.ndarray, np.ndarray]] = []
     n_pending = 0
@@ -601,7 +650,7 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
             phi += 2 * np.bitwise_count(za[w] & x_b) + np.bitwise_count(x_b & z_b)
             phi -= np.bitwise_count((x_b ^ xa[w]) & (z_b ^ za[w]))
         phi &= 3
-        parts.append((k * n_b + hit, _cmul(turn[k, phi], b.coeff.take(hit))))
+        parts.append((k * n_b + hit, multiply(turn[k, phi], b_coeff.take(hit))))
         n_pending += hit.size
         if n_pending >= chunk:
             (ids, coeff), parts, n_pending = [np.concatenate(column) for column in zip(*parts)], [], 0
@@ -609,4 +658,8 @@ def commutator(a: KLocalOperator, b: KLocalOperator) -> KLocalOperator:
     if parts:
         (ids, coeff), parts = [np.concatenate(column) for column in zip(*parts)], []
         total.add(ids, products(ids), coeff)
-    return KLocalOperator._from_rows(a.n_sites, total.words(), total.coeff)
+    coeff = total.coeff
+    if real:  # phi is odd: every value sits on the part of i^(s_a + s_b + 1)
+        coeff = np.zeros(len(total.coeff), dtype=complex)
+        (coeff.real if (s_a + s_b) & 1 else coeff.imag)[:] = total.coeff
+    return KLocalOperator._from_rows(a.n_sites, total.words(2 * width, columns), coeff)

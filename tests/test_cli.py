@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from klocal import __version__
+from klocal import __version__, pauli
 from klocal.cli import main
 from klocal.models import build_model, spec_from_operator
 
@@ -183,6 +184,28 @@ class TestTruncate:
         assert "oracle_error" in result
         code, plain = run(capsys, *argv)
         assert json.loads(plain)["result"] == result
+
+
+    @pytest.mark.parametrize("spec, q", [("tfi4.json", "4"), ("rk6.json", "2")])
+    def test_zero_time_is_exact(self, capsys, spec, q):
+        # exp(-iH 0) is I exactly: the oracle reads no rounding at t = 0
+        code, out = run(capsys, "truncate", "--spec", str(GOLDEN / spec), "--t", "0", "--q", q)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["certified"] is True
+        assert result["oracle_error"] == result["bound_rhs_exact_norm"] == 0.0
+
+    @pytest.mark.parametrize("nmax", [[], ["--nmax", "6"]])
+    def test_term_limit_exits_3(self, capsys, monkeypatch, nmax):
+        # the spec's 17 terms load, a deeper level does not; --nmax lifts
+        # only the dense limit
+        monkeypatch.setattr(pauli, "N_MAX_TERMS", 20)
+        argv = ["truncate", "--spec", str(GOLDEN / "rk6.json"), "--t", "0.001", "--q", "30", "--mode", "small-time"]
+        code, out = run(capsys, *argv, *nmax)
+        assert code == 3
+        error = json.loads(out)["error"]
+        assert error["code"] == "resource"
+        assert re.fullmatch(r"[0-9]+ distinct Pauli strings exceed N_MAX_TERMS = 20", error["message"])
 
 
 class TestDecompose:

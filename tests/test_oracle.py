@@ -169,6 +169,15 @@ class TestEvolution:
         expected = -1j * to_dense(commutator(h, gamma)).matrix
         assert spectral_norm(derivative - expected) < 1e-7
 
+    def test_zero_time_is_gamma_exactly(self, rng):
+        # V diag(exp(0)) V+ is the identity only to rounding; exp(0) is not
+        eig = EigenSystem(random_operator(rng, 3, 4))
+        gamma = random_operator(rng, 3, 2, complex_coeffs=True)
+        dense = to_dense(gamma)
+        for op in (gamma, dense):
+            for t in (0.0, -0.0):
+                assert np.array_equal(eig.evolve_operator(op, t).matrix, dense.matrix)
+
     def test_evolve_operator_repeats_and_keeps_eigenvectors(self, rng):
         eig = EigenSystem(random_operator(rng, 3, 4))
         gamma = random_operator(rng, 3, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -13,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from klocal import pauli
-from klocal.errors import DimensionMismatchError, ValidationError
-from klocal.models import build_model
+from klocal.errors import DimensionMismatchError, ResourceLimitError, ValidationError
+from klocal.models import build_model, load_spec, spec_from_operator
 from klocal.oracle import EigenSystem, to_dense
 from klocal.pauli import (
     ZERO_TOL,
@@ -600,6 +601,107 @@ class TestCommutator:
         assert (c * 1j).is_hermitian()
 
 
+_PHASE_KINDS = {"real": 1.0, "imaginary": 1j, "complex": 1 + 0.5j}
+
+
+def _ranged_operator(rng, n: int, ranges, n_terms: int, phase: complex) -> KLocalOperator:
+    """Random operator whose every term takes one or two sites from each
+    half-open site range of ``ranges``, with coefficients ``phase`` times
+    a real."""
+    acc: dict[PauliString, complex] = {}
+    for _ in range(n_terms):
+        sites = [int(s) for lo, hi in ranges for s in rng.choice(np.arange(lo, hi), int(rng.integers(1, 3)), replace=False)]
+        string = PauliString.from_letters(n, {s: "XYZ"[int(rng.integers(3))] for s in sites})
+        acc[string] = acc.get(string, 0j) + phase * rng.uniform(-1, 1)
+    return KLocalOperator(n, acc)
+
+
+# (ranges of a's terms, ranges of b's terms, active words) per layout at n sites
+LAYOUTS = {
+    "one word": lambda n: ([(n - 54, n - 24)], [(n - 44, n - 14)], 1),
+    "two words": lambda n: ([(58, 70)], [(60, 68)], 2),
+    "left term on a word without b": lambda n: ([(30, 40), (n - 10, n)], [(25, 45)], 2),
+    "no overlapping term": lambda n: ([(0, 20)], [(30, 60)], 0),
+    "zero operand": lambda n: ([(10, 30)], [], 0),
+}
+
+
+class TestNarrowedKernel:
+    @pytest.mark.parametrize("kinds", list(itertools.product(sorted(_PHASE_KINDS), repeat=2)))
+    @pytest.mark.parametrize(
+        "n, layout", [(n, layout) for n in (64, 128, 256) for layout in sorted(LAYOUTS) if n > 64 or LAYOUTS[layout](n)[2] < 2]
+    )
+    def test_matches_reference(self, monkeypatch, n, layout, kinds):
+        # products join the sum on the active words alone, real unless an
+        # operand is not i^s times a real, and the result is widened once
+        a_ranges, b_ranges, active = LAYOUTS[layout](n)
+        rng = np.random.default_rng(n)
+        phase_a, phase_b = (_PHASE_KINDS[kind] for kind in kinds)
+        a = _ranged_operator(rng, n, a_ranges, 40, phase_a)
+        b = _ranged_operator(rng, n, b_ranges, 60, phase_b) if b_ranges else KLocalOperator(n)
+        joined, cmul_calls = [], []
+        add, cmul = pauli._RunningSum.add, pauli._cmul
+        monkeypatch.setattr(
+            pauli._RunningSum, "add", lambda self, ids, w, c: joined.append((w.shape[1], c.dtype)) or add(self, ids, w, c)
+        )
+        monkeypatch.setattr(pauli, "_cmul", lambda x, y: cmul_calls.append(1) or cmul(x, y))
+        got = commutator(a, b)
+        assert exact_terms(got) == exact_terms(reference_commutator(a, b))
+        assert got.words.shape == (got.n_terms, 2 * pauli._n_words(n)) and got.coeff.dtype == np.complex128
+        assert got.is_zero == (not active)
+        real = "complex" not in kinds
+        assert set(joined) == ({(2 * active, np.dtype(float if real else complex))} if active else set())
+        assert bool(cmul_calls) == (bool(active) and not real)
+
+    def test_single_phase(self):
+        single = pauli._single_phase
+        s, part = single(np.array([1.5, -0.0 - 0.0j, complex(2.0, -0.0)]))
+        assert s == 0 and part.tolist() == [1.5, 0.0, 2.0]
+        s, part = single(np.array([complex(-0.0, 1.5), -2j]))
+        assert s == 1 and part.tolist() == [1.5, -2.0]
+        for coeff in ([1.0, 1j], [1 + 0.5j], [math.inf], [complex(0.0, math.nan)]):
+            assert single(np.array(coeff, dtype=complex)) is None
+        assert single(np.zeros(0, dtype=complex))[0] == 0
+
+
+class TestTermLimit:
+    """A running sum refuses to hold more than ``N_MAX_TERMS`` distinct
+    strings, so spec loads, sums and commutators all meet the limit; each
+    test builds its operands first and then lowers the limit to 6."""
+
+    LIMIT = "exceed N_MAX_TERMS = 6"
+
+    def test_load_spec(self, monkeypatch):
+        chain = build_model("long_range_ising", {"n_sites": 4, "alpha": math.inf, "coupling": 1.0, "field": 1.0})
+        spec = spec_from_operator(chain)
+        monkeypatch.setattr(pauli, "N_MAX_TERMS", 6)
+        assert chain.n_terms == 7
+        for document in (spec, json.dumps(spec)):
+            with pytest.raises(ResourceLimitError, match=f"^7 distinct Pauli strings {self.LIMIT}$"):
+                load_spec(document)
+        # repeats are summed before they count
+        spec["terms"] = spec["terms"][:6] * 2
+        assert load_spec(spec).n_terms == 6
+
+    def test_sum(self, monkeypatch, rng):
+        a = random_operator(rng, 70, 4, max_weight=1)
+        b = KLocalOperator(70, {PauliString.from_letters(70, {s: "Y"}): 1.0 for s in (20, 40, 60)})
+        monkeypatch.setattr(pauli, "N_MAX_TERMS", 6)
+        assert (a + a).n_terms == 4
+        with pytest.raises(ResourceLimitError, match=f"^7 distinct Pauli strings {self.LIMIT}$"):
+            a + b
+
+    def test_commutator(self, monkeypatch):
+        n = 130
+        h = build_model("long_range_ising", {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.05})
+        gamma = KLocalOperator(n, {PauliString.from_letters(n, {64: "Z"}): 1.0})
+        level = commutator(h, commutator(h, commutator(h, gamma)))
+        monkeypatch.setattr(pauli, "N_MAX_TERMS", 6)
+        assert level.n_terms == 4 and commutator(h, gamma).n_terms == 1
+        with pytest.raises(ResourceLimitError, match=f"^8 distinct Pauli strings {self.LIMIT}$"):
+            commutator(h, level)
+
+
 # ------------------------------------------------------------ keyed merge
 
 _KEYS = pauli._keys
@@ -793,6 +895,44 @@ class TestKeyedMerge:
         assert exact_terms(got) == exact_terms(reference_commutator(a, b))
         assert got.n_terms == 2048
 
+    @pytest.mark.parametrize("c_b, c_a", [(1.0 + 0.5j, (0.75, -1.25j)), (1.0, (0.75, -1.25))], ids=["complex", "real"])
+    def test_commutator_collision_at_a_narrowed_width(self, monkeypatch, c_b, c_a):
+        # the collision above on a 256-site chain with every letter in word 2,
+        # two sites up: products join the sum as that word's X and Z
+        # columns, whose keys differ from those of full rows, and the sum
+        # keys itself again in complex or real values
+        n, base = 256, 130
+        b = KLocalOperator(n, {
+            PauliString.from_letters(n, {base: "X", **{base + s: "Z" for s in range(1, 11) if m >> s & 1}}): c_b
+            for m in range(0, 2048, 2)
+        })
+        a = KLocalOperator(n, {
+            PauliString.from_letters(n, {base: "Z", base + 11: "X"}): c_a[0],
+            PauliString.from_letters(n, {base: "Z", base + 1: "Z", base + 11: "Y"}): c_a[1],
+        })
+        stored = np.array([[(1 | 1 << 11) << 2, 1 << 2]], dtype=np.uint64)
+        target = np.array([(1 | 1 << 11) << 2, (1 | 1 << 1 | 1 << 11) << 2], dtype=np.uint64)
+        used: list[int] = []
+
+        def keys(words, salt):
+            used.append(salt)
+            out = _KEYS(words, salt)
+            if salt == 0:
+                out[(words == target).all(axis=1)] = _KEYS(stored, 0)[0]
+            return out
+
+        monkeypatch.setattr(pauli, "_keys", keys)
+        joined: list[tuple[int, int, np.dtype]] = []
+        add = pauli._RunningSum.add
+        monkeypatch.setattr(
+            pauli._RunningSum, "add", lambda self, ids, w, c: joined.append((len(ids), w.shape[1], c.dtype)) or add(self, ids, w, c)
+        )
+        got = commutator(a, b)
+        assert joined == [(1024, 2, np.dtype(type(c_b)))] * 2
+        assert max(used) == 1
+        assert exact_terms(got) == exact_terms(reference_commutator(a, b))
+        assert got.n_terms == 2048
+
     def test_commutator_peak_memory(self):
         # the running sum stores an id per string, not its words, and
         # regenerates stored words a block at a time: the traced peak of one
@@ -814,6 +954,27 @@ class TestKeyedMerge:
         assert (level.n_terms, out.n_terms) == (11_310, 18_489)
         size = sum(array.nbytes for op in (level, out) for array in (op.words, op.coeff))
         assert peak <= 2.7 * size
+
+    def test_commutator_peak_memory_at_a_narrowed_width(self):
+        # at 256 sites the level of Z_150 lies in one of four words: the
+        # products join the sum as that word's two columns, not all eight,
+        # and in real values (1.85 times at full width in complex values)
+        n = 256
+        ising = build_model(
+            "long_range_ising", {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.05}
+        )
+        h = ising + (-0.5) * build_model("product_field", {"n_sites": n, "axis": "z"})
+        gamma = KLocalOperator(n, {PauliString.from_letters(n, {150: "Z"}): 1.0})
+        *_, (_, level, _) = nested_commutator_levels(h, gamma, 16)
+        tracemalloc.start()
+        try:
+            out = commutator(h, level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (level.n_terms, out.n_terms) == (11_310, 18_489)
+        size = sum(array.nbytes for op in (level, out) for array in (op.words, op.coeff))
+        assert peak <= 1.6 * size
 
     def test_sum_and_letter_sites_with_collisions(self, salts, rng):
         n = 130
