@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -28,6 +27,16 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any
+
+# the interpreter's own SHA-256, as random.py takes its SHA-512: hashlib
+# would map OpenSSL into every CLI process for one digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .bounds import (
@@ -61,7 +70,7 @@ def _read_spec(path: str) -> tuple[KLocalOperator, str]:
     if not p.is_file():
         raise ValidationError(f"spec file not found: {path}")
     raw = p.read_bytes()
-    digest, text = hashlib.sha256(raw).hexdigest(), raw.decode("utf-8")
+    digest, text = sha256(raw).hexdigest(), raw.decode("utf-8")
     del raw  # only the text is needed while the spec is read
     return load_spec(text), digest
 

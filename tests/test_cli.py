@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -657,3 +661,16 @@ class TestDeterminismAndErrors:
         code, _ = run(capsys, "constants", "--spec", tfi_spec, "--out", str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text())["result"]["k"] == 2
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256 module",
+)
+def test_import_loads_no_openssl():
+    # the spec digest comes from the interpreter's own SHA-256, so a CLI
+    # child never maps OpenSSL through hashlib
+    code = "import sys, klocal.cli; print('_hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(pauli.__file__).parents[1])}
+    found = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert found.stdout.split() == ["False"]

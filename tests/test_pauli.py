@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -65,6 +66,15 @@ def _clustered_operator(rng: np.random.Generator, n_sites: int, n_terms: int) ->
         string = PauliString.from_letters(n_sites, {s: "XYZ"[int(rng.integers(3))] for s in sites})
         acc[string] = acc.get(string, 0j) + complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return KLocalOperator(n_sites, acc)
+
+
+def _mfi_z84() -> tuple[KLocalOperator, KLocalOperator]:
+    """The mixed-field Ising chain on 128 sites (ZZ 1.0, X 1.05, Z 0.5) and Z
+    on site 84."""
+    n = 128
+    ising = build_model("long_range_ising", {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.05})
+    h = ising + (-0.5) * build_model("product_field", {"n_sites": n, "axis": "z"})
+    return h, KLocalOperator(n, {PauliString.from_letters(n, {84: "Z"}): 1.0})
 
 
 def _with_parts(op: KLocalOperator, re, im) -> KLocalOperator:
@@ -683,6 +693,13 @@ class TestTermLimit:
         spec["terms"] = spec["terms"][:6] * 2
         assert load_spec(spec).n_terms == 6
 
+    def test_mapping(self, monkeypatch):
+        strings = [PauliString.from_letters(8, {s: "X"}) for s in range(8)]
+        monkeypatch.setattr(pauli, "N_MAX_TERMS", 6)
+        with pytest.raises(ResourceLimitError, match=f"^8 distinct Pauli strings {self.LIMIT}$"):
+            KLocalOperator(8, dict.fromkeys(strings, 1.0))
+        assert KLocalOperator(8, dict.fromkeys(strings[:6], 1.0)).n_terms == 6
+
     def test_sum(self, monkeypatch, rng):
         a = random_operator(rng, 70, 4, max_weight=1)
         b = KLocalOperator(70, {PauliString.from_letters(70, {s: "Y"}): 1.0 for s in (20, 40, 60)})
@@ -706,13 +723,33 @@ class TestTermLimit:
 
 _KEYS = pauli._keys
 _ARGSORT = np.argsort
+_LEXSORT = np.lexsort
 
-# mixers that make distinct strings share keys under the first salts
+
+class _PrefixTies:
+    """A mixer that keys each string at salt 0 by 2**32 - 1 minus the
+    number of strings it saw before.  Distinct strings keep distinct keys,
+    but the new strings of a batch come with falling keys that share the
+    bits above the batch's row bits, so the running sum groups them by
+    (key, row) after its packed sort."""
+
+    def __init__(self):
+        self.seen: dict[tuple[int, bytes], int] = {}
+
+    def __call__(self, words, salt):
+        if salt:
+            return _KEYS(words, salt)
+        rows = [(len(row), row.tobytes()) for row in words]
+        return np.array([2**32 - 1 - self.seen.setdefault(row, len(self.seen)) for row in rows], np.uint64)
+
+
+# mixers that make distinct strings share keys, or key bits, under the first salts
 MIXERS = {
     "real mixer": _KEYS,
     "one key at salt 0": lambda w, salt: np.zeros(len(w), np.uint64) if salt == 0 else _KEYS(w, salt),
     "one key at salts 0-2": lambda w, salt: np.zeros(len(w), np.uint64) if salt < 3 else _KEYS(w, salt),
     "first word at salt 0": lambda w, salt: w[:, 0].copy() if salt == 0 else _KEYS(w, salt),
+    "prefix ties at salt 0": _PrefixTies,
 }
 
 # grouping sorts that order equal keys differently
@@ -723,24 +760,37 @@ ARGSORTS = {
 
 
 class _Salts(list):
-    """The salts a patched mixer was called with."""
+    """The salts a patched mixer was called with, and the count of batches
+    that the running sum sorted by (key, row) after its packed sort."""
 
     def check(self) -> None:
-        """Colliding mixers were recovered from; the real one never collides."""
+        """Colliding mixers were recovered from; the real one and the one
+        with prefix ties never re-salt, and the latter made batches fall back."""
         assert max(self) >= 1 if self.recovers else set(self) == {0}
+        assert self.fallbacks or not self.prefix_ties
 
 
 @pytest.fixture(params=sorted(MIXERS))
 def salts(request, monkeypatch):
     """Patch the row mixer and return the salts it was called with."""
     used = _Salts()
+    mixer = MIXERS[request.param]
+    mixer = mixer() if isinstance(mixer, type) else mixer
 
     def keys(words, salt):
         used.append(salt)
-        return MIXERS[request.param](words, salt)
+        return mixer(words, salt)
+
+    def lexsort(keys, *args, **kwargs):
+        # the running sum's fallback sorts by its keys alone; mask_order passes 2W keys
+        used.fallbacks += len(keys) == 1
+        return _LEXSORT(keys, *args, **kwargs)
 
     monkeypatch.setattr(pauli, "_keys", keys)
-    used.recovers = request.param != "real mixer"
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    used.fallbacks = 0
+    used.prefix_ties = request.param == "prefix ties at salt 0"
+    used.recovers = request.param not in {"real mixer", "prefix ties at salt 0"}
     return used
 
 
@@ -837,6 +887,26 @@ class TestKeyedMerge:
         # S summed in row order: (1e16 + 1) - 1e16 + 1, not 2
         assert got.coeff[4] == 1.0
         salts.check()
+
+    @pytest.mark.parametrize("first, second", [("A", "B"), ("B", "A")])
+    def test_prefix_ties_keep_first_occurrences(self, monkeypatch, first, second):
+        # A and B have keys 3 and 1 at salt 0, below the two row bits of a
+        # four-row batch: the packed sort leaves the rows in row order with
+        # falling keys, so the sum groups them by (key, row), without a new
+        # salt, and each string keeps the slot of its first row
+        n = 8
+        named = {"A": PauliString.from_letters(n, {0: "X"}), "B": PauliString.from_letters(n, {1: "Z"})}
+        used: list[int] = []
+
+        def keys(words, salt):
+            used.append(salt)
+            return np.where(words[:, 0] == 1, 3, 1).astype(np.uint64) if salt == 0 else _KEYS(words, salt)
+
+        monkeypatch.setattr(pauli, "_keys", keys)
+        batch = [(named[first], 1.0), (named[second], 2.0), (named[first], 0.5), (named[second], 0.25j)]
+        got = _running_sum(n, [batch])
+        assert terms_of(got) == [(named[first], 1.5), (named[second], 2.0 + 0.25j)]
+        assert used == [0]
 
     @pytest.mark.parametrize("n", [5, 64, 130])
     def test_commutator_with_collisions(self, salts, monkeypatch, n):
@@ -1023,11 +1093,7 @@ class TestKeyedMerge:
     @pytest.mark.parametrize("kind", sorted(ARGSORTS))
     def test_independent_of_tie_order(self, monkeypatch, rng, kind):
         n = 128
-        ising = build_model(
-            "long_range_ising", {"n_sites": n, "alpha": math.inf, "coupling": 1.0, "field": 1.05}
-        )
-        h = ising + (-0.5) * build_model("product_field", {"n_sites": n, "axis": "z"})
-        gamma = KLocalOperator(n, {PauliString.from_letters(n, {84: "Z"}): 1.0})
+        h, gamma = _mfi_z84()
         x = random_operator(rng, n, 300, max_weight=2, complex_coeffs=True)
 
         def run():
@@ -1038,3 +1104,31 @@ class TestKeyedMerge:
         default = run()
         monkeypatch.setattr(np, "argsort", ARGSORTS[kind])
         assert run() == default
+
+    # SHA-256 of words.tobytes() + coeff.tobytes() of levels 1-14 of Z_84 on the chain
+    LEVEL_DIGESTS = [
+        "97f2270d34ab8bdca81b77eea4ab28b03da1c92de9197c513fba5f0aaf2ee803",
+        "e6ef84c00fbfe8fdfd72594d1688f2191d9338a1fdfc23955c7c654bbc53fcd4",
+        "8ac115e128a6587963e4ead645f2fbc50ea5adbccbe01e4aae4d13967acbd52d",
+        "3f621e2ebfa11ab58221c2da4e938ae076c3e8dbdfb20b3cda08626fe0cee455",
+        "8a2dec75ef825b319064f3f3008bd1c6fb3f2bd238066190de05e49188e6c084",
+        "d54f2a9721ae719655b00d19dbbad810bec42bfcd2762b962a7998c160e87a9e",
+        "7ea0497e85a0aa0a52018613a0cb7766ee439e09eb401da701179df43be4ce5e",
+        "fba6feefc3f2c9f7f243578fa987aafe7ffc773a5d9df0f3c89a0dac9677e9e2",
+        "45d4939714fd83852fce740c4401414ed87e1916fb703f66b81daba8bd0d30ee",
+        "3634a63cf67984bd1ec7a12feea154de28de2f04aa172b2482b5d4b977181b66",
+        "873caa7373b651ae64b908b64936e6187a8911af83d514f927a34165eab73e79",
+        "7cdadc6eed1e9ae52fb0292f99b41880e21acc9138459823f143ec779c45808e",
+        "7f0c68eec211da9e1046133eecacb1669923e12213da72a83cb963184a29f2a2",
+        "09919d0dc6eb9bb65299ba781480946b34d3ffdf9e486cdc0d9e5ec283676402",
+    ]
+
+    def test_levels_bit_exact(self):
+        # any change to a summation order or a first occurrence moves a digest
+        h, gamma = _mfi_z84()
+        got = [
+            hashlib.sha256(level.words.tobytes() + level.coeff.tobytes()).hexdigest()
+            for m, level, _ in nested_commutator_levels(h, gamma, 14)
+            if m
+        ]
+        assert got == self.LEVEL_DIGESTS
