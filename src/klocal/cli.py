@@ -29,7 +29,9 @@ from pathlib import Path
 from typing import Any
 
 # the interpreter's own SHA-256, as random.py takes its SHA-512: hashlib
-# would map OpenSSL into every CLI process for one digest
+# would map OpenSSL into every CLI process for the spec digest alone
+# (numpy.random still loads it, through secrets and hmac, where a command
+# draws random numbers)
 try:
     from _sha2 import sha256
 except ImportError:

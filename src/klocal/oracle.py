@@ -288,7 +288,9 @@ def q_local_project(dense: DenseOperator, q: int) -> tuple[DenseOperator, float,
     dropped = np.where(_weight_tensor(n) > q, pauli_coefficients(dense), 0j)
     residual_fro = float(np.sqrt(np.sum(np.abs(dropped) ** 2) * 2**n))
     residual = coefficients_to_matrix(dropped)
-    return DenseOperator(n, dense.matrix - residual), residual_fro, _exact_norm(residual, dense.hermitian)
+    del dropped  # each step's arrays are 4**n values: free them before the next
+    residual_op = _exact_norm(residual, dense.hermitian)
+    return DenseOperator(n, dense.matrix - residual), residual_fro, residual_op
 
 
 def energy_block_norm(

@@ -53,20 +53,14 @@ in sorted order: 40 bytes a string at any width, 32 with real
 coefficients.  An id is a row number in a sum, and in
 :func:`commutator` ``k * b.n_terms + j`` for the
 product of the k-th term of ``a`` that overlaps ``b`` with the j-th term
-of ``b``.  A batch of n rows is grouped by one in-place sort of 64-bit
-words, each holding the top 64 - b bits of a row's key above the row
-number in the low b = bit_length(n - 1) bits: the rows of a key come
-out in row order, so a group's first row is its first occurrence.  Distinct
-strings whose keys share those top bits can leave the full keys falling
-in that order; such a batch is sorted by (key, row) with ``np.lexsort``
-instead, never keyed again, since at 2**22 rows ties in the top bits
-alone are to be expected.  The groups' keys are looked up among the
-stored ones with ``searchsorted``, and rows are merged only once all
-their words compare equal: a batch brings its own words, and those of
-stored strings are regenerated from ids, a block at a time, for that
-check, for re-keying and for the result, so no batch copies the stored
-strings' words.  A key shared by distinct strings makes the running sum
-key itself again with the next salt.  Coefficients are summed
+of ``b``.  New strings are sorted by key, looked up with
+``searchsorted``, and merged only once all their words compare equal:
+a batch brings its own words, and those of stored strings are
+regenerated from ids, a block at a time, for that check, for re-keying
+and for the result, so no batch copies the stored strings' words.
+A key shared by distinct strings makes the running sum key itself again
+with the next salt.  A group's first occurrence is its smallest row, so
+the order the sort gives ties does not matter.  Coefficients are summed
 in one array (``np.add.at``, in row order).  In general it is complex,
 which adds real and imaginary parts separately as CPython does, and
 products follow CPython's complex formula part by part (``_cmul``, also
@@ -325,20 +319,9 @@ class _RunningSum:
     def _slots(self, ids, words) -> np.ndarray | None:
         """The slot of each row of ``words``, appending new strings at 0.0;
         None, with nothing changed, if distinct rows share a key."""
-        by_row = _keys(words, self.salt)
-        # one in-place sort of words that hold a key's top bits above its row
-        low = np.uint64((1 << (len(by_row) - 1).bit_length()) - 1)
-        order = by_row & ~low
-        order |= np.arange(len(by_row), dtype=np.uint64)
-        order.sort()
-        order &= low
-        order = order.view(np.intp)
-        key = by_row.take(order)
-        if (key[1:] < key[:-1]).any():
-            # distinct strings share those top bits: sort by (key, row) instead
-            order = np.lexsort([by_row])
-            key = by_row.take(order)
-        del by_row
+        key = _keys(words, self.salt)
+        order = np.argsort(key)
+        key = key[order]
         leads = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=leads[1:])
         starts, n_old = np.flatnonzero(leads), len(self.keys)
@@ -348,14 +331,15 @@ class _RunningSum:
             self.keys, self.slots = key, order
             return np.arange(len(ids))
         unique, rank = key[starts], leads.cumsum() - 1
-        first = order[starts]  # rows ascend within a key group
         later = np.flatnonzero(~leads)  # the rows after the first of their key group
         if later.size and not (
-            words.take(order[later], axis=0) == words.take(first[rank[later]], axis=0)
+            words.take(order[later], axis=0) == words.take(order[starts[rank[later]]], axis=0)
         ).all():
             return None
         group = np.empty_like(order)
         group[order] = rank
+        # the smallest row of a group comes first, whatever the order of ties
+        first = np.minimum.reduceat(order, starts)
         del key, order, leads, rank, later  # a batch's arrays set the peak: free them once spent
         slot = np.full(len(unique), -1)
         if n_old:

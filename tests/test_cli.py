@@ -667,10 +667,19 @@ class TestDeterminismAndErrors:
     not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
     reason="this interpreter has no built-in SHA-256 module",
 )
-def test_import_loads_no_openssl():
-    # the spec digest comes from the interpreter's own SHA-256, so a CLI
-    # child never maps OpenSSL through hashlib
-    code = "import sys, klocal.cli; print('_hashlib' in sys.modules)"
+def test_spec_digest_loads_no_openssl(tfi_spec, tmp_path):
+    # the spec digest comes from the interpreter's own SHA-256, so neither
+    # importing the CLI nor reading and hashing a spec maps OpenSSL through
+    # hashlib
+    code = (
+        "import sys, klocal.cli\n"
+        "print('_hashlib' in sys.modules)\n"
+        "assert klocal.cli.main(sys.argv[1:]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    argv = ["constants", "--spec", tfi_spec, "--out", str(tmp_path / "report.json")]
     env = {**os.environ, "PYTHONPATH": str(Path(pauli.__file__).parents[1])}
-    found = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert found.stdout.split() == ["False"]
+    found = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert found.stdout.split() == ["False", "False"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["input_hash"] == hashlib.sha256(Path(tfi_spec).read_bytes()).hexdigest()

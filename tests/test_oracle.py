@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ class TestPauliBasis:
             np.testing.assert_allclose(projected.matrix, direct, rtol=0, atol=1e-12)
             assert res_op == pytest.approx(np.linalg.norm(m - direct, 2), rel=1e-12, abs=1e-12)
             assert res_fro == pytest.approx(np.linalg.norm(m - direct, "fro"), rel=1e-12, abs=1e-12)
+
+    def test_projection_peak_memory(self, rng):
+        # the first projection also decides Hermiticity from two dense
+        # copies: the dropped coefficients are freed and the residual's norm
+        # taken before the projected matrix is formed, so fewer than four
+        # arrays of 4**n values are alive at once
+        n = 8
+        dense = DenseOperator(n, random_matrix(rng, n, hermitian=True))
+        dense.pauli_coefficients
+        tracemalloc.start()
+        try:
+            q_local_project(dense, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * 4**n
 
     def test_projection_drops_nothing_at_q_n(self, rng):
         dense = DenseOperator(3, random_matrix(rng, 3, hermitian=False))

@@ -723,33 +723,13 @@ class TestTermLimit:
 
 _KEYS = pauli._keys
 _ARGSORT = np.argsort
-_LEXSORT = np.lexsort
 
-
-class _PrefixTies:
-    """A mixer that keys each string at salt 0 by 2**32 - 1 minus the
-    number of strings it saw before.  Distinct strings keep distinct keys,
-    but the new strings of a batch come with falling keys that share the
-    bits above the batch's row bits, so the running sum groups them by
-    (key, row) after its packed sort."""
-
-    def __init__(self):
-        self.seen: dict[tuple[int, bytes], int] = {}
-
-    def __call__(self, words, salt):
-        if salt:
-            return _KEYS(words, salt)
-        rows = [(len(row), row.tobytes()) for row in words]
-        return np.array([2**32 - 1 - self.seen.setdefault(row, len(self.seen)) for row in rows], np.uint64)
-
-
-# mixers that make distinct strings share keys, or key bits, under the first salts
+# mixers that make distinct strings share keys under the first salts
 MIXERS = {
     "real mixer": _KEYS,
     "one key at salt 0": lambda w, salt: np.zeros(len(w), np.uint64) if salt == 0 else _KEYS(w, salt),
     "one key at salts 0-2": lambda w, salt: np.zeros(len(w), np.uint64) if salt < 3 else _KEYS(w, salt),
     "first word at salt 0": lambda w, salt: w[:, 0].copy() if salt == 0 else _KEYS(w, salt),
-    "prefix ties at salt 0": _PrefixTies,
 }
 
 # grouping sorts that order equal keys differently
@@ -760,37 +740,24 @@ ARGSORTS = {
 
 
 class _Salts(list):
-    """The salts a patched mixer was called with, and the count of batches
-    that the running sum sorted by (key, row) after its packed sort."""
+    """The salts a patched mixer was called with."""
 
     def check(self) -> None:
-        """Colliding mixers were recovered from; the real one and the one
-        with prefix ties never re-salt, and the latter made batches fall back."""
+        """Colliding mixers were recovered from; the real one never collides."""
         assert max(self) >= 1 if self.recovers else set(self) == {0}
-        assert self.fallbacks or not self.prefix_ties
 
 
 @pytest.fixture(params=sorted(MIXERS))
 def salts(request, monkeypatch):
     """Patch the row mixer and return the salts it was called with."""
     used = _Salts()
-    mixer = MIXERS[request.param]
-    mixer = mixer() if isinstance(mixer, type) else mixer
 
     def keys(words, salt):
         used.append(salt)
-        return mixer(words, salt)
-
-    def lexsort(keys, *args, **kwargs):
-        # the running sum's fallback sorts by its keys alone; mask_order passes 2W keys
-        used.fallbacks += len(keys) == 1
-        return _LEXSORT(keys, *args, **kwargs)
+        return MIXERS[request.param](words, salt)
 
     monkeypatch.setattr(pauli, "_keys", keys)
-    monkeypatch.setattr(np, "lexsort", lexsort)
-    used.fallbacks = 0
-    used.prefix_ties = request.param == "prefix ties at salt 0"
-    used.recovers = request.param not in {"real mixer", "prefix ties at salt 0"}
+    used.recovers = request.param != "real mixer"
     return used
 
 
@@ -889,11 +856,10 @@ class TestKeyedMerge:
         salts.check()
 
     @pytest.mark.parametrize("first, second", [("A", "B"), ("B", "A")])
-    def test_prefix_ties_keep_first_occurrences(self, monkeypatch, first, second):
-        # A and B have keys 3 and 1 at salt 0, below the two row bits of a
-        # four-row batch: the packed sort leaves the rows in row order with
-        # falling keys, so the sum groups them by (key, row), without a new
-        # salt, and each string keeps the slot of its first row
+    def test_alternating_keys_keep_first_occurrences(self, monkeypatch, first, second):
+        # A and B have keys 3 and 1 at salt 0 in rows A, B, A, B or B, A, B,
+        # A: whichever string sorts first, each keeps the slot of its first
+        # row, without a new salt
         n = 8
         named = {"A": PauliString.from_letters(n, {0: "X"}), "B": PauliString.from_letters(n, {1: "Z"})}
         used: list[int] = []
